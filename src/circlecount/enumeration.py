@@ -2,19 +2,28 @@
 
 Two counting engines share one contract:
 
-* ``naive`` enumerates the full grid A^s and classifies every tuple;
+* ``naive`` scans the full grid A^s and classifies every solution tuple;
 * ``mitm`` splits the variables in half and joins power-sum keys, trading
   A^s work for A^ceil(s/2) time and key storage.  Triviality cannot be
   decided per tuple in the joined stream, so the trivial count comes from the
   exact value-class partition formula instead.
 
-Counts are exact integers everywhere; int64 fast paths are guarded by
-explicit bounds and fall back to Python big integers, never wrap around.
+The join packs each half's degree-1..k power sums into one int64 key by mixed
+radix and matches the halves with ``np.unique`` and ``np.intersect1d``.  When
+the right half's coefficients negate the left half's up to order, as in every
+Vinogradov system, the count is the sum of squared key multiplicities over one
+half; ``vinogradov_moment`` is this same join.  Counts are exact integers
+everywhere: one helper, ``_fits_int64``, decides whether an int64 grid or key
+holds every value a path forms, and otherwise the scan and the join run on
+Python big integers, never wrapping around.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
@@ -78,114 +87,126 @@ def _power_sum_columns(
     return cols
 
 
-def _int64_grid_safe(system: DiagonalSystem, n: int) -> bool:
-    bound = sum(abs(c) for c in system.coefficients) * n**system.degree
+def _fits_int64(bound: int) -> bool:
+    """The int64-or-big-integer choice of every counter in this module, given
+    a bound on each integer the int64 path would form (power sum or key)."""
     return bound < _INT64_SAFE
 
 
-def _naive_tally(
-    system: DiagonalSystem, window: SetWindow, budget: Budget
-) -> SolutionTally:
-    elems = window.elements()
-    a = len(elems)
-    s = system.arity
-    grid = max(a, 1) ** s
-    budget.check_ops(grid * system.degree, "naive count")
-    budget.check_bytes(grid * 8 * system.degree, "naive count grid")
-    if a == 0:
-        return SolutionTally(0, 0, 0)
-    total = trivial = 0
-    if _int64_grid_safe(system, window.length):
+def _solutions(
+    system: DiagonalSystem,
+    elems: tuple[int, ...],
+    budget: Budget,
+    what: str,
+    max_grid: float = math.inf,
+) -> Iterator[tuple[int, ...]]:
+    """Solutions in A^s in lexicographic order, after the budget checks ``what``.
+
+    A grid of at most ``max_grid`` tuples whose power sums fit int64 is
+    scanned as numpy columns; any other grid tuple by tuple in Python.
+    """
+    s, k = system.arity, system.degree
+    grid = max(len(elems), 1) ** s
+    budget.check_ops(grid * k, what)
+    if not elems:
+        return
+    weight = sum(abs(c) for c in system.coefficients)
+    if grid <= max_grid and _fits_int64(weight * elems[-1] ** k):
+        budget.check_bytes(grid * 8 * k, f"{what} grid")
         arr = np.asarray(elems, dtype=np.int64)
-        cols = _power_sum_columns(arr, system.coefficients, system.degree)
-        mask = np.ones(cols[0].shape, dtype=bool)
-        for col in cols:
+        cols = _power_sum_columns(arr, system.coefficients, k)
+        mask = cols[0] == 0
+        for col in cols[1:]:
             mask &= col == 0
-        total = int(mask.sum())
-        flat = np.flatnonzero(mask.ravel())
-        for code in flat.tolist():
-            tup = _decode(code, elems, s)
-            if _value_classes_zero_sum(system, tup):
-                trivial += 1
+        idx = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        yield from zip(*(arr[i].tolist() for i in idx))
     else:
         for tup in itertools.product(elems, repeat=s):
             if all(v == 0 for v in system.equations_at(tup)):
-                total += 1
-                if _value_classes_zero_sum(system, tup):
-                    trivial += 1
-    return SolutionTally(total, trivial, total - trivial)
+                yield tup
 
 
-def _decode(code: int, elems: tuple[int, ...], s: int) -> tuple[int, ...]:
-    a = len(elems)
-    out = [0] * s
-    for pos in range(s - 1, -1, -1):
-        out[pos] = elems[code % a]
-        code //= a
-    return tuple(out)
+def _packed_keys(
+    elems: tuple[int, ...], halves: Sequence[Sequence[int]], radices: Sequence[int]
+) -> list[np.ndarray]:
+    """One int64 key per tuple of each half's grid, equal iff the power sums are.
 
-
-def _half_keys(
-    elems: tuple[int, ...], coeffs: Sequence[int], degree: int
-) -> Counter:
-    """Multiset of power-sum key vectors over the grid of one variable half."""
+    The degree-j sum shifted by radices[j-1] // 2 is a mixed-radix digit.  When
+    the next digit would overflow, the keys so far are renumbered densely
+    across the halves first, so keys stay below (number of keys) * radices[-1].
+    """
     arr = np.asarray(elems, dtype=np.int64)
-    cols = _power_sum_columns(arr, coeffs, degree)
-    lists = [c.ravel().tolist() for c in cols]
-    return Counter(zip(*lists))
+    cols = [_power_sum_columns(arr, half, len(radices)) for half in halves]
+    keys = [np.zeros(arr.size ** len(half), dtype=np.int64) for half in halves]
+    span = 1  # every key lies in [0, span)
+    for radix in reversed(radices):
+        if not _fits_int64(span * radix):
+            distinct = np.unique(np.concatenate(keys))
+            keys = [np.searchsorted(distinct, key) for key in keys]
+            span = distinct.size
+        for key, col in zip(keys, cols):
+            key *= radix
+            key += col.pop().ravel()
+            key += radix // 2
+        span *= radix
+    return keys
 
 
 def _half_keys_exact(
     elems: tuple[int, ...], coeffs: Sequence[int], degree: int
 ) -> Counter:
-    out: Counter = Counter()
-    for tup in itertools.product(elems, repeat=len(coeffs)):
-        key = tuple(
-            sum(c * v**j for c, v in zip(coeffs, tup)) for j in range(1, degree + 1)
-        )
-        out[key] += 1
-    return out
+    return Counter(
+        tuple(sum(c * v**j for c, v in zip(coeffs, tup)) for j in range(1, degree + 1))
+        for tup in itertools.product(elems, repeat=len(coeffs))
+    )
 
 
-def _mitm_total(system: DiagonalSystem, window: SetWindow, budget: Budget) -> int:
-    elems = window.elements()
-    a = len(elems)
-    if a == 0:
-        return 0
-    s = system.arity
-    left = system.coefficients[: (s + 1) // 2]
-    right = system.coefficients[(s + 1) // 2 :]
-    half = max(len(left), len(right))
-    budget.check_ops(max(a, 1) ** half * system.degree, "mitm count")
-    # rough per-entry cost of a Counter slot holding a k-tuple of ints
-    budget.check_bytes(max(a, 1) ** half * (64 + 32 * system.degree), "mitm keys")
-    keys = _half_keys if _int64_grid_safe(system, window.length) else _half_keys_exact
-    left_keys = keys(elems, left, system.degree)
-    right_keys = keys(elems, right, system.degree)
-    total = 0
-    # iterate the smaller side for the probe
-    if len(left_keys) > len(right_keys):
-        left_keys, right_keys = right_keys, left_keys
-    for key, mult in left_keys.items():
-        neg = tuple(-v for v in key)
-        other = right_keys.get(neg)
-        if other:
-            total += mult * other
-    return total
+def _join_count(
+    elems: tuple[int, ...],
+    left: Sequence[int],
+    right: Sequence[int],
+    degree: int,
+    budget: Budget,
+    what: str,
+) -> int:
+    """Number of (x, y) in A^len(left) x A^len(right) whose power sums
+    sum_i left_i x_i^j + sum_i right_i y_i^j vanish for j = 1..degree.
+
+    Keys of x under ``left`` meet keys of y under ``-right``; a ``-right``
+    that is ``left`` up to order builds one half and sums squared counts.
+    Byte estimate ``what`` per key built: 8*(degree + 2) packed (the degree
+    int64 columns, the key and its sorted copy), 64 + 32*degree for the
+    ``Counter`` slot of a key tuple on the big-integer path.
+    """
+    neg = tuple(-c for c in right)
+    halves = (left,) if sorted(left) == sorted(neg) else (left, neg)
+    weight = max(sum(abs(c) for c in half) for half in halves)
+    radices = [2 * weight * elems[-1] ** j + 1 for j in range(1, degree + 1)]
+    entries = sum(len(elems) ** len(half) for half in halves)
+    packed = _fits_int64(min(math.prod(radices), entries * radices[-1]))
+    per_key = 8 * (degree + 2) if packed else 64 + 32 * degree
+    budget.check_bytes(entries * per_key, what)
+    if not packed:
+        keys = [_half_keys_exact(elems, half, degree) for half in halves]
+        common = keys[0].keys() & keys[-1].keys()
+        return sum(keys[0][key] * keys[-1][key] for key in common)
+    keys = _packed_keys(elems, halves, radices)
+    # pop, so that each key array is freed as soon as it is counted
+    counts = [np.unique(keys.pop(0), return_counts=True) for _ in halves]
+    if len(counts) == 1:
+        mults = counts[0][1].tolist()
+        return sum(map(operator.mul, mults, mults))
+    (lkeys, lmult), (rkeys, rmult) = counts
+    _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
+    return sum(map(operator.mul, lmult[li].tolist(), rmult[ri].tolist()))
 
 
-def _falling_factorial(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= n - i
-        if out == 0:
-            return 0
-    return out
-
-
-def _zero_sum_partition_histogram(coeffs: Sequence[int]) -> dict[int, int]:
-    """Histogram {block count: number of set partitions} over partitions of
-    the coefficient indices whose every block sums to zero."""
+@functools.lru_cache(maxsize=64)
+def _zero_sum_partition_histogram(
+    coeffs: tuple[int, ...],
+) -> tuple[tuple[int, int], ...]:
+    """Pairs (block count, number of set partitions) over partitions of the
+    coefficient indices whose every block sums to zero."""
     s = len(coeffs)
     suffix_abs = [0] * (s + 1)
     for i in range(s - 1, -1, -1):
@@ -211,10 +232,7 @@ def _zero_sum_partition_histogram(coeffs: Sequence[int]) -> dict[int, int]:
         blocks.pop()
 
     rec(0)
-    return hist
-
-
-_PARTITION_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
+    return tuple(sorted(hist.items()))
 
 
 def trivial_count(system: DiagonalSystem, cardinality: int) -> int:
@@ -231,12 +249,8 @@ def trivial_count(system: DiagonalSystem, cardinality: int) -> int:
         raise ArityTooLargeError(
             f"set-partition enumeration supports arity <= 12, got {system.arity}"
         )
-    key = system.coefficients
-    hist = _PARTITION_CACHE.get(key)
-    if hist is None:
-        hist = _zero_sum_partition_histogram(key)
-        _PARTITION_CACHE[key] = hist
-    return sum(n * _falling_factorial(cardinality, r) for r, n in hist.items())
+    hist = _zero_sum_partition_histogram(system.coefficients)
+    return sum(n * math.perm(cardinality, r) for r, n in hist)
 
 
 def count_solutions(
@@ -257,8 +271,17 @@ def count_solutions(
         grid = max(window.cardinality, 1) ** system.arity
         method = "naive" if grid <= 10**6 else "mitm"
     if method == "naive":
-        return _naive_tally(system, window, budget)
-    total = _mitm_total(system, window, budget)
+        total = trivial = 0
+        for tup in _solutions(system, window.elements(), budget, "naive count"):
+            total += 1
+            trivial += _value_classes_zero_sum(system, tup)
+        return SolutionTally(total, trivial, total - trivial)
+    elems, k, half = window.elements(), system.degree, (system.arity + 1) // 2
+    total = 0
+    if elems:
+        budget.check_ops(len(elems) ** half * k, "mitm count")
+        left, right = system.coefficients[:half], system.coefficients[half:]
+        total = _join_count(elems, left, right, k, budget, "mitm keys")
     triv = trivial_count(system, window.cardinality)
     return SolutionTally(total, triv, total - triv)
 
@@ -272,28 +295,9 @@ def stream_solutions(
     """Yield solutions in lexicographic tuple order, optionally nontrivial only."""
     if which not in ("all", "nontrivial"):
         raise BadParamsError(f"unknown filter {which!r}")
-    elems = window.elements()
-    s = system.arity
-    grid = max(len(elems), 1) ** s
-    budget.check_ops(grid * system.degree, "stream")
-    if not elems:
-        return
-    if _int64_grid_safe(system, window.length) and grid <= 10**8:
-        budget.check_bytes(grid * 8 * system.degree, "stream grid")
-        arr = np.asarray(elems, dtype=np.int64)
-        cols = _power_sum_columns(arr, system.coefficients, system.degree)
-        mask = np.ones(cols[0].shape, dtype=bool)
-        for col in cols:
-            mask &= col == 0
-        for code in np.flatnonzero(mask.ravel()).tolist():
-            tup = _decode(code, elems, s)
-            if which == "all" or not _value_classes_zero_sum(system, tup):
-                yield tup
-    else:
-        for tup in itertools.product(elems, repeat=s):
-            if all(v == 0 for v in system.equations_at(tup)):
-                if which == "all" or not _value_classes_zero_sum(system, tup):
-                    yield tup
+    for tup in _solutions(system, window.elements(), budget, "stream", 10**8):
+        if which == "all" or not _value_classes_zero_sum(system, tup):
+            yield tup
 
 
 def vinogradov_moment(
@@ -308,14 +312,8 @@ def vinogradov_moment(
     if t < 1 or k < 1 or n < 1:
         raise BadParamsError("need n, k, t >= 1")
     budget.check_ops(n**t * k, "vinogradov moment")
-    budget.check_bytes(n**t * (64 + 32 * k), "vinogradov keys")
     elems = tuple(range(1, n + 1))
-    ones = (1,) * t
-    if t * n**k < _INT64_SAFE:
-        keys = _half_keys(elems, ones, k)
-    else:
-        keys = _half_keys_exact(elems, ones, k)
-    return sum(m * m for m in keys.values())
+    return _join_count(elems, (1,) * t, (-1,) * t, k, budget, "vinogradov keys")
 
 
 def greedy_solution_free(

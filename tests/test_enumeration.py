@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from circlecount import (
     SetWindow,
     count_solutions,
+    enumeration,
     greedy_solution_free,
     is_trivial,
     stream_solutions,
@@ -170,3 +172,136 @@ def test_tally_cross_check_against_loops(sys_quad4, sys_lin3):
         total, trivial = brute_force_tally(sys, w)
         tally = count_solutions(sys, w, "naive")
         assert (tally.total, tally.trivial) == (total, trivial)
+
+
+# Small inputs on which every counting path fits int64: the big-integer paths,
+# forced below, must reproduce these results exactly.
+FALLBACK_CASES = [
+    # symmetric: the right half negates the left half up to order
+    (2, (1, 1, 1, -1, -1, -1), (1, 2, 3, 5, 6, 7)),
+    # asymmetric, even arity
+    (2, (3, -1, -1, 2, -2, -1), (1, 2, 4, 5, 7)),
+    # asymmetric, odd arity: the left half is the longer one
+    (2, (2, 1, -1, -1, -1), (1, 3, 4, 6, 8, 9)),
+    (3, (1, 1, 1, -1, -2), (2, 3, 5, 6, 8)),
+]
+MOMENT_CASES = [(6, 2, 2), (5, 3, 3), (4, 2, 3)]
+
+
+def _every_counting_path():
+    out = []
+    for k, coeffs, elems in FALLBACK_CASES:
+        sys = validate_system(k, coeffs)
+        w = SetWindow.from_elements(max(elems), elems)
+        out.append((
+            count_solutions(sys, w, "naive"),
+            count_solutions(sys, w, "mitm"),
+            list(stream_solutions(sys, w, "all")),
+            list(stream_solutions(sys, w, "nontrivial")),
+        ))
+    out.append([vinogradov_moment(n, k, t) for n, k, t in MOMENT_CASES])
+    return out
+
+
+@pytest.fixture
+def int64_decisions(monkeypatch):
+    """Record (bound, verdict) of every int64 decision the engines make."""
+    decisions = []
+    real = enumeration._fits_int64
+
+    def spy(bound):
+        decisions.append((bound, real(bound)))
+        return decisions[-1][1]
+
+    monkeypatch.setattr(enumeration, "_fits_int64", spy)
+    return decisions
+
+
+class TestInt64Fallbacks:
+    def test_forced_big_integer_paths_agree(self, monkeypatch):
+        expected = _every_counting_path()
+
+        def no_int64_grid(*args):
+            raise AssertionError("an int64 path ran")
+
+        monkeypatch.setattr(enumeration, "_fits_int64", lambda bound: False)
+        monkeypatch.setattr(enumeration, "_power_sum_columns", no_int64_grid)
+        assert _every_counting_path() == expected
+
+    def test_renumbered_keys(self, int64_decisions):
+        # radix products far above int64 over few keys: the keys are
+        # renumbered between digits and the join stays on int64
+        sys = validate_system(4, (1, 2, -3, 1, -1))
+        w = SetWindow.from_elements(60, (1, 2, 7, 20, 33, 60))
+        assert count_solutions(sys, w, "mitm").total == brute_force_tally(sys, w)[0]
+        assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
+        del int64_decisions[:]
+        assert vinogradov_moment(12, 5, 2) == brute_force_moment(12, 5, 2)
+        assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
+
+    def test_key_bound_at_int64_limit(self, monkeypatch, int64_decisions):
+        # over {1, 2, top} the join's key bound grows with top; the largest top
+        # below the int64 limit packs keys, the next one takes the exact path
+        sys = validate_system(4, (1, 1, -1, -1))
+        exact_calls = []
+        real_exact = enumeration._half_keys_exact
+        monkeypatch.setattr(
+            enumeration,
+            "_half_keys_exact",
+            lambda *args: exact_calls.append(args) or real_exact(*args),
+        )
+
+        def join_bound(top):
+            del int64_decisions[:]
+            count_solutions(sys, SetWindow.from_elements(top, (1, 2, top)), "mitm")
+            return int64_decisions[0][0]
+
+        lo, hi = 3, 2**20  # join_bound(lo) fits, join_bound(hi) does not
+        assert join_bound(lo) < enumeration._INT64_SAFE <= join_bound(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if join_bound(mid) < enumeration._INT64_SAFE:
+                lo = mid
+            else:
+                hi = mid
+        for top, exact in ((lo, False), (hi, True)):
+            w = SetWindow.from_elements(top, (1, 2, top))
+            del exact_calls[:]
+            tally = count_solutions(sys, w, "mitm")
+            assert bool(exact_calls) == exact
+            assert tally == count_solutions(sys, w, "naive")
+            assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda b: count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
+                                  SetWindow.full(60), "mitm", b),
+        lambda b: count_solutions(validate_system(2, (2, 1, -1, -1, -1)),
+                                  SetWindow.full(60), "mitm", b),
+        lambda b: vinogradov_moment(60, 2, 3, b),
+    ],
+    ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment"],
+)
+def test_key_byte_estimate_tracks_traced_peak(count):
+    estimates = []
+
+    class Recording(Budget):
+        def check_bytes(self, nbytes, what):
+            estimates.append(nbytes)
+            super().check_bytes(nbytes, what)
+
+    count(Budget())  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        count(Recording())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate <= 4 * peak
+
+
+def test_partition_cache_is_bounded():
+    assert enumeration._zero_sum_partition_histogram.cache_info().maxsize is not None
