@@ -14,6 +14,14 @@ from .errors import BudgetExceededError
 
 DEFAULT_MAX_OPS = 10**9
 DEFAULT_MAX_KEY_BYTES = 4 * 1024**3  # 4 GiB
+INT64_SAFE = 2**62
+
+
+def fits_int64(bound: int) -> bool:
+    """The int64-or-big-integer choice of every exact engine, given an integer
+    bound on each value the int64 path would form; otherwise the engine runs
+    on Python big integers, never wrapping around."""
+    return bound < INT64_SAFE
 
 
 @dataclass(frozen=True)

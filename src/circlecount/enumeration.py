@@ -13,9 +13,9 @@ radix and matches the halves with ``np.unique`` and ``np.intersect1d``.  When
 the right half's coefficients negate the left half's up to order, as in every
 Vinogradov system, the count is the sum of squared key multiplicities over one
 half; ``vinogradov_moment`` is this same join.  Counts are exact integers
-everywhere: one helper, ``_fits_int64``, decides whether an int64 grid or key
-holds every value a path forms, and otherwise the scan and the join run on
-Python big integers, never wrapping around.
+everywhere: the shared helper ``budget.fits_int64`` decides whether an int64
+grid or key holds every value a path forms, and otherwise the scan and the
+join run on Python big integers, never wrapping around.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget
+# the shared int64 decision under this module's names, which tests patch and read
+from .budget import INT64_SAFE as _INT64_SAFE  # noqa: F401
+from .budget import fits_int64 as _fits_int64
 from .errors import ArityTooLargeError, BadParamsError
 from .system import DiagonalSystem
 from .windows import SetWindow
-
-_INT64_SAFE = 2**62
 
 Method = Literal["naive", "mitm", "auto"]
 
@@ -69,13 +70,13 @@ def _value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
 
 def _power_sum_columns(
     elems: np.ndarray, coeffs: Sequence[int], degree: int
-) -> list[np.ndarray]:
+) -> Iterator[np.ndarray]:
     """Broadcast grids of partial power sums over the tuple grid A^len(coeffs).
 
-    Column j-1 holds sum_i lam_i x_i^j on the full grid, shape (|A|,)*len(coeffs).
+    The j-th column yielded holds sum_i lam_i x_i^j on the full grid, shape
+    (|A|,)*len(coeffs); columns are built one at a time, on demand.
     """
     m = len(coeffs)
-    cols = []
     for j in range(1, degree + 1):
         pw = elems.astype(np.int64) ** j
         acc = np.zeros((1,) * m, dtype=np.int64)
@@ -83,14 +84,7 @@ def _power_sum_columns(
             shape = [1] * m
             shape[i] = len(elems)
             acc = acc + lam * pw.reshape(shape)
-        cols.append(acc)
-    return cols
-
-
-def _fits_int64(bound: int) -> bool:
-    """The int64-or-big-integer choice of every counter in this module, given
-    a bound on each integer the int64 path would form (power sum or key)."""
-    return bound < _INT64_SAFE
+        yield acc
 
 
 def _solutions(
@@ -114,10 +108,12 @@ def _solutions(
     if grid <= max_grid and _fits_int64(weight * elems[-1] ** k):
         budget.check_bytes(grid * 8 * k, f"{what} grid")
         arr = np.asarray(elems, dtype=np.int64)
+        # fold each degree's column into the mask before the next is built
         cols = _power_sum_columns(arr, system.coefficients, k)
-        mask = cols[0] == 0
-        for col in cols[1:]:
+        mask = next(cols) == 0
+        for col in cols:
             mask &= col == 0
+            del col
         idx = np.unravel_index(np.flatnonzero(mask), mask.shape)
         yield from zip(*(arr[i].tolist() for i in idx))
     else:
@@ -136,7 +132,7 @@ def _packed_keys(
     across the halves first, so keys stay below (number of keys) * radices[-1].
     """
     arr = np.asarray(elems, dtype=np.int64)
-    cols = [_power_sum_columns(arr, half, len(radices)) for half in halves]
+    cols = [list(_power_sum_columns(arr, half, len(radices))) for half in halves]
     keys = [np.zeros(arr.size ** len(half), dtype=np.int64) for half in halves]
     span = 1  # every key lies in [0, span)
     for radix in reversed(radices):

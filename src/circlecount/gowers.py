@@ -13,13 +13,31 @@ k-fold difference sums,
 
 which also shows the quantity is nonnegative.  Zero-extension of the balanced
 function makes this equal to the interval-restricted sum: any term with an
-argument outside [1, N] vanishes.  A naive evaluator of the literal
-(k+2)-fold sum with the translated-interval restriction is kept for
-cross-checking.
+argument outside [1, N] vanishes.
+
+Zero-extension also makes every level of the recursion invariant under
+translation, which the evaluator uses twice.  The product c(x) c(x+w) at shift
+-w is a translate of the product c(x) c(x-w) at +w, so the shift loop runs
+over w >= 0 and doubles the w > 0 terms; and the product at shift w lives on
+N - w points, so the recursion passes that trimmed slice.  The leaf's
+autocorrelation is symmetric too, so it squares only the centre and the right
+half.  Each level thus sums the work of the level below over support lengths
+1..N: the multiply-adds total at most N^(k+1), about 2 N^(k+1) / (k+1)!, and
+the budget estimate N^(k+1) bounds the work from above.
+
+Every value the recursion forms is bounded by N^(2^k + 1).  While that bound
+fits int64 (``budget.fits_int64``) the values are numpy int64; otherwise they
+are Python integers in an object array.  ``np.correlate`` is exact on both,
+and the leaf squares in Python integers.
+
+A naive evaluator of the literal (k+2)-fold sum with the translated-interval
+restriction is kept for cross-checking; it uses neither the collapse nor the
+symmetry nor the trimming.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +45,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, fits_int64
 from .errors import BadParamsError
 from .windows import SetWindow
-
-_INT64_SAFE = 2**62
 
 # the N^(k+1)-work evaluator gets its own ceiling: N = 4096 at degree 2
 GOWERS_DEFAULT_BUDGET = Budget(max_ops=4096**3)
@@ -66,59 +82,19 @@ class UniformityReport:
     parameter: Fraction
 
 
-def _autocorr_square_sum(c: Sequence[int]) -> int:
-    """sum over all lags w of ( sum_x c(x) c(x-w) )^2, exactly."""
-    arr = np.asarray(c, dtype=np.int64)
-    ac = np.correlate(arr, arr, mode="full")
-    return sum(v * v for v in ac.tolist())
+def _collapse_scaled(values: Sequence[int], k: int, dtype: type) -> int:
+    """Integer numerator of the difference sum: the collapse-identity recursion
+    on the balanced values held as ``dtype`` (np.int64 or object)."""
 
-
-def _autocorr_square_sum_exact(c: Sequence[int]) -> int:
-    n = len(c)
-    total = 0
-    for w in range(-(n - 1), n):
-        inner = 0
-        for x in range(n):
-            y = x - w
-            if 0 <= y < n:
-                inner += c[x] * c[y]
-        total += inner * inner
-    return total
-
-
-def _shifted_product(c: np.ndarray, w: int) -> np.ndarray:
-    """Pointwise c(x) * c(x-w) with zero extension, as an array on [1, N]."""
-    out = np.zeros_like(c)
-    n = len(c)
-    if w >= 0:
-        out[w:] = c[w:] * c[: n - w]
-    else:
-        out[: n + w] = c[: n + w] * c[-w:]
-    return out
-
-
-def _collapse_scaled(values: Sequence[int], k: int, use_int64: bool) -> int:
-    """Integer numerator of the difference sum: the collapse-identity recursion."""
-
-    def rec(c, depth: int) -> int:
+    def rec(c: np.ndarray, depth: int) -> int:
         if depth == 1:
-            if use_int64:
-                return _autocorr_square_sum(c)
-            return _autocorr_square_sum_exact(list(c))
+            ac = np.correlate(c, c, "full")[len(c) - 1 :].tolist()
+            return ac[0] ** 2 + 2 * sum(v * v for v in ac[1:])
         n = len(c)
-        total = 0
-        for w in range(-(n - 1), n):
-            if use_int64:
-                prod = _shifted_product(c, w)
-            else:
-                prod = [
-                    c[x] * (c[x - w] if 0 <= x - w < n else 0) for x in range(n)
-                ]
-            total += rec(prod, depth - 1)
-        return total
+        shifted = sum(rec(c[w:] * c[: n - w], depth - 1) for w in range(1, n))
+        return rec(c * c, depth - 1) + 2 * shifted
 
-    start = np.asarray(values, dtype=np.int64) if use_int64 else list(values)
-    return rec(start, k)
+    return rec(np.asarray(values, dtype=dtype), k)
 
 
 def difference_sum(
@@ -131,16 +107,20 @@ def difference_sum(
     budget.check_ops(n ** (degree + 1), "difference sum")
     b = balanced_function(window)
     # values bounded by N^(2^(k-1)) after the product levels, correlate adds
-    # a factor N^(2^(k-1)) * N: int64 is exact iff N^(2^k + 1) stays small
-    use_int64 = float(n) ** (2**degree + 1) < _INT64_SAFE
-    scaled = _collapse_scaled(b.values, degree, use_int64)
+    # a factor N^(2^(k-1)) * N: int64 is exact while N^(2^k + 1) fits
+    dtype = np.int64 if fits_int64(n ** (2**degree + 1)) else object
+    scaled = _collapse_scaled(b.values, degree, dtype)
     assert scaled >= 0
     return Fraction(scaled, n ** (2 ** (degree + 1)))
 
 
 def difference_sum_naive(window: SetWindow, degree: int) -> Fraction:
     """Literal (k+2)-fold sum over shift vectors and the translated-interval
-    intersection I_w; cross-check oracle for :func:`difference_sum`."""
+    intersection I_w; cross-check oracle for :func:`difference_sum`.
+
+    The shifts w_1..w_k run as a Python loop; the innermost shift w_{k+1} and
+    x run together as one 2-D gather over (x, w_{k+1}), with I_w as a mask.
+    """
     if degree < 1:
         raise BadParamsError(f"degree must be >= 1, got {degree}")
     n = window.length
@@ -150,14 +130,14 @@ def difference_sum_naive(window: SetWindow, degree: int) -> Fraction:
     pad[off : off + n] = b.values
     total = 0
     shifts = range(-(n - 1), n)
-    for w in itertools.product(shifts, repeat=degree + 1):
+    innermost = np.arange(-(n - 1), n)
+    xs = np.arange(1, n + 1)[:, None]
+    for outer in itertools.product(shifts, repeat=degree):
+        w = (*outer, innermost)
         prefixes = list(itertools.accumulate(w))
-        lo = 1 + max(0, max(prefixes))
-        hi = n + min(0, min(prefixes))
-        if lo > hi:
-            continue
-        xs = np.arange(lo, hi + 1)
-        term = np.ones(len(xs), dtype=np.int64)
+        lo = 1 + functools.reduce(np.maximum, prefixes, 0)
+        hi = n + functools.reduce(np.minimum, prefixes, 0)
+        term = ((lo <= xs) & (xs <= hi)).astype(np.int64)
         for r in range(degree + 2):
             for subset in itertools.combinations(range(degree + 1), r):
                 ssum = sum(w[i] for i in subset)

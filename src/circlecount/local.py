@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
+from .budget import DEFAULT_BUDGET, Budget, fits_int64
 from .errors import (
     BadParamsError,
     HypothesisViolatedError,
@@ -30,8 +30,6 @@ from .errors import (
 )
 from .expsums import complete_sum, pairwise_sum
 from .system import DiagonalSystem, _det_bareiss, jacobian
-
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,8 @@ def congruence_count(
     cached = _M_CACHE.get(key)
     if cached is not None:
         return CongruenceCount(q, cached)
-    if float(q) ** s < _INT64_SAFE:
+    # every DP cell counts tuples of (Z/q)^s
+    if fits_int64(q**s):
         counts = np.zeros((q,) * k, dtype=np.int64)
         counts[(0,) * k] = 1
         axes = tuple(range(k))

@@ -9,11 +9,12 @@ from circlecount import (
     balanced_function,
     difference_sum,
     difference_sum_naive,
+    gowers,
     random_density_window,
     uniformity_parameter,
     weyl_chain_check,
 )
-from circlecount.budget import Budget
+from circlecount.budget import INT64_SAFE, Budget
 from circlecount.errors import BudgetExceededError
 
 
@@ -103,6 +104,55 @@ class TestCollapseIdentity:
         for mask in range(1, 1 << n):
             w = SetWindow(n, mask)
             assert difference_sum(w, 3) == difference_sum_naive(w, 3)
+
+
+@pytest.fixture
+def collapse_dtypes(monkeypatch):
+    """Record the dtype of every collapse recursion difference_sum starts."""
+    dtypes = []
+    real = gowers._collapse_scaled
+
+    def spy(values, k, dtype):
+        dtypes.append(dtype)
+        return real(values, k, dtype)
+
+    monkeypatch.setattr(gowers, "_collapse_scaled", spy)
+    return dtypes
+
+
+class TestBigIntegerPath:
+    @pytest.mark.parametrize("degree, sizes", [
+        (1, (2, 9, 30)), (2, (3, 8, 20)), (3, (3, 6, 12)), (4, (3, 4, 12)),
+    ], ids=["k1", "k2", "k3", "k4"])
+    def test_forced_object_path_agrees(self, monkeypatch, collapse_dtypes,
+                                       degree, sizes):
+        rnd = random.Random(degree)
+        windows = [SetWindow(n, rnd.getrandbits(n) or 1) for n in sizes]
+        expected = [difference_sum(w, degree) for w in windows]
+        assert set(collapse_dtypes) == {np.int64}
+        del collapse_dtypes[:]
+        monkeypatch.setattr(gowers, "fits_int64", lambda bound: False)
+        assert [difference_sum(w, degree) for w in windows] == expected
+        assert set(collapse_dtypes) == {object}
+        for w, ds in zip(windows, expected):
+            if w.length ** (degree + 1) <= 10**4:
+                assert ds == difference_sum_naive(w, degree)
+
+    @pytest.mark.parametrize("degree, largest", [(3, 118), (4, 12)])
+    def test_dtype_boundary(self, collapse_dtypes, degree, largest):
+        # N^(2^k + 1) bounds every value the int64 recursion forms; one past
+        # the bound, a density-1/2 window's values still fit, so int64 and
+        # big integers must agree on both sides
+        assert largest ** (2**degree + 1) < INT64_SAFE
+        assert (largest + 1) ** (2**degree + 1) >= INT64_SAFE
+        for n, dtype, other in ((largest, np.int64, object),
+                                (largest + 1, object, np.int64)):
+            w = random_density_window(n, 0.5, seed=n)
+            ds = difference_sum(w, degree)
+            assert collapse_dtypes.pop() is dtype
+            values = balanced_function(w).values
+            scaled = gowers._collapse_scaled(values, degree, other)
+            assert ds == Fraction(scaled, n ** (2 ** (degree + 1)))
 
 
 class TestUniformityParameter:

@@ -8,10 +8,12 @@ from circlecount import (
     congruence_count,
     euler_factor,
     hensel_lift,
+    local,
     multiplicativity_check,
     series_term_direct,
     series_term_moebius,
     truncated_singular_series,
+    validate_system,
 )
 from circlecount.errors import (
     BadParamsError,
@@ -60,6 +62,25 @@ class TestCongruenceCount:
         for q in range(1, 12):
             m = congruence_count(sys_lin3, q).count
             assert 0 <= m <= q**sys_lin3.arity
+
+    def test_forced_big_integer_dp_agrees(self, monkeypatch):
+        systems = (
+            validate_system(2, (1, 1, 1, -1, -1, -1)),
+            validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)),
+        )
+        moduli = range(2, 13)
+        expected = [congruence_count(sys, q).count for sys in systems for q in moduli]
+        decisions = []
+
+        def big_integers(bound):
+            decisions.append(bound)
+            return False
+
+        monkeypatch.setattr(local, "_M_CACHE", {})
+        monkeypatch.setattr(local, "fits_int64", big_integers)
+        forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
+        assert len(decisions) == len(forced)
+        assert forced == expected
 
     def test_budget_refusal(self, sys_quad4):
         from circlecount.budget import Budget

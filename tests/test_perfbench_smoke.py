@@ -1,7 +1,8 @@
 """Smoke test of the benchmark harness in perfbench/.
 
-One short untraced ``count_sweep`` run must reproduce the recorded exact
-references, so the counting engines and the harness cannot drift apart.
+One short untraced run of ``count_sweep`` and of ``uniformity_weyl`` must
+reproduce the recorded exact references, so the counting engines, the Gowers
+collapse and the harness cannot drift apart.
 """
 
 import json
@@ -9,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_count_sweep_matches_references():
+@pytest.mark.parametrize("workload", ["count_sweep", "uniformity_weyl"])
+def test_workload_matches_references(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "count_sweep",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
