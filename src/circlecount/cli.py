@@ -3,9 +3,7 @@
 Outputs are byte-identical across reruns with the same configuration and
 seed: every exact quantity is serialized losslessly (counts as decimal
 strings, rationals as "p/q"), the result envelope echoes the configuration,
-version and seed, and timing diagnostics go to stderr only.  The --threads
-flag caps workers; all counting reductions are exact-integer merges, so the
-value of the cap never changes any output byte.
+version and seed, and timing diagnostics go to stderr only.
 
 Exit codes: 0 success, 2 budget refusal, 3 validation/parse error,
 4 hypothesis violation (e.g. a singular Jacobian in lifting).
@@ -86,10 +84,8 @@ def _window_from_args(args) -> SetWindow:
 
 
 def _config_echo(args) -> dict:
-    # threads is a worker cap that never affects results, so it stays out of
-    # the echoed config: reruns with different caps must be byte-identical;
     # command has its own envelope field
-    skip = {"func", "output", "threads", "command"}
+    skip = {"func", "output", "command"}
     cfg = {}
     for key, val in sorted(vars(args).items()):
         if key in skip or val is None:
@@ -395,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting and circle-method diagnostics for diagonal systems.",
     )
     parser.add_argument("--output", choices=["json", "csv"], default="json")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (results never depend on it)")
     parser.add_argument("--budget", type=int, default=None, help="elementary-operation budget")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -514,9 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 3
     budget = Budget() if args.budget is None else Budget(max_ops=args.budget)
     start = time.monotonic()
     try:

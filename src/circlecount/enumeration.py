@@ -8,23 +8,25 @@ Two counting engines share one contract:
   decided per tuple in the joined stream, so the trivial count comes from the
   exact value-class partition formula instead.
 
-The join packs each half's degree-1..k power sums into one int64 key by mixed
-radix and matches the halves with ``np.unique`` and ``np.intersect1d``.  When
-the right half's coefficients negate the left half's up to order, as in every
-Vinogradov system, the count is the sum of squared key multiplicities over one
-half; ``vinogradov_moment`` is this same join.  Counts are exact integers
-everywhere: the shared helper ``budget.fits_int64`` decides whether an int64
-grid or key holds every value a path forms, and otherwise the scan and the
-join run on Python big integers, never wrapping around.
+The scan builds the power sums of the trailing s-1 variables once over
+A^(s-1) and, for each leading value in ascending order, masks the tuples that
+cancel it, so solutions come out in lexicographic order.  The join packs each
+half's degree-1..k power sums into one key by mixed radix and matches the
+halves with ``np.unique`` and ``np.intersect1d``.  When the right half's
+coefficients negate the left half's up to order, as in every Vinogradov
+system, the count is the sum of squared key multiplicities over one half;
+``vinogradov_moment`` is this same join.  Counts are exact integers
+everywhere: the shared helper ``budget.fits_int64`` picks the dtype, int64
+when every value a path forms fits and ``object`` (Python big integers)
+otherwise, and both dtypes run the same numpy code, never wrapping around.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -70,91 +72,91 @@ def _value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
 
 def _power_sum_columns(
     elems: np.ndarray, coeffs: Sequence[int], degree: int
-) -> Iterator[np.ndarray]:
-    """Broadcast grids of partial power sums over the tuple grid A^len(coeffs).
+) -> list[np.ndarray]:
+    """Partial power sums over the tuple grid A^len(coeffs), in the dtype of
+    ``elems``.
 
-    The j-th column yielded holds sum_i lam_i x_i^j on the full grid, shape
-    (|A|,)*len(coeffs); columns are built one at a time, on demand.
+    Column j-1 holds sum_i lam_i x_i^j for j = 1..degree, one entry per tuple
+    in lexicographic order.
     """
     m = len(coeffs)
+    cols = []
     for j in range(1, degree + 1):
-        pw = elems.astype(np.int64) ** j
-        acc = np.zeros((1,) * m, dtype=np.int64)
+        pw = elems**j
+        acc = np.zeros((1,) * m, dtype=elems.dtype)
         for i, lam in enumerate(coeffs):
             shape = [1] * m
             shape[i] = len(elems)
             acc = acc + lam * pw.reshape(shape)
-        yield acc
+        cols.append(acc.ravel())
+    return cols
+
+
+def _entry_bytes(dtype: np.dtype, bound: int) -> int:
+    """Bytes one array entry of magnitude at most ``bound`` takes: the int64,
+    or an ``object`` pointer plus the Python integer it points to."""
+    return 8 if dtype == np.int64 else 8 + sys.getsizeof(bound)
 
 
 def _solutions(
-    system: DiagonalSystem,
-    elems: tuple[int, ...],
-    budget: Budget,
-    what: str,
-    max_grid: float = math.inf,
+    system: DiagonalSystem, elems: tuple[int, ...], budget: Budget, what: str
 ) -> Iterator[tuple[int, ...]]:
     """Solutions in A^s in lexicographic order, after the budget checks ``what``.
 
-    A grid of at most ``max_grid`` tuples whose power sums fit int64 is
-    scanned as numpy columns; any other grid tuple by tuple in Python.
+    The k power-sum columns of the trailing s-1 variables are built once over
+    A^(s-1); for each leading value x, ascending, the solutions starting with
+    x are the tuples whose degree-j sum is -lam_1 x^j for every j.  Byte
+    estimate over A^(s-1): k + 1 columns (the k built and the partial one
+    being built, or the matches' indices during the scan) and two masks.
     """
     s, k = system.arity, system.degree
-    grid = max(len(elems), 1) ** s
-    budget.check_ops(grid * k, what)
+    budget.check_ops(max(len(elems), 1) ** s * k, what)
     if not elems:
         return
-    weight = sum(abs(c) for c in system.coefficients)
-    if grid <= max_grid and _fits_int64(weight * elems[-1] ** k):
-        budget.check_bytes(grid * 8 * k, f"{what} grid")
-        arr = np.asarray(elems, dtype=np.int64)
-        # fold each degree's column into the mask before the next is built
-        cols = _power_sum_columns(arr, system.coefficients, k)
-        mask = next(cols) == 0
-        for col in cols:
-            mask &= col == 0
-            del col
-        idx = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        yield from zip(*(arr[i].tolist() for i in idx))
-    else:
-        for tup in itertools.product(elems, repeat=s):
-            if all(v == 0 for v in system.equations_at(tup)):
-                yield tup
+    bound = sum(abs(c) for c in system.coefficients) * elems[-1] ** k
+    arr = np.asarray(elems, dtype=np.int64 if _fits_int64(bound) else object)
+    shape = (arr.size,) * (s - 1)
+    budget.check_bytes(
+        math.prod(shape) * ((k + 1) * _entry_bytes(arr.dtype, bound) + 2),
+        f"{what} grid",
+    )
+    lead, *rest = system.coefficients
+    cols = _power_sum_columns(arr, rest, k)
+    for x in elems:
+        mask = cols[0] == -lead * x
+        for j, col in enumerate(cols[1:], 2):
+            mask &= col == -lead * x**j
+        idx = np.unravel_index(np.flatnonzero(mask), shape)
+        for tail in zip(*(arr[i].tolist() for i in idx)):
+            yield (x, *tail)
 
 
 def _packed_keys(
-    elems: tuple[int, ...], halves: Sequence[Sequence[int]], radices: Sequence[int]
+    elems: np.ndarray, halves: Sequence[Sequence[int]], radices: Sequence[int]
 ) -> list[np.ndarray]:
-    """One int64 key per tuple of each half's grid, equal iff the power sums are.
+    """One key per tuple of each half's grid, in the dtype of ``elems``, equal
+    iff the power sums are.
 
     The degree-j sum shifted by radices[j-1] // 2 is a mixed-radix digit.  When
-    the next digit would overflow, the keys so far are renumbered densely
-    across the halves first, so keys stay below (number of keys) * radices[-1].
+    the next digit would overflow an int64 key, the keys so far are renumbered
+    densely across the halves first, so keys stay below (number of keys) *
+    radices[-1].  ``object`` keys are never renumbered: renumbering costs more
+    than the big-integer key it saves.
     """
-    arr = np.asarray(elems, dtype=np.int64)
-    cols = [list(_power_sum_columns(arr, half, len(radices))) for half in halves]
-    keys = [np.zeros(arr.size ** len(half), dtype=np.int64) for half in halves]
+    cols = [_power_sum_columns(elems, half, len(radices)) for half in halves]
+    keys = [np.zeros(elems.size ** len(half), dtype=elems.dtype) for half in halves]
     span = 1  # every key lies in [0, span)
     for radix in reversed(radices):
-        if not _fits_int64(span * radix):
+        if elems.dtype == np.int64 and not _fits_int64(span * radix):
             distinct = np.unique(np.concatenate(keys))
             keys = [np.searchsorted(distinct, key) for key in keys]
             span = distinct.size
         for key, col in zip(keys, cols):
             key *= radix
-            key += col.pop().ravel()
+            key += col.pop()
             key += radix // 2
         span *= radix
     return keys
-
-
-def _half_keys_exact(
-    elems: tuple[int, ...], coeffs: Sequence[int], degree: int
-) -> Counter:
-    return Counter(
-        tuple(sum(c * v**j for c, v in zip(coeffs, tup)) for j in range(1, degree + 1))
-        for tup in itertools.product(elems, repeat=len(coeffs))
-    )
 
 
 def _join_count(
@@ -170,23 +172,22 @@ def _join_count(
 
     Keys of x under ``left`` meet keys of y under ``-right``; a ``-right``
     that is ``left`` up to order builds one half and sums squared counts.
-    Byte estimate ``what`` per key built: 8*(degree + 2) packed (the degree
-    int64 columns, the key and its sorted copy), 64 + 32*degree for the
-    ``Counter`` slot of a key tuple on the big-integer path.
+    Byte estimate ``what`` per key built: the degree columns and the key, each
+    entry sized by ``_entry_bytes`` for the chosen dtype, and the key's 8-byte
+    sorted copy; ``object`` keys are not renumbered and reach the radix product.
     """
     neg = tuple(-c for c in right)
     halves = (left,) if sorted(left) == sorted(neg) else (left, neg)
     weight = max(sum(abs(c) for c in half) for half in halves)
     radices = [2 * weight * elems[-1] ** j + 1 for j in range(1, degree + 1)]
     entries = sum(len(elems) ** len(half) for half in halves)
-    packed = _fits_int64(min(math.prod(radices), entries * radices[-1]))
-    per_key = 8 * (degree + 2) if packed else 64 + 32 * degree
+    product = math.prod(radices)
+    key_bound = min(product, entries * radices[-1])
+    dtype = np.dtype(np.int64 if _fits_int64(key_bound) else object)
+    per_key = degree * _entry_bytes(dtype, radices[-1])
+    per_key += _entry_bytes(dtype, product) + 8
     budget.check_bytes(entries * per_key, what)
-    if not packed:
-        keys = [_half_keys_exact(elems, half, degree) for half in halves]
-        common = keys[0].keys() & keys[-1].keys()
-        return sum(keys[0][key] * keys[-1][key] for key in common)
-    keys = _packed_keys(elems, halves, radices)
+    keys = _packed_keys(np.asarray(elems, dtype=dtype), halves, radices)
     # pop, so that each key array is freed as soon as it is counted
     counts = [np.unique(keys.pop(0), return_counts=True) for _ in halves]
     if len(counts) == 1:
@@ -291,7 +292,7 @@ def stream_solutions(
     """Yield solutions in lexicographic tuple order, optionally nontrivial only."""
     if which not in ("all", "nontrivial"):
         raise BadParamsError(f"unknown filter {which!r}")
-    for tup in _solutions(system, window.elements(), budget, "stream", 10**8):
+    for tup in _solutions(system, window.elements(), budget, "stream"):
         if which == "all" or not _value_classes_zero_sum(system, tup):
             yield tup
 

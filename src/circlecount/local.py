@@ -8,10 +8,15 @@ each other:
   numerator vectors (floating point, exact phase reduction);
 * Moebius inversion of the divisor identity  sum_{d|q} S(d) = q^(k-s) M(q),
   which is exact rational arithmetic on congruence counts.
+
+The congruence counts M(q) come from one numpy dynamic program whose cells are
+int64 or, when q^s does not fit, Python big integers; ``budget.fits_int64``
+picks the dtype and nothing else differs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,9 +43,6 @@ class CongruenceCount:
     count: int
 
 
-_M_CACHE: dict[tuple[tuple[int, ...], int, int], int] = {}
-
-
 def congruence_count(
     system: DiagonalSystem, q: int, budget: Budget = DEFAULT_BUDGET
 ) -> CongruenceCount:
@@ -48,7 +50,9 @@ def congruence_count(
 
     Dynamic programming over the residue vector of partial power sums: state
     space (Z/q)^k, one stage per variable, q transitions per stage, so the
-    cost is s * q^(k+1) instead of q^s.
+    cost is s * q^(k+1) instead of q^s.  Cells are int64 while q^s fits and
+    Python big integers (an ``object`` array) beyond, on the same code; counts
+    stay in a bounded cache keyed by (coefficients, k, q).
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
@@ -59,38 +63,25 @@ def congruence_count(
     # refuse before consulting the cache so refusal never depends on warmth
     budget.check_ops(s * q ** (k + 1), "congruence count")
     budget.check_bytes(2 * q**k * 8, "congruence DP states")
-    key = (system.coefficients, system.degree, q)
-    cached = _M_CACHE.get(key)
-    if cached is not None:
-        return CongruenceCount(q, cached)
+    return CongruenceCount(q, _congruence_dp(system.coefficients, k, q))
+
+
+# a series to cutoff Q needs M(d) for every d <= Q; 256 entries hold a few
+# such series at Q = 60
+@functools.lru_cache(maxsize=256)
+def _congruence_dp(coefficients: tuple[int, ...], k: int, q: int) -> int:
     # every DP cell counts tuples of (Z/q)^s
-    if fits_int64(q**s):
-        counts = np.zeros((q,) * k, dtype=np.int64)
-        counts[(0,) * k] = 1
-        axes = tuple(range(k))
-        for lam in system.coefficients:
-            nxt = np.zeros_like(counts)
-            for x in range(q):
-                shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
-                nxt += np.roll(counts, shifts, axis=axes)
-            counts = nxt
-        m = int(counts[(0,) * k])
-    else:
-        states: dict[tuple[int, ...], int] = {(0,) * k: 1}
-        for lam in system.coefficients:
-            nxt: dict[tuple[int, ...], int] = {}
-            steps = [
-                tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
-                for x in range(q)
-            ]
-            for state, cnt in states.items():
-                for step in steps:
-                    new = tuple((a + b) % q for a, b in zip(state, step))
-                    nxt[new] = nxt.get(new, 0) + cnt
-            states = nxt
-        m = states.get((0,) * k, 0)
-    _M_CACHE[key] = m
-    return CongruenceCount(q, m)
+    dtype = np.int64 if fits_int64(q ** len(coefficients)) else object
+    counts = np.zeros((q,) * k, dtype=dtype)
+    counts[(0,) * k] = 1
+    axes = tuple(range(k))
+    for lam in coefficients:
+        nxt = np.zeros_like(counts)
+        for x in range(q):
+            shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
+            nxt += np.roll(counts, shifts, axis=axes)
+        counts = nxt
+    return int(counts[(0,) * k])
 
 
 def _divisors(n: int) -> list[int]:

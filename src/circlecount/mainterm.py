@@ -85,19 +85,6 @@ class BigLogNumber:
     def from_int(cls, value: int) -> "BigLogNumber":
         return cls.from_fraction(Fraction(value))
 
-    @classmethod
-    def from_float(cls, value: float) -> "BigLogNumber":
-        if value == 0.0:
-            return cls.zero()
-        sign = 1 if value > 0 else -1
-        with mpmath.workprec(_PREC):
-            mag = _log2(abs(value))
-        return cls(sign, mag)
-
-    @classmethod
-    def from_log2(cls, sign: int, log2_magnitude) -> "BigLogNumber":
-        return cls(sign, log2_magnitude)
-
     def _keep_exact(self) -> Optional[Fraction]:
         if self.exact is None:
             return None

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from circlecount import (
@@ -186,6 +187,10 @@ FALLBACK_CASES = [
     (3, (1, 1, 1, -1, -2), (2, 3, 5, 6, 8)),
 ]
 MOMENT_CASES = [(6, 2, 2), (5, 3, 3), (4, 2, 3)]
+# eight elements whose fifth powers times the weight pass the int64 limit
+BIG_WINDOW = SetWindow.from_elements(
+    10**4, random.Random(5).sample(range(1, 10**4 + 1), 8)
+)
 
 
 def _every_counting_path():
@@ -217,16 +222,28 @@ def int64_decisions(monkeypatch):
     return decisions
 
 
+@pytest.fixture
+def column_dtypes(monkeypatch):
+    """Record the dtype of every power-sum grid the scan and the join build."""
+    dtypes = []
+    real = enumeration._power_sum_columns
+
+    def spy(elems, coeffs, degree):
+        dtypes.append(elems.dtype)
+        return real(elems, coeffs, degree)
+
+    monkeypatch.setattr(enumeration, "_power_sum_columns", spy)
+    return dtypes
+
+
 class TestInt64Fallbacks:
-    def test_forced_big_integer_paths_agree(self, monkeypatch):
+    def test_forced_big_integer_paths_agree(self, monkeypatch, column_dtypes):
         expected = _every_counting_path()
-
-        def no_int64_grid(*args):
-            raise AssertionError("an int64 path ran")
-
+        assert set(column_dtypes) == {np.dtype(np.int64)}
+        del column_dtypes[:]
         monkeypatch.setattr(enumeration, "_fits_int64", lambda bound: False)
-        monkeypatch.setattr(enumeration, "_power_sum_columns", no_int64_grid)
         assert _every_counting_path() == expected
+        assert set(column_dtypes) == {np.dtype(object)}
 
     def test_renumbered_keys(self, int64_decisions):
         # radix products far above int64 over few keys: the keys are
@@ -239,17 +256,10 @@ class TestInt64Fallbacks:
         assert vinogradov_moment(12, 5, 2) == brute_force_moment(12, 5, 2)
         assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
 
-    def test_key_bound_at_int64_limit(self, monkeypatch, int64_decisions):
+    def test_key_bound_at_int64_limit(self, int64_decisions, column_dtypes):
         # over {1, 2, top} the join's key bound grows with top; the largest top
-        # below the int64 limit packs keys, the next one takes the exact path
+        # below the int64 limit packs int64 keys, the next one object keys
         sys = validate_system(4, (1, 1, -1, -1))
-        exact_calls = []
-        real_exact = enumeration._half_keys_exact
-        monkeypatch.setattr(
-            enumeration,
-            "_half_keys_exact",
-            lambda *args: exact_calls.append(args) or real_exact(*args),
-        )
 
         def join_bound(top):
             del int64_decisions[:]
@@ -264,13 +274,36 @@ class TestInt64Fallbacks:
                 lo = mid
             else:
                 hi = mid
-        for top, exact in ((lo, False), (hi, True)):
+        for top, dtype in ((lo, np.int64), (hi, object)):
             w = SetWindow.from_elements(top, (1, 2, top))
-            del exact_calls[:]
+            del column_dtypes[:]
             tally = count_solutions(sys, w, "mitm")
-            assert bool(exact_calls) == exact
+            assert set(column_dtypes) == {np.dtype(dtype)}
             assert tally == count_solutions(sys, w, "naive")
             assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
+
+    def test_scan_dtype_boundary(self, monkeypatch, column_dtypes):
+        # weight * max(A)^k bounds every value the scan forms; one past the
+        # bound this window's sums still fit, so int64 and big integers must
+        # agree on both sides.  The window is the nontrivial solution
+        # (1, 4, 5, 8, 2, 7) translated to end at the top.
+        sys = validate_system(3, (1, 1, 1, 1, -2, -2))
+        largest = 832255
+        assert 8 * largest**3 < enumeration._INT64_SAFE <= 8 * (largest + 1) ** 3
+        real = enumeration._fits_int64
+        for top, dtype, other in ((largest, np.int64, object),
+                                  (largest + 1, object, np.int64)):
+            w = SetWindow.from_elements(top, (top - d for d in (7, 6, 4, 3, 1, 0)))
+            del column_dtypes[:]
+            tally = count_solutions(sys, w, "naive")
+            assert column_dtypes == [np.dtype(dtype)]
+            assert tally.nontrivial > 0
+            assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
+            monkeypatch.setattr(enumeration, "_fits_int64",
+                                lambda bound: other is np.int64)
+            assert count_solutions(sys, w, "naive") == tally
+            assert column_dtypes[-1] == np.dtype(other)
+            monkeypatch.setattr(enumeration, "_fits_int64", real)
 
 
 @pytest.mark.parametrize(
@@ -281,8 +314,16 @@ class TestInt64Fallbacks:
         lambda b: count_solutions(validate_system(2, (2, 1, -1, -1, -1)),
                                   SetWindow.full(60), "mitm", b),
         lambda b: vinogradov_moment(60, 2, 3, b),
+        lambda b: count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
+                                  SetWindow.full(13), "naive", b),
+        # above 2^62 from here: object scan and object keys
+        lambda b: count_solutions(validate_system(5, (1, 1, 1, -1, -1, -1)),
+                                  BIG_WINDOW, "naive", b),
+        lambda b: count_solutions(validate_system(5, (2, 1, -1, -1, -1)),
+                                  BIG_WINDOW, "mitm", b),
     ],
-    ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment"],
+    ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "naive_int64",
+         "naive_object", "mitm_object"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):
     estimates = []

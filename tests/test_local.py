@@ -76,11 +76,34 @@ class TestCongruenceCount:
             decisions.append(bound)
             return False
 
-        monkeypatch.setattr(local, "_M_CACHE", {})
         monkeypatch.setattr(local, "fits_int64", big_integers)
-        forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
+        local._congruence_dp.cache_clear()
+        try:
+            forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
+        finally:
+            local._congruence_dp.cache_clear()
         assert len(decisions) == len(forced)
         assert forced == expected
+
+    def test_dp_exact_past_int64(self):
+        # one linear congruence with a unit coefficient has q^(s-1) solutions;
+        # q^13 passes 2^62 from q = 28 on, and at q = 40 the cells themselves
+        # pass 2^63, where an int64 DP would wrap around
+        sys = validate_system(1, (1,) * 7 + (-1,) * 5 + (-2,))
+        for q in (27, 28, 40):
+            assert congruence_count(sys, q).count == q**12
+
+    def test_cache_is_bounded_and_refusal_ignores_it(self, sys_quad4):
+        from circlecount.budget import Budget
+        from circlecount.errors import BudgetExceededError
+
+        assert local._congruence_dp.cache_info().maxsize >= 100
+        first = congruence_count(sys_quad4, 97)
+        hits = local._congruence_dp.cache_info().hits
+        assert congruence_count(sys_quad4, 97) == first
+        assert local._congruence_dp.cache_info().hits == hits + 1
+        with pytest.raises(BudgetExceededError):
+            congruence_count(sys_quad4, 97, Budget(max_ops=10))
 
     def test_budget_refusal(self, sys_quad4):
         from circlecount.budget import Budget
