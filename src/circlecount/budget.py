@@ -8,7 +8,10 @@ reproducible regardless of the machine the code runs on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -22,6 +25,12 @@ def fits_int64(bound: int) -> bool:
     bound on each value the int64 path would form; otherwise the engine runs
     on Python big integers, never wrapping around."""
     return bound < INT64_SAFE
+
+
+def entry_bytes(dtype, bound: int) -> int:
+    """Bytes one array entry of magnitude at most ``bound`` takes: the int64,
+    or an ``object`` pointer plus the Python integer it points to."""
+    return 8 if dtype == np.int64 else 8 + sys.getsizeof(bound)
 
 
 @dataclass(frozen=True)

@@ -26,18 +26,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
-# the shared int64 decision under this module's names, which tests patch and read
-from .budget import INT64_SAFE as _INT64_SAFE  # noqa: F401
-from .budget import fits_int64 as _fits_int64
+from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
 from .errors import ArityTooLargeError, BadParamsError
-from .system import DiagonalSystem
+from .system import DiagonalSystem, value_classes_zero_sum
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
@@ -63,13 +59,6 @@ class SolutionTally:
         }
 
 
-def _value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
-    sums: dict[int, int] = {}
-    for c, v in zip(system.coefficients, x):
-        sums[v] = sums.get(v, 0) + c
-    return all(t == 0 for t in sums.values())
-
-
 def _power_sum_columns(
     elems: np.ndarray, coeffs: Sequence[int], degree: int
 ) -> list[np.ndarray]:
@@ -92,12 +81,6 @@ def _power_sum_columns(
     return cols
 
 
-def _entry_bytes(dtype: np.dtype, bound: int) -> int:
-    """Bytes one array entry of magnitude at most ``bound`` takes: the int64,
-    or an ``object`` pointer plus the Python integer it points to."""
-    return 8 if dtype == np.int64 else 8 + sys.getsizeof(bound)
-
-
 def _solutions(
     system: DiagonalSystem, elems: tuple[int, ...], budget: Budget, what: str
 ) -> Iterator[tuple[int, ...]]:
@@ -114,10 +97,10 @@ def _solutions(
     if not elems:
         return
     bound = sum(abs(c) for c in system.coefficients) * elems[-1] ** k
-    arr = np.asarray(elems, dtype=np.int64 if _fits_int64(bound) else object)
+    arr = np.asarray(elems, dtype=np.int64 if fits_int64(bound) else object)
     shape = (arr.size,) * (s - 1)
     budget.check_bytes(
-        math.prod(shape) * ((k + 1) * _entry_bytes(arr.dtype, bound) + 2),
+        math.prod(shape) * ((k + 1) * entry_bytes(arr.dtype, bound) + 2),
         f"{what} grid",
     )
     lead, *rest = system.coefficients
@@ -147,7 +130,7 @@ def _packed_keys(
     keys = [np.zeros(elems.size ** len(half), dtype=elems.dtype) for half in halves]
     span = 1  # every key lies in [0, span)
     for radix in reversed(radices):
-        if elems.dtype == np.int64 and not _fits_int64(span * radix):
+        if elems.dtype == np.int64 and not fits_int64(span * radix):
             distinct = np.unique(np.concatenate(keys))
             keys = [np.searchsorted(distinct, key) for key in keys]
             span = distinct.size
@@ -173,7 +156,7 @@ def _join_count(
     Keys of x under ``left`` meet keys of y under ``-right``; a ``-right``
     that is ``left`` up to order builds one half and sums squared counts.
     Byte estimate ``what`` per key built: the degree columns and the key, each
-    entry sized by ``_entry_bytes`` for the chosen dtype, and the key's 8-byte
+    entry sized by ``entry_bytes`` for the chosen dtype, and the key's 8-byte
     sorted copy; ``object`` keys are not renumbered and reach the radix product.
     """
     neg = tuple(-c for c in right)
@@ -183,9 +166,9 @@ def _join_count(
     entries = sum(len(elems) ** len(half) for half in halves)
     product = math.prod(radices)
     key_bound = min(product, entries * radices[-1])
-    dtype = np.dtype(np.int64 if _fits_int64(key_bound) else object)
-    per_key = degree * _entry_bytes(dtype, radices[-1])
-    per_key += _entry_bytes(dtype, product) + 8
+    dtype = np.dtype(np.int64 if fits_int64(key_bound) else object)
+    per_key = degree * entry_bytes(dtype, radices[-1])
+    per_key += entry_bytes(dtype, product) + 8
     budget.check_bytes(entries * per_key, what)
     keys = _packed_keys(np.asarray(elems, dtype=dtype), halves, radices)
     # pop, so that each key array is freed as soon as it is counted
@@ -271,7 +254,7 @@ def count_solutions(
         total = trivial = 0
         for tup in _solutions(system, window.elements(), budget, "naive count"):
             total += 1
-            trivial += _value_classes_zero_sum(system, tup)
+            trivial += value_classes_zero_sum(system, tup)
         return SolutionTally(total, trivial, total - trivial)
     elems, k, half = window.elements(), system.degree, (system.arity + 1) // 2
     total = 0
@@ -293,7 +276,7 @@ def stream_solutions(
     if which not in ("all", "nontrivial"):
         raise BadParamsError(f"unknown filter {which!r}")
     for tup in _solutions(system, window.elements(), budget, "stream"):
-        if which == "all" or not _value_classes_zero_sum(system, tup):
+        if which == "all" or not value_classes_zero_sum(system, tup):
             yield tup
 
 

@@ -7,11 +7,18 @@ each other:
 * direct summation of the normalized complete-sum products over admissible
   numerator vectors (floating point, exact phase reduction);
 * Moebius inversion of the divisor identity  sum_{d|q} S(d) = q^(k-s) M(q),
-  which is exact rational arithmetic on congruence counts.
+  which is exact rational arithmetic on congruence counts; the inversion runs
+  over the squarefree divisors built from q's primes.
 
 The congruence counts M(q) come from one numpy dynamic program whose cells are
 int64 or, when q^s does not fit, Python big integers; ``budget.fits_int64``
-picks the dtype and nothing else differs.
+picks the dtype and nothing else differs.  Every M(q) is a direct DP count at
+the modulus q itself, so the multiplicativity check stays a real check.
+
+``_factorize`` is the one trial-division loop: it gives the Moebius route its
+primes and ``euler_factor`` and ``hensel_lift`` their primality test.  The
+Newton step of ``hensel_lift`` solves J step = L by Cramer's rule on the
+Jacobian matrix that ``system.jacobian_matrix`` builds.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget, fits_int64
+from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
 from .errors import (
     BadParamsError,
     HypothesisViolatedError,
@@ -34,7 +41,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expsums import complete_sum, pairwise_sum
-from .system import DiagonalSystem, _det_bareiss, jacobian
+from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix
 
 
 @dataclass(frozen=True)
@@ -60,18 +67,24 @@ def congruence_count(
         return CongruenceCount(1, 1)
     k = system.degree
     s = system.arity
+    # every DP cell counts tuples of (Z/q)^s
+    dtype = np.int64 if fits_int64(q**s) else object
     # refuse before consulting the cache so refusal never depends on warmth
     budget.check_ops(s * q ** (k + 1), "congruence count")
-    budget.check_bytes(2 * q**k * 8, "congruence DP states")
-    return CongruenceCount(q, _congruence_dp(system.coefficients, k, q))
+    # held: the counts, the next stage (a Python integer per cell of each on
+    # the object path) and np.roll's copy; np.roll's index 2-tuples and
+    # k-tuples may also fill the interpreter's free lists, 2000 tuples each
+    budget.check_bytes(
+        q**k * (2 * entry_bytes(dtype, q**s) + 8) + 2000 * (96 + 8 * k),
+        "congruence DP states",
+    )
+    return CongruenceCount(q, _congruence_dp(system.coefficients, k, q, dtype))
 
 
 # a series to cutoff Q needs M(d) for every d <= Q; 256 entries hold a few
 # such series at Q = 60
 @functools.lru_cache(maxsize=256)
-def _congruence_dp(coefficients: tuple[int, ...], k: int, q: int) -> int:
-    # every DP cell counts tuples of (Z/q)^s
-    dtype = np.int64 if fits_int64(q ** len(coefficients)) else object
+def _congruence_dp(coefficients: tuple[int, ...], k: int, q: int, dtype) -> int:
     counts = np.zeros((q,) * k, dtype=dtype)
     counts[(0,) * k] = 1
     axes = tuple(range(k))
@@ -84,33 +97,22 @@ def _congruence_dp(coefficients: tuple[int, ...], k: int, q: int) -> int:
     return int(counts[(0,) * k])
 
 
-def _divisors(n: int) -> list[int]:
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n as ascending (prime, exponent) pairs, by trial
+    division; empty for n < 2, so n is prime iff it is [(n, 1)]."""
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    mu = 1
     d = 2
     while d * d <= n:
         if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
         d += 1
     if n > 1:
-        mu = -mu
-    return mu
+        out.append((n, 1))
+    return out
 
 
 def series_term_moebius(
@@ -122,11 +124,16 @@ def series_term_moebius(
         raise BadParamsError("q must be >= 1")
     k = system.degree
     s = system.arity
+    primes = [p for p, _ in _factorize(q)]
+    # mu(t) is nonzero exactly at the squarefree t | q, products of q's primes;
+    # ascending d = q/t keeps the congruence counts in divisor order
+    terms = sorted(
+        (q // math.prod(sub), (-1) ** len(sub))
+        for r in range(len(primes) + 1)
+        for sub in itertools.combinations(primes, r)
+    )
     total = Fraction(0)
-    for d in _divisors(q):
-        mu = _moebius(q // d)
-        if mu == 0:
-            continue
+    for d, mu in terms:
         m = congruence_count(system, d, budget).count
         total += mu * Fraction(m, d ** (s - k))
     return total
@@ -189,17 +196,6 @@ def multiplicativity_check(
     return MultiplicativityReport(q, r, s_q, s_r, s_qr, residual, residual <= tol)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class EulerFactorReport:
     prime: int
@@ -215,7 +211,7 @@ def euler_factor(
 ) -> EulerFactorReport:
     """Partial Euler factor sum_{h<=h_max} S(p^h) with its stabilization
     diagnostic, the normalized prime-power counts p^((k-s)t) M(p^t)."""
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise BadParamsError(f"{p} is not prime")
     if h_max < 0:
         raise BadParamsError("h_max must be >= 0")
@@ -315,26 +311,6 @@ def _v_p(n: int, p: int) -> int:
     return v
 
 
-def _adjugate_times(mat: list[list[int]], vec: list[int]) -> list[int]:
-    """adj(mat) @ vec for an exact integer matrix (cofactor expansion)."""
-    k = len(mat)
-    if k == 1:
-        return [vec[0]]
-    out = []
-    for i in range(k):
-        acc = 0
-        for j in range(k):
-            minor = [
-                [mat[r][c] for c in range(k) if c != i]
-                for r in range(k)
-                if r != j
-            ]
-            cof = (-1) ** (i + j) * _det_bareiss(minor)
-            acc += cof * vec[j]
-        out.append(acc)
-    return out
-
-
 def _pick_free_indices(
     system: DiagonalSystem, seed: Sequence[int], p: int
 ) -> tuple[int, ...]:
@@ -383,7 +359,7 @@ def hensel_lift(
     values satisfy the system mod p^t exactly and reduce to the seed mod p.
     """
     system.require_arity(seed)
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise BadParamsError(f"{p} is not prime")
     if t < 1:
         raise BadParamsError("target level must be >= 1")
@@ -413,15 +389,16 @@ def hensel_lift(
         lvals = list(system.equations_at(x))
         if all(val % target == 0 for val in lvals):
             break
-        jmat = [
-            [j * system.coefficients[i - 1] * x[i - 1] ** (j - 1) for i in free]
-            for j in range(1, k + 1)
-        ]
+        jmat = jacobian_matrix(system, x, free)
         det = _det_bareiss(jmat)
         if det == 0 or _v_p(det, p) != v:
             raise NoConvergenceError("Jacobian valuation drifted during lifting")
         inv_unit = pow(det // p**v % work_mod, -1, work_mod)
-        nums = _adjugate_times(jmat, lvals)  # exact: J^{-1} L = nums / det
+        # Cramer's rule, exact: J^{-1} L = nums / det, nums_i = det(J, column i := L)
+        nums = [
+            _det_bareiss([r[:i] + [val] + r[i + 1:] for r, val in zip(jmat, lvals)])
+            for i in range(k)
+        ]
         step = []
         for numv in nums:
             if numv % p**v != 0:

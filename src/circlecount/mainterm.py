@@ -41,6 +41,10 @@ def _log2(x) -> mpmath.mpf:
     return mpmath.log(_mpf(x), 2)
 
 
+def _payload_bits(value: Fraction) -> int:
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
 class BigLogNumber:
     """A real number as sign plus log2 magnitude, with an exact payload
     while the value stays small enough to materialize.
@@ -48,7 +52,8 @@ class BigLogNumber:
     ``level`` reports how the number is best read: 0 when the exact rational
     payload is present, 1 when only the log2 magnitude is meaningful, and
     2 when even the log2 magnitude needs its own logarithm to be displayed
-    (doubly exponential values).
+    (doubly exponential values).  The constructor drops a payload whose
+    numerator or denominator is longer than ``_EXACT_BIT_LIMIT`` bits.
     """
 
     __slots__ = ("sign", "log2_magnitude", "exact")
@@ -65,6 +70,8 @@ class BigLogNumber:
         else:
             with mpmath.workprec(_PREC):
                 self.log2_magnitude = mpmath.mpf(log2_magnitude)
+        if exact is not None and _payload_bits(exact) > _EXACT_BIT_LIMIT:
+            exact = None
         self.exact = exact
 
     @classmethod
@@ -85,19 +92,9 @@ class BigLogNumber:
     def from_int(cls, value: int) -> "BigLogNumber":
         return cls.from_fraction(Fraction(value))
 
-    def _keep_exact(self) -> Optional[Fraction]:
-        if self.exact is None:
-            return None
-        if (
-            self.exact.numerator.bit_length() <= _EXACT_BIT_LIMIT
-            and self.exact.denominator.bit_length() <= _EXACT_BIT_LIMIT
-        ):
-            return self.exact
-        return None
-
     @property
     def level(self) -> int:
-        if self.sign == 0 or self._keep_exact() is not None:
+        if self.sign == 0 or self.exact is not None:
             return 0
         if abs(self.log2_magnitude) < mpmath.mpf(2) ** 48:
             return 1
@@ -117,52 +114,39 @@ class BigLogNumber:
         if self.sign == 0 or other.sign == 0:
             return BigLogNumber.zero()
         exact = None
-        a, b = self._keep_exact(), other._keep_exact()
-        if a is not None and b is not None:
-            exact = a * b
+        if self.exact is not None and other.exact is not None:
+            exact = self.exact * other.exact
         with mpmath.workprec(_PREC):
             mag = self.log2_magnitude + other.log2_magnitude
-        out = BigLogNumber(self.sign * other.sign, mag, exact)
-        out.exact = out._keep_exact()
-        return out
+        return BigLogNumber(self.sign * other.sign, mag, exact)
 
     def power(self, exponent) -> "BigLogNumber":
         """Raise to an integer, Fraction, or float power (value must be > 0
         unless the exponent is a nonnegative integer)."""
+        rational = isinstance(exponent, (int, Fraction))
         if self.sign == 0:
-            if (isinstance(exponent, int) and exponent > 0) or (
-                isinstance(exponent, Fraction) and exponent > 0
-            ):
+            if rational and exponent > 0:
                 return BigLogNumber.zero()
             raise BadParamsError("zero to a non-positive power")
         if self.sign < 0 and not isinstance(exponent, int):
             raise BadParamsError("negative base needs an integer exponent")
         exact = None
-        kept = self._keep_exact()
-        if kept is not None and isinstance(exponent, int):
-            if abs(exponent) * max(
-                kept.numerator.bit_length(), kept.denominator.bit_length()
-            ) <= _EXACT_BIT_LIMIT:
-                exact = kept**exponent
+        # an integral exponent keeps the payload when its bit bound allows,
+        # so that no power beyond the limit is ever formed
         if (
-            kept is not None
-            and isinstance(exponent, Fraction)
+            self.exact is not None
+            and rational
             and exponent.denominator == 1
+            and abs(exponent) * _payload_bits(self.exact) <= _EXACT_BIT_LIMIT
         ):
-            e = exponent.numerator
-            if abs(e) * max(
-                kept.numerator.bit_length(), kept.denominator.bit_length()
-            ) <= _EXACT_BIT_LIMIT:
-                exact = kept**e
+            exact = self.exact ** int(exponent)
         if self.sign > 0:
             sign = 1
         else:  # negative base: integer exponent guaranteed above
             sign = -1 if exponent % 2 else 1
         with mpmath.workprec(_PREC):
             mag = self.log2_magnitude * _mpf(exponent)
-        out = BigLogNumber(sign, mag, exact)
-        out.exact = out._keep_exact()
-        return out
+        return BigLogNumber(sign, mag, exact)
 
     def _cmp_key(self):
         # orders the reals: negative big < negative small < 0 < positive small
@@ -171,8 +155,7 @@ class BigLogNumber:
         return (self.sign, self.sign * self.log2_magnitude)
 
     def __lt__(self, other: "BigLogNumber") -> bool:
-        a, b = self._cmp_key(), other._cmp_key()
-        return a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])
+        return self._cmp_key() < other._cmp_key()
 
     def __le__(self, other: "BigLogNumber") -> bool:
         return not other < self
@@ -180,10 +163,9 @@ class BigLogNumber:
     def __float__(self) -> float:
         if self.sign == 0:
             return 0.0
-        kept = self._keep_exact()
-        if kept is not None:
+        if self.exact is not None:
             try:
-                return float(kept)
+                return float(self.exact)
             except OverflowError:
                 pass
         with mpmath.workprec(_PREC):
@@ -198,19 +180,13 @@ class BigLogNumber:
         lvl2 = self.log2_of_abs_log2
         if self.level == 2 and lvl2 is not None:
             out["log2_of_abs_log2"] = mpmath.nstr(lvl2, 20)
-        kept = self._keep_exact()
-        if kept is not None:
-            out["exact"] = (
-                str(kept.numerator)
-                if kept.denominator == 1
-                else f"{kept.numerator}/{kept.denominator}"
-            )
+        if self.exact is not None:
+            out["exact"] = str(self.exact)
         return out
 
     def __repr__(self) -> str:
-        kept = self._keep_exact()
-        if kept is not None:
-            return f"BigLogNumber({kept})"
+        if self.exact is not None:
+            return f"BigLogNumber({self.exact})"
         return f"BigLogNumber(sign={self.sign}, log2={mpmath.nstr(self.log2_magnitude, 10)})"
 
 

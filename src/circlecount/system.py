@@ -118,6 +118,12 @@ def is_trivial(system: DiagonalSystem, x: Sequence[int]) -> bool:
     system.require_arity(x)
     if not is_solution(system, x):
         raise NotASolutionError(f"{tuple(x)} does not solve the system")
+    return value_classes_zero_sum(system, x)
+
+
+def value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
+    """True iff the coefficients of each value class of x sum to zero; on a
+    solution this is triviality, and the counting engines call it per tuple."""
     class_sums: dict[int, int] = {}
     for c, v in zip(system.coefficients, x):
         class_sums[v] = class_sums.get(v, 0) + c
@@ -195,12 +201,18 @@ def jacobian(system: DiagonalSystem, x: Sequence[int], indices: Sequence[int]) -
         raise BadIndicesError(
             f"indices must be a k-subset of 1..{system.arity}, got {tuple(indices)}"
         )
-    # entry (j, l) = j * lam_{i_l} * x_{i_l}^{j-1}
-    mat = [
-        [j * system.coefficients[i - 1] * x[i - 1] ** (j - 1) for i in idx]
-        for j in range(1, k + 1)
+    return _det_bareiss(jacobian_matrix(system, x, idx))
+
+
+def jacobian_matrix(
+    system: DiagonalSystem, x: Sequence[int], indices: Sequence[int]
+) -> list[list[int]]:
+    """The k x k matrix dL_j/dx_i at x: row j = 1..k, one column per 1-based
+    index in the given order, entry j * lam_i * x_i^(j-1)."""
+    return [
+        [j * system.coefficients[i - 1] * x[i - 1] ** (j - 1) for i in indices]
+        for j in range(1, system.degree + 1)
     ]
-    return _det_bareiss(mat)
 
 
 def jacobian_closed_form_magnitude(
@@ -208,10 +220,6 @@ def jacobian_closed_form_magnitude(
 ) -> int:
     """|k!| * |prod lam_{i}| * |prod of pairwise coordinate differences|."""
     idx = sorted(indices)
-    k = system.degree
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
     coeff = 1
     for i in idx:
         coeff *= abs(system.coefficients[i - 1])
@@ -219,7 +227,7 @@ def jacobian_closed_form_magnitude(
     for u in range(len(idx)):
         for v in range(u + 1, len(idx)):
             vand *= abs(x[idx[u] - 1] - x[idx[v] - 1])
-    return fact * coeff * vand
+    return math.factorial(system.degree) * coeff * vand
 
 
 def trivial_count_bound(system: DiagonalSystem, cardinality: int):
@@ -233,12 +241,8 @@ def trivial_count_bound(system: DiagonalSystem, cardinality: int):
     if cardinality < 0:
         raise BadParamsError("cardinality must be >= 0")
     s = system.arity
-    half = s // 2
-    fact = 1
-    for j in range(2, half + 1):
-        fact *= j
     base = BigLogNumber.from_int(cardinality)
-    return BigLogNumber.from_int(fact) * base.power(Fraction(s, 2))
+    return BigLogNumber.from_int(math.factorial(s // 2)) * base.power(Fraction(s, 2))
 
 
 def normalize_real_solution(y: Sequence[float]) -> tuple[float, ...]:

@@ -7,16 +7,18 @@ import pytest
 
 from circlecount import (
     SetWindow,
+    congruence_count,
     count_solutions,
     enumeration,
     greedy_solution_free,
     is_trivial,
+    local,
     stream_solutions,
     trivial_count,
     validate_system,
     vinogradov_moment,
 )
-from circlecount.budget import Budget
+from circlecount.budget import INT64_SAFE, Budget
 from circlecount.errors import ArityTooLargeError, BudgetExceededError
 
 from conftest import (
@@ -212,13 +214,13 @@ def _every_counting_path():
 def int64_decisions(monkeypatch):
     """Record (bound, verdict) of every int64 decision the engines make."""
     decisions = []
-    real = enumeration._fits_int64
+    real = enumeration.fits_int64
 
     def spy(bound):
         decisions.append((bound, real(bound)))
         return decisions[-1][1]
 
-    monkeypatch.setattr(enumeration, "_fits_int64", spy)
+    monkeypatch.setattr(enumeration, "fits_int64", spy)
     return decisions
 
 
@@ -241,7 +243,7 @@ class TestInt64Fallbacks:
         expected = _every_counting_path()
         assert set(column_dtypes) == {np.dtype(np.int64)}
         del column_dtypes[:]
-        monkeypatch.setattr(enumeration, "_fits_int64", lambda bound: False)
+        monkeypatch.setattr(enumeration, "fits_int64", lambda bound: False)
         assert _every_counting_path() == expected
         assert set(column_dtypes) == {np.dtype(object)}
 
@@ -267,10 +269,10 @@ class TestInt64Fallbacks:
             return int64_decisions[0][0]
 
         lo, hi = 3, 2**20  # join_bound(lo) fits, join_bound(hi) does not
-        assert join_bound(lo) < enumeration._INT64_SAFE <= join_bound(hi)
+        assert join_bound(lo) < INT64_SAFE <= join_bound(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if join_bound(mid) < enumeration._INT64_SAFE:
+            if join_bound(mid) < INT64_SAFE:
                 lo = mid
             else:
                 hi = mid
@@ -289,8 +291,8 @@ class TestInt64Fallbacks:
         # (1, 4, 5, 8, 2, 7) translated to end at the top.
         sys = validate_system(3, (1, 1, 1, 1, -2, -2))
         largest = 832255
-        assert 8 * largest**3 < enumeration._INT64_SAFE <= 8 * (largest + 1) ** 3
-        real = enumeration._fits_int64
+        assert 8 * largest**3 < INT64_SAFE <= 8 * (largest + 1) ** 3
+        real = enumeration.fits_int64
         for top, dtype, other in ((largest, np.int64, object),
                                   (largest + 1, object, np.int64)):
             w = SetWindow.from_elements(top, (top - d for d in (7, 6, 4, 3, 1, 0)))
@@ -299,11 +301,11 @@ class TestInt64Fallbacks:
             assert column_dtypes == [np.dtype(dtype)]
             assert tally.nontrivial > 0
             assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
-            monkeypatch.setattr(enumeration, "_fits_int64",
+            monkeypatch.setattr(enumeration, "fits_int64",
                                 lambda bound: other is np.int64)
             assert count_solutions(sys, w, "naive") == tally
             assert column_dtypes[-1] == np.dtype(other)
-            monkeypatch.setattr(enumeration, "_fits_int64", real)
+            monkeypatch.setattr(enumeration, "fits_int64", real)
 
 
 @pytest.mark.parametrize(
@@ -321,9 +323,14 @@ class TestInt64Fallbacks:
                                   BIG_WINDOW, "naive", b),
         lambda b: count_solutions(validate_system(5, (2, 1, -1, -1, -1)),
                                   BIG_WINDOW, "mitm", b),
+        # the congruence DP: int64 cells, then object cells past 90^12 > 2^62
+        lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 120, b),
+        lambda b: congruence_count(
+            validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 40, b),
+        lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 90, b),
     ],
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "naive_int64",
-         "naive_object", "mitm_object"],
+         "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):
     estimates = []
@@ -334,6 +341,7 @@ def test_key_byte_estimate_tracks_traced_peak(count):
             super().check_bytes(nbytes, what)
 
     count(Budget())  # warm imports and caches outside the trace
+    local._congruence_dp.cache_clear()  # but do not let the DP hit its cache
     tracemalloc.start()
     try:
         count(Recording())

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from circlecount.errors import (
     NotCoprimeError,
     SingularJacobianError,
 )
-from circlecount.local import _divisors, _moebius
+from circlecount.local import _factorize
 
 from conftest import brute_force_congruence_count, random_system
 
@@ -146,7 +147,8 @@ class TestSeriesTerms:
         for sys in (sys_quad4, sys_lin3):
             k, s = sys.degree, sys.arity
             for q in range(1, 25):
-                lhs = sum(series_term_direct(sys, d) for d in _divisors(q))
+                divisors = [d for d in range(1, q + 1) if q % d == 0]
+                lhs = sum(series_term_direct(sys, d) for d in divisors)
                 rhs = congruence_count(sys, q).count * Fraction(1, q ** (s - k))
                 assert abs(lhs - float(rhs)) <= 1e-9 * (1 + abs(float(rhs)))
 
@@ -255,6 +257,21 @@ class TestHenselLift:
         with pytest.raises(HypothesisViolatedError):
             hensel_lift(sys_lin3, (2, 1, 1), 2, 3, free_indices=(1,))
 
+    def test_degree_three_lifts(self):
+        # 3x3 Newton steps: pinned lifts of a symmetric and an asymmetric system
+        cubic8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
+        lift = hensel_lift(cubic8, (10, 3, 7, 3, 2, 5, 1, 4), 11, 5)
+        assert lift.values == (154472, 3, 6585, 3, 2, 5, 1, 4)
+        assert lift.free_indices == (1, 2, 3)
+        cubic6 = validate_system(3, (1, 2, -3, 1, -2, 1))
+        for seed, values, free in [
+            ((0, 1, 3, 2, 6, 3), (2205, 1569, 178, 2, 6, 3), (1, 2, 3)),
+            ((0, 1, 0, 4, 2, 5), (182, 1597, 0, 1425, 2, 5), (1, 2, 4)),
+        ]:
+            lift = hensel_lift(cubic6, seed, 7, 4)
+            assert (lift.values, lift.free_indices, lift.u) == (values, free, 1)
+            assert all(v % 7**4 == 0 for v in cubic6.equations_at(values))
+
     def test_randomized_seeds(self, sys_quad6):
         rnd = random.Random(14)
         made = 0
@@ -276,12 +293,23 @@ class TestHenselLift:
             made += 1
 
 
-def test_moebius_helper():
-    assert [_moebius(n) for n in range(1, 13)] == [
-        1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0
+def test_factorize_helper():
+    assert _factorize(1) == []
+    assert _factorize(12) == [(2, 2), (3, 1)]
+    assert _factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert _factorize(97) == [(97, 1)]
+    for n in range(1, 300):
+        factors = _factorize(n)
+        assert math.prod(p**e for p, e in factors) == n
+        assert all(len(_factorize(p)) == 1 for p, _ in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    moebius = [
+        0 if any(e > 1 for _, e in _factorize(n)) else (-1) ** len(_factorize(n))
+        for n in range(1, 13)
     ]
-
-
-def test_divisors_helper():
-    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert _divisors(1) == [1]
+    assert moebius == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    divisors = sorted(
+        math.prod(p**a for (p, _), a in zip(_factorize(12), exps))
+        for exps in itertools.product(range(3), range(2))
+    )
+    assert divisors == [1, 2, 3, 4, 6, 12]

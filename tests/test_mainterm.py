@@ -66,6 +66,31 @@ class TestBigLogNumber:
         assert float(tiny) == 0.0
         assert tiny.sign == 1
 
+    def test_exact_payload_boundary(self):
+        # the exact payload is kept up to 4096-bit numerators and denominators
+        def assert_kept(x, value):
+            assert x.level == 0
+            assert x.to_json_dict()["exact"] == str(value)
+
+        def assert_dropped(x):
+            assert x.level == 1
+            assert "exact" not in x.to_json_dict()
+
+        assert_kept(BigLogNumber.from_int(2**4095), 2**4095)
+        assert_dropped(BigLogNumber.from_int(2**4096))
+        assert_kept(BigLogNumber.from_fraction(Fraction(1, 2**4095)),
+                    Fraction(1, 2**4095))
+        assert_dropped(BigLogNumber.from_fraction(Fraction(1, 2**4096)))
+        half = BigLogNumber.from_int(2**2048)
+        assert_kept(half * BigLogNumber.from_int(2**2047), 2**4095)
+        assert_dropped(half * half)
+        # (2^64 - 1)^64 has exactly 4096 bits
+        base = BigLogNumber.from_int(2**64 - 1)
+        for exponent in (64, Fraction(64, 1)):
+            assert_kept(base.power(exponent), (2**64 - 1) ** 64)
+        for exponent in (65, Fraction(65, 1)):
+            assert_dropped(base.power(exponent))
+
 
 class TestConstants:
     def test_s0_k3(self):
