@@ -303,13 +303,23 @@ def test_factorize_helper():
         assert math.prod(p**e for p, e in factors) == n
         assert all(len(_factorize(p)) == 1 for p, _ in factors)
         assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
+def test_moebius_helper():
     moebius = [
         0 if any(e > 1 for _, e in _factorize(n)) else (-1) ** len(_factorize(n))
         for n in range(1, 13)
     ]
     assert moebius == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-    divisors = sorted(
-        math.prod(p**a for (p, _), a in zip(_factorize(12), exps))
-        for exps in itertools.product(range(3), range(2))
-    )
-    assert divisors == [1, 2, 3, 4, 6, 12]
+
+
+def test_divisors_helper():
+    def divisors(n):
+        factors = _factorize(n)
+        return sorted(
+            math.prod(p**a for (p, _), a in zip(factors, exps))
+            for exps in itertools.product(*(range(e + 1) for _, e in factors))
+        )
+
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
