@@ -300,7 +300,6 @@ def greedy_solution_free(
     system: DiagonalSystem,
     n: int,
     budget: Budget = DEFAULT_BUDGET,
-    method: Method = "auto",
 ) -> SetWindow:
     """Greedy scan x = 1..n keeping x whenever the set stays nontrivial-free."""
     if n < 1:
@@ -308,7 +307,7 @@ def greedy_solution_free(
     window = SetWindow.empty(n)
     for x in range(1, n + 1):
         candidate = window.add(x)
-        tally = count_solutions(system, candidate, method=method, budget=budget)
+        tally = count_solutions(system, candidate, method="auto", budget=budget)
         if tally.nontrivial == 0:
             window = candidate
     return window

@@ -2,7 +2,8 @@
 and the major/minor arc classifier.
 
 Phase points are vectors (alpha_1, ..., alpha_k) in ascending degree order:
-alpha_j multiplies x^j.  All complex sums use pairwise (tree) summation with
+alpha_j multiplies x^j.  ``_exp_sum`` is the one float phase sum, behind f, g,
+E and the quadrature of w.  All complex sums use pairwise (tree) summation with
 fixed bracketing, so repeated runs produce bit-identical values.  Rational
 phases in the complete sums are reduced mod q in exact integer arithmetic
 before any trigonometry.
@@ -40,30 +41,28 @@ def pairwise_sum(terms: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _phase_values(xs: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
-    phase = np.zeros(len(xs), dtype=np.float64)
+def _exp_sum(points, alpha: Sequence[float], weights=None) -> complex:
+    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the points,
+    with unit weights when none are given; alpha is not reduced mod 1 here."""
+    x = np.asarray(points, dtype=np.float64)
+    phase = np.zeros(len(x), dtype=np.float64)
     for j, aj in enumerate(alpha, start=1):
         if aj != 0.0:
-            phase += aj * xs.astype(np.float64) ** j
-    return phase
+            phase += aj * x**j
+    terms = np.exp(TWO_PI * 1j * phase)
+    return pairwise_sum(terms if weights is None else weights * terms)
 
 
 def eval_g(n: int, alpha: Sequence[float]) -> complex:
     """g(alpha) = sum_{1<=x<=N} e(alpha_k x^k + ... + alpha_1 x)."""
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    a = reduce_phase(alpha)
-    xs = np.arange(1, n + 1)
-    return pairwise_sum(np.exp(TWO_PI * 1j * _phase_values(xs, a)))
+    return _exp_sum(np.arange(1, n + 1), reduce_phase(alpha))
 
 
 def eval_f(window: SetWindow, alpha: Sequence[float]) -> complex:
     """f(alpha): the same sum restricted to the window's elements."""
-    a = reduce_phase(alpha)
-    xs = np.asarray(window.elements(), dtype=np.int64)
-    if xs.size == 0:
-        return 0j
-    return pairwise_sum(np.exp(TWO_PI * 1j * _phase_values(xs, a)))
+    return _exp_sum(window.elements(), reduce_phase(alpha))
 
 
 def eval_v(window: SetWindow, alpha: Sequence[float]) -> complex:
@@ -80,15 +79,9 @@ def eval_E_balanced(window: SetWindow, alpha: Sequence[float]) -> complex:
     """Direct evaluation of E via the balanced function (identity cross-check)."""
     from .gowers import balanced_function
 
-    a = reduce_phase(alpha)
-    b = balanced_function(window)
-    xs = np.arange(1, window.length + 1)
-    terms = (
-        np.asarray(b.values, dtype=np.float64)
-        / window.length
-        * np.exp(TWO_PI * 1j * _phase_values(xs, a))
-    )
-    return pairwise_sum(terms)
+    n = window.length
+    weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
+    return _exp_sum(np.arange(1, n + 1), reduce_phase(alpha), weights)
 
 
 def complete_sum(q: int, a: Sequence[int], lam: int = 1) -> complex:
@@ -121,11 +114,7 @@ def _gl_estimate(n: int, beta: Sequence[float], panels: int) -> complex:
     half = (edges[1:] - edges[:-1]) / 2.0
     pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    phase = np.zeros(len(pts), dtype=np.float64)
-    for j, bj in enumerate(beta, start=1):
-        if bj != 0.0:
-            phase += bj * pts**j
-    return pairwise_sum(wts * np.exp(TWO_PI * 1j * phase))
+    return _exp_sum(pts, beta, wts)
 
 
 def oscillatory_w(n: int, beta: Sequence[float], lam: int = 1) -> complex:

@@ -314,33 +314,24 @@ def _v_p(n: int, p: int) -> int:
 def _pick_free_indices(
     system: DiagonalSystem, seed: Sequence[int], p: int
 ) -> tuple[int, ...]:
+    """The lexicographically first k-subset with a unit Jacobian mod p.
+
+    The Jacobian k! * prod lam_i * Vandermonde(x_i) is a unit exactly when
+    p > k, p divides no chosen lam_i and the chosen residues are distinct, so
+    one greedy pass over the variables finds that subset."""
     k = system.degree
-    s = system.arity
-    # greedy: first k indices with pairwise-distinct residues, then fall back
-    # to scanning k-subsets until a unit Jacobian turns up
     chosen: list[int] = []
     seen: set[int] = set()
-    for i in range(1, s + 1):
-        v = seed[i - 1] % p
-        if v not in seen:
-            seen.add(v)
-            chosen.append(i)
-            if len(chosen) == k:
-                break
-    candidates = []
-    if len(chosen) == k:
-        candidates.append(tuple(chosen))
-    candidates.extend(itertools.combinations(range(1, s + 1), k))
-    tried = 0
-    for cand in candidates:
-        tried += 1
-        if tried > 5000:
-            break
-        if jacobian(system, seed, cand) % p != 0:
-            return tuple(sorted(cand))
-    raise SingularJacobianError(
-        f"no k-subset of variables has a unit Jacobian mod {p} at this seed"
-    )
+    if p > k:
+        for i, (lam, x) in enumerate(zip(system.coefficients, seed), start=1):
+            if lam % p != 0 and x % p not in seen and len(chosen) < k:
+                seen.add(x % p)
+                chosen.append(i)
+    if len(chosen) < k:
+        raise SingularJacobianError(
+            f"no k-subset of variables has a unit Jacobian mod {p} at this seed"
+        )
+    return tuple(chosen)
 
 
 def hensel_lift(

@@ -24,11 +24,13 @@ from .enumeration import count_solutions
 from .errors import BadDegreeError, BadParamsError, NoRealSolutionError
 from .expsums import sigma_exponent
 from .local import truncated_singular_series
-from .system import DiagonalSystem
+from .system import DiagonalSystem, jacobian_matrix
 from .windows import SetWindow
 
 _PREC = 120
 _EXACT_BIT_LIMIT = 4096
+_NEWTON_ATTEMPTS = 64
+_MAX_INCREMENT_STEPS = 10_000
 
 
 def _mpf(x) -> mpmath.mpf:
@@ -131,13 +133,13 @@ class BigLogNumber:
         if self.sign < 0 and not isinstance(exponent, int):
             raise BadParamsError("negative base needs an integer exponent")
         exact = None
-        # an integral exponent keeps the payload when its bit bound allows,
-        # so that no power beyond the limit is ever formed
+        # a b-bit payload to the e-th power has more than |e|(b - 1) bits, so
+        # powers the constructor would drop are never formed
         if (
             self.exact is not None
             and rational
             and exponent.denominator == 1
-            and abs(exponent) * _payload_bits(self.exact) <= _EXACT_BIT_LIMIT
+            and abs(exponent) * (_payload_bits(self.exact) - 1) < _EXACT_BIT_LIMIT
         ):
             exact = self.exact ** int(exponent)
         if self.sign > 0:
@@ -224,15 +226,9 @@ def constants(
     s0 = 2 * k * br + 10 * k * k + 6
     sigma = sigma_exponent(k)
     gamma_log2 = 2 ** (k + 8) + k + 1
-    gamma = BigLogNumber(1, gamma_log2)
-    if gamma_log2 <= _EXACT_BIT_LIMIT:
-        gamma = BigLogNumber(1, gamma_log2, Fraction(2**gamma_log2))
+    gamma = BigLogNumber.from_int(2).power(gamma_log2)
+    c_exp = BigLogNumber.from_fraction(Fraction(1, 2)).power(2 ** (k + 9))
     with mpmath.workprec(_PREC):
-        c_exp = BigLogNumber(1, -mpmath.mpf(2 ** (k + 9)))
-        if 2 ** (k + 9) <= _EXACT_BIT_LIMIT:
-            c_exp = BigLogNumber(
-                1, -mpmath.mpf(2 ** (k + 9)), Fraction(1, 2 ** (2 ** (k + 9)))
-            )
         big_c = BigLogNumber(1, _log2(s0 + 2) + gamma_log2)
         k_const = None
         if cs_value is not None:
@@ -303,43 +299,35 @@ def _distinct_at_scale(values, tol: float) -> int:
 
 
 def find_nonsingular_real_solution(
-    system: DiagonalSystem, attempts: int = 64, seed: int = 0
+    system: DiagonalSystem, seed: int = 0
 ) -> Optional[np.ndarray]:
     """Newton search for a non-singular real solution in the open unit cube.
 
-    Returns None when no candidate with at least k distinct coordinates
-    converges strictly inside (0, 1)^s; used as the existence gate for the
-    singular-integral estimators.
+    Returns None when none of ``_NEWTON_ATTEMPTS`` random starts converges to
+    a point with at least k distinct coordinates strictly inside (0, 1)^s;
+    used as the existence gate for the singular-integral estimators.
     """
-    rng = np.random.default_rng(seed)
     s = system.arity
     k = system.degree
-    lam = np.asarray(system.coefficients, dtype=np.float64)
-    for _ in range(attempts):
+    if s < k:  # no point of R^s has k distinct coordinates
+        return None
+    rng = np.random.default_rng(seed)
+    for _ in range(_NEWTON_ATTEMPTS):
         x = rng.uniform(0.1, 0.9, size=s)
         order = np.argsort(x)
         free = sorted(order[np.linspace(0, s - 1, k).round().astype(int)].tolist())
         ok = False
         for _ in range(60):
-            vals = np.array(
-                [lam @ x**j for j in range(1, k + 1)], dtype=np.float64
-            )
+            vals = _equation_values(system, x[None, :])[0]
             if np.max(np.abs(vals)) < 1e-13:
                 ok = True
                 break
-            jac = np.array(
-                [
-                    [j * lam[i] * x[i] ** (j - 1) for i in free]
-                    for j in range(1, k + 1)
-                ],
-                dtype=np.float64,
-            )
+            jac = np.array(jacobian_matrix(system, x, [i + 1 for i in free]))
             try:
                 step = np.linalg.solve(jac, vals)
             except np.linalg.LinAlgError:
                 break
-            for pos, idx in enumerate(free):
-                x[idx] -= step[pos]
+            x[free] -= step
             if not np.all(np.isfinite(x)):
                 break
         if not ok:
@@ -359,29 +347,9 @@ class CEstimate:
     details: dict
 
 
-def _require_real_solution(
-    system: DiagonalSystem, solution: Optional[Sequence[float]], seed: int
-) -> None:
-    if solution is not None:
-        pt = np.asarray(solution, dtype=np.float64)
-        if pt.shape != (system.arity,):
-            raise BadParamsError("supplied solution has wrong length")
-        vals = _equation_values(system, pt[None, :])[0]
-        if np.max(np.abs(vals)) > 1e-9 or np.any(pt <= 0) or np.any(pt >= 1):
-            raise BadParamsError("supplied point is not a solution in (0,1)^s")
-        if _distinct_at_scale(pt, 1e-4) < system.degree:
-            raise NoRealSolutionError("supplied solution is singular")
-        return
-    if find_nonsingular_real_solution(system, seed=seed) is None:
-        raise NoRealSolutionError(
-            "no non-singular real solution in (0,1)^s was found"
-        )
-
-
 def estimate_singular_integral_constant(
     system: DiagonalSystem,
     method: str,
-    solution: Optional[Sequence[float]] = None,
     samples: int = 400_000,
     eps: float = 0.04,
     seed: int = 1,
@@ -401,7 +369,8 @@ def estimate_singular_integral_constant(
     """
     if method not in ("band_volume", "count_ratio"):
         raise BadParamsError(f"unknown method {method!r}")
-    _require_real_solution(system, solution, seed)
+    if find_nonsingular_real_solution(system, seed=seed) is None:
+        raise NoRealSolutionError("no non-singular real solution in (0,1)^s was found")
     k = system.degree
     if method == "band_volume":
         budget.check_ops(samples * system.arity * k, "band volume sampling")
@@ -475,7 +444,6 @@ def increment_iteration(
     y: int,
     k_const: BigLogNumber,
     c_exp: BigLogNumber,
-    max_iterations: int = 10_000,
 ) -> IncrementTrace:
     """Iterate the density-increment recurrences on the (iterated-)log scale.
 
@@ -483,7 +451,7 @@ def increment_iteration(
     (clamped at 1: a progression cannot outgrow its ambient interval) and
     raises the density by the same D_r, until the density reaches 1, the
     ambient interval drops below the minimal nontrivial-solution height Y,
-    or the iteration budget runs out.
+    or ``_MAX_INCREMENT_STEPS`` stages have run (outcome ``budget``).
     """
     delta0 = Fraction(delta0)
     if not 0 < delta0 <= 1:
@@ -513,7 +481,7 @@ def increment_iteration(
         if delta >= 1:
             outcome = "density_reached_one"
         else:
-            while iterations < max_iterations:
+            while iterations < _MAX_INCREMENT_STEPS:
                 d_r = min(mpmath.power(2, step_log2(delta)), mpmath.mpf(1))
                 delta = min(delta + d_r, mpmath.mpf(1))
                 loglog = loglog + mpmath.log(d_r)

@@ -73,9 +73,6 @@ class DiagonalSystem:
                 f"tuple of length {len(x)} for a system of arity {self.arity}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps({"k": self.degree, "lambda": list(self.coefficients)})
-
 
 def validate_system(k: int, coefficients: Iterable[int]) -> DiagonalSystem:
     """Validate and build a system; raises the specific validation error."""

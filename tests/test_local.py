@@ -9,6 +9,7 @@ from circlecount import (
     congruence_count,
     euler_factor,
     hensel_lift,
+    jacobian,
     local,
     multiplicativity_check,
     series_term_direct,
@@ -271,6 +272,49 @@ class TestHenselLift:
             lift = hensel_lift(cubic6, seed, 7, 4)
             assert (lift.values, lift.free_indices, lift.u) == (values, free, 1)
             assert all(v % 7**4 == 0 for v in cubic6.equations_at(values))
+
+    def test_free_indices_match_first_unit_jacobian(self):
+        # oracle: the lexicographically first k-subset whose exact (Bareiss)
+        # Jacobian is a unit mod p, scanned with no cap
+        rnd = random.Random(21)
+        pool = (-14, -10, -7, -5, -3, -2, -1, 1, 2, 3, 5, 7, 11, 22)
+        small_p = divides_lam = found = 0
+        for _ in range(600):
+            s = rnd.randint(2, 9)
+            k = rnd.randint(1, min(4, s))
+            coeffs = [rnd.choice(pool) for _ in range(s - 1)]
+            if sum(coeffs) == 0:
+                continue
+            system = validate_system(k, coeffs + [-sum(coeffs)])
+            p = rnd.choice((2, 3, 5, 7, 11))
+            seed = [rnd.randrange(p) for _ in range(s)]
+            expected = next(
+                (
+                    sub
+                    for sub in itertools.combinations(range(1, s + 1), k)
+                    if jacobian(system, seed, sub) % p != 0
+                ),
+                None,
+            )
+            small_p += p <= k
+            divides_lam += any(c % p == 0 for c in system.coefficients)
+            if expected is None:
+                with pytest.raises(SingularJacobianError):
+                    local._pick_free_indices(system, seed, p)
+            else:
+                found += 1
+                assert local._pick_free_indices(system, seed, p) == expected
+        assert min(small_p, divides_lam, found) >= 50
+
+    def test_free_indices_past_thousands_of_singular_subsets(self):
+        # lam_1 = lam_2 = 7: the 8,721 five-subsets holding x1 or x2 are all
+        # singular mod 7 and precede (3, 4, 5, 6, 7) in lexicographic order
+        system = validate_system(5, (7, 7) + (1,) * 8 + (-1,) * 10 + (-12,))
+        seed = (0, 0, 0, 1, 2, 3, 4, 5, 6, 2) + (0,) * 9 + (2, 0)
+        lift = hensel_lift(system, seed, 7, 3)
+        assert lift.free_indices == (3, 4, 5, 6, 7)
+        assert all(v % 7**3 == 0 for v in system.equations_at(lift.values))
+        assert all((a - b) % 7 == 0 for a, b in zip(lift.values, seed))
 
     def test_randomized_seeds(self, sys_quad6):
         rnd = random.Random(14)

@@ -91,6 +91,19 @@ class TestBigLogNumber:
         for exponent in (65, Fraction(65, 1)):
             assert_dropped(base.power(exponent))
 
+    def test_power_agrees_with_constructor(self):
+        # x^e keeps its payload exactly when the constructor keeps x^e itself
+        for base, exponent, level in [
+            (3, 2100, 0),  # 3^2100 has 3,329 bits
+            (2, 4095, 0),
+            (2, 4096, 1),
+            (Fraction(2, 3), 2100, 0),
+        ]:
+            powered = BigLogNumber.from_fraction(Fraction(base)).power(exponent)
+            direct = BigLogNumber.from_fraction(Fraction(base) ** exponent)
+            assert powered.level == direct.level == level
+            assert powered.exact == direct.exact
+
 
 class TestConstants:
     def test_s0_k3(self):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlecount import (
+    ClassificationReport,
+    classify,
     is_nonsingular,
     is_solution,
     is_trivial,
@@ -128,6 +130,24 @@ class TestJacobian:
                 if det != 0:
                     nonzero = True
             assert nonzero == is_nonsingular(sys_quad6, x)
+
+
+class TestClassify:
+    def test_non_solution(self, sys_quad4):
+        assert classify(sys_quad4, (1, 2, 3, 4)) == ClassificationReport(
+            is_solution=False, is_trivial=False, is_nonsingular=True, distinct_values=4
+        )
+
+    def test_trivial_solution(self, sys_quad4):
+        # value classes {1, 1} and {2, 2} each carry coefficients 1 and -1
+        assert classify(sys_quad4, (1, 2, 2, 1)) == ClassificationReport(
+            is_solution=True, is_trivial=True, is_nonsingular=True, distinct_values=2
+        )
+
+    def test_nontrivial_nonsingular_solution(self, sys_quad6):
+        assert classify(sys_quad6, (1, 5, 6, 2, 3, 7)) == ClassificationReport(
+            is_solution=True, is_trivial=False, is_nonsingular=True, distinct_values=6
+        )
 
 
 class TestTrivialCountBound:
