@@ -33,7 +33,7 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
 from .errors import ArityTooLargeError, BadParamsError
-from .system import DiagonalSystem, value_classes_zero_sum
+from .system import DiagonalSystem, mirrored, value_classes_zero_sum
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
@@ -159,8 +159,7 @@ def _join_count(
     entry sized by ``entry_bytes`` for the chosen dtype, and the key's 8-byte
     sorted copy; ``object`` keys are not renumbered and reach the radix product.
     """
-    neg = tuple(-c for c in right)
-    halves = (left,) if sorted(left) == sorted(neg) else (left, neg)
+    halves = (left,) if mirrored(left, right) else (left, tuple(-c for c in right))
     weight = max(sum(abs(c) for c in half) for half in halves)
     radices = [2 * weight * elems[-1] ** j + 1 for j in range(1, degree + 1)]
     entries = sum(len(elems) ** len(half) for half in halves)

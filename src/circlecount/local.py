@@ -10,10 +10,14 @@ each other:
   which is exact rational arithmetic on congruence counts; the inversion runs
   over the squarefree divisors built from q's primes.
 
-The congruence counts M(q) come from one numpy dynamic program whose cells are
-int64 or, when q^s does not fit, Python big integers; ``budget.fits_int64``
-picks the dtype and nothing else differs.  Every M(q) is a direct DP count at
-the modulus q itself, so the multiplicativity check stays a real check.
+The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
+so it is the product of the counts at q's prime-power factors, each from one
+numpy dynamic program.  When the coefficients are L and -L up to order
+(``system.mirrored``), the DP runs its stages over L alone and reads out the
+sum of squared counts.  Cells are int64 or, when m^s does not fit at the DP's
+modulus m, Python big integers; ``budget.fits_int64`` picks the dtype and
+nothing else differs.  ``multiplicativity_check`` takes M(qr) from a direct DP
+at the modulus qr itself, so it stays a real check.
 
 ``_factorize`` is the one trial-division loop: it gives the Moebius route its
 primes and ``euler_factor`` and ``hensel_lift`` their primality test.  The
@@ -41,7 +45,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expsums import complete_sum, pairwise_sum
-from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix
+from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, mirrored
 
 
 @dataclass(frozen=True)
@@ -55,45 +59,73 @@ def congruence_count(
 ) -> CongruenceCount:
     """Exact number of solutions mod q of all k congruences, x in (Z/q)^s.
 
-    Dynamic programming over the residue vector of partial power sums: state
-    space (Z/q)^k, one stage per variable, q transitions per stage, so the
-    cost is s * q^(k+1) instead of q^s.  Cells are int64 while q^s fits and
-    Python big integers (an ``object`` array) beyond, on the same code; counts
-    stay in a bounded cache keyed by (coefficients, k, q).
+    M is multiplicative (Chinese remainder theorem), so M(q) is the product
+    of one DP count per prime-power factor p^e of q.  The DP runs over the
+    residue vector of partial power sums: state space (Z/p^e)^k, one stage
+    per coefficient, p^e transitions per stage.  When the coefficients are
+    L and -L up to order, the stages run over L alone and the count is
+    sum_v c(v)^2, c(v) the number of x with L-values v.  Cells are int64
+    while p^(es) fits and Python big integers (an ``object`` array) beyond,
+    on the same code; counts stay in a bounded cache.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
     if q == 1:
         return CongruenceCount(1, 1)
+    moduli = [p**e for p, e in _factorize(q)]
+    return CongruenceCount(q, _dp_product(system, moduli, budget))
+
+
+def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> int:
+    """Product of the DP counts M(m) over ``moduli``, refused before any DP
+    runs; a single composite modulus is the direct count that
+    ``multiplicativity_check`` needs."""
     k = system.degree
     s = system.arity
-    # every DP cell counts tuples of (Z/q)^s
-    dtype = np.int64 if fits_int64(q**s) else object
+    left = tuple(c for c in system.coefficients if c > 0)
+    squares = mirrored(left, [c for c in system.coefficients if c < 0])
+    stages = left if squares else system.coefficients
+    # every DP cell and the sum of squares count tuples of (Z/m)^s
+    dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
     # refuse before consulting the cache so refusal never depends on warmth
-    budget.check_ops(s * q ** (k + 1), "congruence count")
-    # held: the counts, the next stage (a Python integer per cell of each on
-    # the object path) and np.roll's copy; np.roll's index 2-tuples and
-    # k-tuples may also fill the interpreter's free lists, 2000 tuples each
+    budget.check_ops(
+        sum(len(stages) * m ** (k + 1) for m in moduli), "congruence count"
+    )
+    # held at once by one DP: the counts, the next stage (a Python integer
+    # per cell of each on the object path), np.roll's copy and, read out by
+    # squares, the squared counts; np.roll's index 2-tuples and k-tuples may
+    # also fill the interpreter's free lists, 2000 tuples each
     budget.check_bytes(
-        q**k * (2 * entry_bytes(dtype, q**s) + 8) + 2000 * (96 + 8 * k),
+        max(
+            m**k * (2 * entry_bytes(d, m ** len(stages)) + 8
+                    + squares * entry_bytes(d, m**s))
+            for m, d in zip(moduli, dtypes)
+        ) + 2000 * (96 + 8 * k),
         "congruence DP states",
     )
-    return CongruenceCount(q, _congruence_dp(system.coefficients, k, q, dtype))
+    return math.prod(
+        _congruence_dp(stages, k, m, d, squares) for m, d in zip(moduli, dtypes)
+    )
 
 
-# a series to cutoff Q needs M(d) for every d <= Q; 256 entries hold a few
-# such series at Q = 60
+# a series to cutoff Q needs M(p^e) for every prime power p^e <= Q, 25 moduli
+# at Q = 60, so 256 entries hold ten such series; a direct count at a
+# composite modulus takes an entry too
 @functools.lru_cache(maxsize=256)
-def _congruence_dp(coefficients: tuple[int, ...], k: int, q: int, dtype) -> int:
+def _congruence_dp(
+    stages: tuple[int, ...], k: int, q: int, dtype, squares: bool
+) -> int:
     counts = np.zeros((q,) * k, dtype=dtype)
     counts[(0,) * k] = 1
     axes = tuple(range(k))
-    for lam in coefficients:
+    for lam in stages:
         nxt = np.zeros_like(counts)
         for x in range(q):
             shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
             nxt += np.roll(counts, shifts, axis=axes)
         counts = nxt
+    if squares:
+        return int((counts * counts).sum())
     return int(counts[(0,) * k])
 
 
@@ -116,10 +148,14 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 
 def series_term_moebius(
-    system: DiagonalSystem, q: int, budget: Budget = DEFAULT_BUDGET
+    system: DiagonalSystem,
+    q: int,
+    budget: Budget = DEFAULT_BUDGET,
+    _direct: bool = False,
 ) -> Fraction:
     """S(q) as an exact rational, by Moebius-inverting the divisor identity
-    against the congruence counts: S(q) = sum_{d|q} mu(q/d) d^(k-s) M(d)."""
+    against the congruence counts: S(q) = sum_{d|q} mu(q/d) d^(k-s) M(d).
+    The private ``_direct`` takes every M(d) from one DP at d itself."""
     if q < 1:
         raise BadParamsError("q must be >= 1")
     k = system.degree
@@ -134,7 +170,10 @@ def series_term_moebius(
     )
     total = Fraction(0)
     for d, mu in terms:
-        m = congruence_count(system, d, budget).count
+        if _direct:
+            m = _dp_product(system, [d], budget)
+        else:
+            m = congruence_count(system, d, budget).count
         total += mu * Fraction(m, d ** (s - k))
     return total
 
@@ -185,12 +224,18 @@ class MultiplicativityReport:
 def multiplicativity_check(
     system: DiagonalSystem, q: int, r: int, budget: Budget = DEFAULT_BUDGET
 ) -> MultiplicativityReport:
-    """Verify S(qr) = S(q) S(r) for coprime q, r (exact values, float residual)."""
+    """Verify S(qr) = S(q) S(r) for coprime q, r (exact values, float residual).
+
+    S(qr) comes from direct DP counts at qr and its divisors (the private
+    ``_direct`` argument of ``series_term_moebius``), never from the
+    prime-power products that ``congruence_count`` forms by multiplicativity,
+    so the check does not assume what it checks.
+    """
     if math.gcd(q, r) != 1:
         raise NotCoprimeError(f"gcd({q}, {r}) != 1")
     s_q = series_term_moebius(system, q, budget)
     s_r = series_term_moebius(system, r, budget)
-    s_qr = series_term_moebius(system, q * r, budget)
+    s_qr = series_term_moebius(system, q * r, budget, _direct=True)
     residual = abs(float(s_qr - s_q * s_r))
     tol = 1e-9 * (1.0 + abs(float(s_q * s_r)))
     return MultiplicativityReport(q, r, s_q, s_r, s_qr, residual, residual <= tol)

@@ -312,31 +312,35 @@ def find_nonsingular_real_solution(
     if s < k:  # no point of R^s has k distinct coordinates
         return None
     rng = np.random.default_rng(seed)
-    for _ in range(_NEWTON_ATTEMPTS):
-        x = rng.uniform(0.1, 0.9, size=s)
-        order = np.argsort(x)
-        free = sorted(order[np.linspace(0, s - 1, k).round().astype(int)].tolist())
-        ok = False
-        for _ in range(60):
-            vals = _equation_values(system, x[None, :])[0]
-            if np.max(np.abs(vals)) < 1e-13:
-                ok = True
-                break
-            jac = np.array(jacobian_matrix(system, x, [i + 1 for i in free]))
-            try:
-                step = np.linalg.solve(jac, vals)
-            except np.linalg.LinAlgError:
-                break
-            x[free] -= step
-            if not np.all(np.isfinite(x)):
-                break
-        if not ok:
-            continue
-        if np.any(x <= 1e-9) or np.any(x >= 1 - 1e-9):
-            continue
-        if _distinct_at_scale(x, 1e-4) >= k:
-            return x
-    return None
+    # a diverging start overflows to inf or nan, which the finiteness test
+    # rejects; numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_ATTEMPTS):
+            x = rng.uniform(0.1, 0.9, size=s)
+            order = np.argsort(x)
+            spread = np.linspace(0, s - 1, k).round().astype(int)
+            free = sorted(order[spread].tolist())
+            ok = False
+            for _ in range(60):
+                vals = _equation_values(system, x[None, :])[0]
+                if np.max(np.abs(vals)) < 1e-13:
+                    ok = True
+                    break
+                jac = np.array(jacobian_matrix(system, x, [i + 1 for i in free]))
+                try:
+                    step = np.linalg.solve(jac, vals)
+                except np.linalg.LinAlgError:
+                    break
+                x[free] -= step
+                if not np.all(np.isfinite(x)):
+                    break
+            if not ok:
+                continue
+            if np.any(x <= 1e-9) or np.any(x >= 1 - 1e-9):
+                continue
+            if _distinct_at_scale(x, 1e-4) >= k:
+                return x
+        return None
 
 
 @dataclass(frozen=True)
@@ -369,11 +373,13 @@ def estimate_singular_integral_constant(
     """
     if method not in ("band_volume", "count_ratio"):
         raise BadParamsError(f"unknown method {method!r}")
-    if find_nonsingular_real_solution(system, seed=seed) is None:
-        raise NoRealSolutionError("no non-singular real solution in (0,1)^s was found")
     k = system.degree
     if method == "band_volume":
+        # refuse before the Newton search of the gate below does any work
         budget.check_ops(samples * system.arity * k, "band volume sampling")
+    if find_nonsingular_real_solution(system, seed=seed) is None:
+        raise NoRealSolutionError("no non-singular real solution in (0,1)^s was found")
+    if method == "band_volume":
         rng = np.random.default_rng(seed)
         hits = np.zeros(2, dtype=np.int64)
         done = 0

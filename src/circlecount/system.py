@@ -127,6 +127,14 @@ def value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
     return all(total == 0 for total in class_sums.values())
 
 
+def mirrored(left: Sequence[int], right: Sequence[int]) -> bool:
+    """True iff ``right`` negates ``left`` up to order.  A system on the
+    coefficients left + right then counts pairs of tuples with equal
+    ``left``-values, so the MITM join and the congruence DP each run over
+    ``left`` alone and sum squared counts."""
+    return sorted(left) == sorted(-c for c in right)
+
+
 def is_nonsingular(system: DiagonalSystem, x: Sequence[int]) -> bool:
     """True iff the tuple takes at least k distinct values.
 

@@ -78,6 +78,15 @@ def random_system(rnd: random.Random, s: int, k: int) -> DiagonalSystem:
             return validate_system(k, tuple(coeffs) + (last,))
 
 
+def random_mirrored_system(rnd: random.Random, half: int, k: int) -> DiagonalSystem:
+    """Random system whose coefficients are L and -L in shuffled order, with L
+    drawn from the nonzero integers in [-3, 3]."""
+    left = [rnd.choice([-3, -2, -1, 1, 2, 3]) for _ in range(half)]
+    coeffs = left + [-c for c in left]
+    rnd.shuffle(coeffs)
+    return validate_system(k, coeffs)
+
+
 def random_window(rnd: random.Random, n: int, max_grid: int, s: int) -> SetWindow:
     """Random nonempty window with |A|^s capped for naive enumeration."""
     while True:

@@ -1,0 +1,146 @@
+"""Equivalence gate for the congruence counts M(q).
+
+Each fast path of ``local.congruence_count`` is checked against an oracle
+that does not run through it, on int64 and on big-integer cells (forced by
+patching ``local.fits_int64``), for quad6, cubic8 and seeded draws from the
+conftest generators up to k = 3, mirrored (L and -L) and not:
+
+* the product of prime-power counts (CRT) against one direct DP at q
+  (``local._dp_product`` at the single modulus q);
+* the half DP (stages over L, sum of squared counts) against the full-stage
+  DP over all s coefficients, at prime powers;
+* every DP against ``brute_force_congruence_count`` wherever q^s <= 10^5 on
+  quad6 and cubic8, and on the draws for q = 2, 3, ... while the brute-force
+  tuples total at most 3 * 10^4 per system.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import random
+
+import numpy as np
+import pytest
+
+from circlecount import congruence_count, local, validate_system
+from circlecount.budget import Budget
+from circlecount.local import _factorize
+
+from conftest import brute_force_congruence_count, random_mirrored_system, random_system
+
+QUAD6 = validate_system(2, (1, 1, 1, -1, -1, -1))
+CUBIC8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
+
+
+def is_mirrored(system) -> bool:
+    # independent of system.mirrored, which the paths under test call
+    return sorted(system.coefficients) == sorted(-c for c in system.coefficients)
+
+
+def random_asymmetric_system(rnd: random.Random, s: int, k: int):
+    while True:
+        system = random_system(rnd, s, k)
+        if not is_mirrored(system):
+            return system
+
+
+_rnd = random.Random(20261018)
+# (s, k) and (|L|, k) sizes fixed so that every degree and both kinds are drawn
+ASYMMETRIC = [random_asymmetric_system(_rnd, s, k)
+              for s, k in ((3, 1), (4, 2), (5, 3), (6, 2), (4, 3), (5, 1))]
+MIRRORED = [random_mirrored_system(_rnd, half, k)
+            for half, k in ((1, 3), (2, 2), (3, 3), (2, 1), (3, 2), (4, 3))]
+
+DTYPES = pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+# the cached DP itself, which a test below replaces by a spy
+_DP = local._congruence_dp
+
+
+def small(system, q: int) -> bool:
+    # direct DP work s * q^(k+1) small enough for the whole gate to take seconds
+    return system.arity * q ** (system.degree + 1) <= 4 * 10**6
+
+
+def moduli(system, dtype, prime_powers: bool) -> list[int]:
+    """Prime powers or composites (two or more primes) up to 60 for quad6 and
+    cubic8 (30 for cubic8 on big integers, where q = 60 alone takes seconds),
+    and as far as ``small`` allows for the draws."""
+    qs = [q for q in range(2, 61) if (len(_factorize(q)) == 1) == prime_powers]
+    if system == QUAD6 or (system == CUBIC8 and dtype is np.int64):
+        return qs
+    if system == CUBIC8:
+        return [q for q in qs if q <= 30]
+    return [q for q in qs if small(system, q)]
+
+
+@contextlib.contextmanager
+def dp_dtype(dtype):
+    """Run every DP on ``dtype`` cells, from a cold cache."""
+    real = local.fits_int64
+
+    def decide(bound):
+        assert real(bound)  # int64 cells are exact at every size drawn here
+        return dtype is np.int64
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "fits_int64", decide)
+        _DP.cache_clear()
+        try:
+            yield
+        finally:
+            _DP.cache_clear()
+
+
+def test_draws_cover_both_kinds():
+    assert not any(map(is_mirrored, ASYMMETRIC))
+    assert all(map(is_mirrored, MIRRORED))
+    for draws in (ASYMMETRIC, MIRRORED):
+        assert {sys.degree for sys in draws} == {1, 2, 3}
+
+
+@DTYPES
+def test_crt_product_equals_direct_dp(dtype):
+    for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED:
+        qs = moduli(system, dtype, prime_powers=False)
+        assert qs
+        with dp_dtype(dtype):
+            for q in qs:
+                crt = congruence_count(system, q).count
+                assert crt == local._dp_product(system, [q], Budget()), (system, q)
+
+
+@DTYPES
+def test_half_dp_equals_full_stage_dp(dtype, monkeypatch):
+    read_outs = []
+
+    def spy(stages, k, q, cells, squares):
+        read_outs.append(squares)
+        return _DP(stages, k, q, cells, squares)
+
+    monkeypatch.setattr(local, "_congruence_dp", spy)
+    for system in [QUAD6, CUBIC8] + MIRRORED:
+        qs = moduli(system, dtype, prime_powers=True)
+        with dp_dtype(dtype):
+            half = [congruence_count(system, q).count for q in qs]
+        assert set(read_outs) == {True}
+        del read_outs[:]
+        with dp_dtype(dtype), monkeypatch.context() as mp:
+            mp.setattr(local, "mirrored", lambda left, right: False)
+            full = [congruence_count(system, q).count for q in qs]
+        assert set(read_outs) == {False}
+        del read_outs[:]
+        assert half == full, system
+
+
+def test_dp_equals_brute_force():
+    for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED:
+        qs = [q for q in range(2, 13) if q**system.arity <= 10**5]
+        if system not in (QUAD6, CUBIC8):
+            qs = [q for q in qs if sum(d**system.arity for d in range(2, q + 1))
+                  <= 3 * 10**4]
+        assert len(qs) >= 2
+        expected = [brute_force_congruence_count(system, q) for q in qs]
+        for dtype in (np.int64, object):
+            with dp_dtype(dtype):
+                counts = [congruence_count(system, q).count for q in qs]
+            assert counts == expected, (system, dtype)

@@ -323,14 +323,23 @@ class TestInt64Fallbacks:
                                   BIG_WINDOW, "naive", b),
         lambda b: count_solutions(validate_system(5, (2, 1, -1, -1, -1)),
                                   BIG_WINDOW, "mitm", b),
-        # the congruence DP: int64 cells, then object cells past 90^12 > 2^62
-        lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 120, b),
+        # the congruence DP at prime powers, one DP per call: int64 cells, then
+        # object cells past 89^12 > 2^62; these three systems are L and -L, so
+        # they run the half DP with its squared counts
+        lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 121, b),
         lambda b: congruence_count(
-            validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 40, b),
-        lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 90, b),
+            validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 41, b),
+        lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 89, b),
+        # and the full-stage DP, on systems that are not L and -L: int64 cells
+        # at a modulus where the arrays outweigh the free-list term, then
+        # object cells past 37^12 > 2^62
+        lambda b: congruence_count(validate_system(2, (2, 1, -1, -1, -1)), 289, b),
+        lambda b: congruence_count(
+            validate_system(2, (2, 2, 1, 1, 1, 1, -1, -1, -1, -1, -1, -3)), 37, b),
     ],
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "naive_int64",
-         "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object"],
+         "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
+         "dp_full_int64", "dp_full_object"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):
     estimates = []

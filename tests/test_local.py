@@ -17,6 +17,7 @@ from circlecount import (
     truncated_singular_series,
     validate_system,
 )
+from circlecount.budget import Budget
 from circlecount.errors import (
     BadParamsError,
     HypothesisViolatedError,
@@ -51,11 +52,12 @@ class TestCongruenceCount:
                     )
 
     def test_crt_multiplicativity(self, sys_quad4):
+        # the left side is one DP at qr itself, never the product it checks
         for q in range(2, 8):
             for r in range(2, 61 // q):
                 if math.gcd(q, r) == 1:
                     assert (
-                        congruence_count(sys_quad4, q * r).count
+                        local._dp_product(sys_quad4, [q * r], Budget())
                         == congruence_count(sys_quad4, q).count
                         * congruence_count(sys_quad4, r).count
                     )
@@ -84,16 +86,24 @@ class TestCongruenceCount:
             forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
         finally:
             local._congruence_dp.cache_clear()
-        assert len(decisions) == len(forced)
+        # one decision per prime-power DP
+        assert len(decisions) == len(systems) * sum(len(_factorize(q)) for q in moduli)
         assert forced == expected
 
     def test_dp_exact_past_int64(self):
         # one linear congruence with a unit coefficient has q^(s-1) solutions;
-        # q^13 passes 2^62 from q = 28 on, and at q = 40 the cells themselves
-        # pass 2^63, where an int64 DP would wrap around
+        # q^13 passes 2^62 from q = 28 on, and from q = 29 the cells themselves
+        # pass 2^63, where an int64 DP would wrap around; 28 and 40 are one DP
+        # only when counted directly
         sys = validate_system(1, (1,) * 7 + (-1,) * 5 + (-2,))
-        for q in (27, 28, 40):
+        for q in (27, 28, 29, 40):
             assert congruence_count(sys, q).count == q**12
+            assert local._dp_product(sys, [q], Budget()) == q**12
+        # L and -L: the half DP's cells stay below q^7, but its sum of squares
+        # is q^13 and passes 2^63 at the prime 29
+        mirrored = validate_system(1, (1,) * 7 + (-1,) * 7)
+        for q in (27, 29):
+            assert congruence_count(mirrored, q).count == q**13
 
     def test_cache_is_bounded_and_refusal_ignores_it(self, sys_quad4):
         from circlecount.budget import Budget
@@ -170,6 +180,19 @@ class TestMultiplicativity:
                 for r in range(2, 30):
                     if q * r <= 30 and math.gcd(q, r) == 1:
                         assert multiplicativity_check(sys, q, r).passed
+
+    def test_qr_is_counted_directly(self, sys_quad4, monkeypatch):
+        # S(qr) must not come from the prime-power products it is checked against
+        dp_moduli = []
+        real = local._congruence_dp
+
+        def spy(stages, k, q, dtype, squares):
+            dp_moduli.append(q)
+            return real(stages, k, q, dtype, squares)
+
+        monkeypatch.setattr(local, "_congruence_dp", spy)
+        assert multiplicativity_check(sys_quad4, 4, 15).passed
+        assert 60 in dp_moduli
 
     def test_not_coprime_rejected(self, sys_quad4):
         with pytest.raises(NotCoprimeError):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,14 @@ from circlecount import (
     uniformity_threshold,
     validate_system,
 )
-from circlecount.errors import BadDegreeError, BadParamsError, NoRealSolutionError
+from circlecount import mainterm
+from circlecount.budget import Budget
+from circlecount.errors import (
+    BadDegreeError,
+    BadParamsError,
+    BudgetExceededError,
+    NoRealSolutionError,
+)
 from circlecount.mainterm import BigLogNumber, Progression
 
 
@@ -191,12 +199,36 @@ class TestRealSolutionSearch:
         sys = validate_system(2, (1, 1, -2))
         assert find_nonsingular_real_solution(sys) is None
 
+    def test_diverging_starts_do_not_warn(self):
+        # some of the 64 starts diverge until their powers overflow to inf
+        sys = validate_system(4, (1, 3, -2, -2, 3, -2, 2, 1, 3, -7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = find_nonsingular_real_solution(sys, seed=0)
+        assert x is not None
+        assert all(0 < v < 1 for v in x)
+
 
 class TestCEstimators:
     def test_no_real_solution_error(self):
         sys = validate_system(2, (1, 1, -2))
         with pytest.raises(NoRealSolutionError):
             estimate_singular_integral_constant(sys, "band_volume")
+
+    def test_budget_refuses_before_real_solution_search(self, sys_quad4, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("the Newton search ran before the budget check")
+
+        monkeypatch.setattr(mainterm, "find_nonsingular_real_solution", searched)
+        with pytest.raises(BudgetExceededError, match="band volume sampling"):
+            estimate_singular_integral_constant(
+                sys_quad4, "band_volume", budget=Budget(max_ops=1000)
+            )
+        # a system with no real solution is refused on budget too
+        with pytest.raises(BudgetExceededError):
+            estimate_singular_integral_constant(
+                validate_system(2, (1, 1, -2)), "band_volume", budget=Budget(max_ops=1000)
+            )
 
     def test_band_and_ratio_agree_within_spreads(self, sys_quad4):
         band = estimate_singular_integral_constant(
