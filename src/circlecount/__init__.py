@@ -58,6 +58,7 @@ from .mainterm import (
     increment_iteration,
     predicted_count,
     progression_concentration_search,
+    trivial_count_bound,
     uniformity_threshold,
 )
 from .system import (
@@ -70,7 +71,6 @@ from .system import (
     jacobian,
     load_system,
     normalize_real_solution,
-    trivial_count_bound,
     validate_system,
 )
 from .windows import (

@@ -12,6 +12,7 @@ before any trigonometry.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BadDegreeError, BadParamsError, ToleranceNotMetError
-from .windows import SetWindow
+from .windows import SetWindow, balanced_function
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,8 +78,6 @@ def eval_E(window: SetWindow, alpha: Sequence[float]) -> complex:
 
 def eval_E_balanced(window: SetWindow, alpha: Sequence[float]) -> complex:
     """Direct evaluation of E via the balanced function (identity cross-check)."""
-    from .gowers import balanced_function
-
     n = window.length
     weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
     return _exp_sum(np.arange(1, n + 1), reduce_phase(alpha), weights)
@@ -218,8 +217,6 @@ def arc_membership_brute_force(
     delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
     a_red = reduce_phase(alpha)
     qmax = max(1, math.floor(float(n) ** delta + 1e-12))
-    import itertools
-
     for q in range(1, qmax + 1):
         for nums in itertools.product(range(q + 1), repeat=k):
             if math.gcd(q, *nums) != 1:

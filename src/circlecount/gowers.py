@@ -47,32 +47,13 @@ import numpy as np
 
 from .budget import Budget, fits_int64
 from .errors import BadParamsError
-from .windows import SetWindow
+from .expsums import eval_E
+# the balanced function lives in windows, below expsums and this module, and
+# is re-exported from here with its class
+from .windows import BalancedFunction, SetWindow, balanced_function
 
 # the N^(k+1)-work evaluator gets its own ceiling: N = 4096 at degree 2
 GOWERS_DEFAULT_BUDGET = Budget(max_ops=4096**3)
-
-
-@dataclass(frozen=True)
-class BalancedFunction:
-    """N-scaled balanced function: values[x-1] = |A_N| - N*A(x) for x in [1,N]."""
-
-    window: SetWindow
-    values: tuple[int, ...]
-
-    def at(self, x: int) -> Fraction:
-        """Unscaled value delta_N - A(x), zero outside [1, N]."""
-        if 1 <= x <= self.window.length:
-            return Fraction(self.values[x - 1], self.window.length)
-        return Fraction(0)
-
-
-def balanced_function(window: SetWindow) -> BalancedFunction:
-    card = window.cardinality
-    n = window.length
-    values = tuple(card - n * window.indicator(x) for x in range(1, n + 1))
-    assert sum(values) == 0
-    return BalancedFunction(window, values)
 
 
 @dataclass(frozen=True)
@@ -181,8 +162,6 @@ def weyl_chain_check(
     and the resulting sup-norm bound |E(alpha)| <= 2 a^(1/2^(k+1)) N with the
     exact parameter a.  Returns the largest |E| / bound ratio observed.
     """
-    from .expsums import eval_E
-
     rep = uniformity_parameter(window, degree, budget)
     n = window.length
     p = 2 ** (degree + 1)

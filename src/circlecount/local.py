@@ -6,9 +6,11 @@ each other:
 
 * direct summation of the normalized complete-sum products over admissible
   numerator vectors (floating point, exact phase reduction);
-* Moebius inversion of the divisor identity  sum_{d|q} S(d) = q^(k-s) M(q),
-  which is exact rational arithmetic on congruence counts; the inversion runs
-  over the squarefree divisors built from q's primes.
+* Moebius inversion of the divisor identity  sum_{d|q} S(d) = f(q),
+  f(m) = m^(k-s) M(m), which is exact rational arithmetic on congruence
+  counts.  S is multiplicative, so the inversion is a product over q's prime
+  powers of f(p^e) - f(p^(e-1)); ``euler_factor`` reports the counts f(p^t)
+  and takes its terms as the same differences.
 
 The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
 so it is the product of the counts at q's prime-power factors, each from one
@@ -16,12 +18,13 @@ numpy dynamic program.  When the coefficients are L and -L up to order
 (``system.mirrored``), the DP runs its stages over L alone and reads out the
 sum of squared counts.  Cells are int64 or, when m^s does not fit at the DP's
 modulus m, Python big integers; ``budget.fits_int64`` picks the dtype and
-nothing else differs.  ``multiplicativity_check`` takes M(qr) from a direct DP
-at the modulus qr itself, so it stays a real check.
+nothing else differs.  ``multiplicativity_check`` takes S(qr) as the literal
+divisor sum over direct DP counts at each divisor of qr, so it stays a real
+check of both product rules.
 
 ``_factorize`` is the one trial-division loop: it gives the Moebius route its
-primes and ``euler_factor`` and ``hensel_lift`` their primality test.  The
-Newton step of ``hensel_lift`` solves J step = L by Cramer's rule on the
+prime powers and ``euler_factor`` and ``hensel_lift`` their primality test.
+The Newton step of ``hensel_lift`` solves J step = L by Cramer's rule on the
 Jacobian matrix that ``system.jacobian_matrix`` builds.
 """
 
@@ -91,15 +94,16 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     budget.check_ops(
         sum(len(stages) * m ** (k + 1) for m in moduli), "congruence count"
     )
-    # held at once by one DP: the counts, the next stage (a Python integer
-    # per cell of each on the object path), np.roll's copy and, read out by
-    # squares, the squared counts; np.roll's index 2-tuples and k-tuples may
-    # also fill the interpreter's free lists, 2000 tuples each
+    # held at once by one DP stage: the counts, the next stage (a Python
+    # integer per cell of each on the object path) and np.roll's copy; the
+    # read-out by squares holds the counts and the squared counts instead.
+    # np.roll's index 2-tuples and k-tuples may also fill the interpreter's
+    # free lists, 2000 tuples each
     budget.check_bytes(
         max(
-            m**k * (2 * entry_bytes(d, m ** len(stages)) + 8
-                    + squares * entry_bytes(d, m**s))
+            m**k * max(2 * cell + 8, cell + squares * entry_bytes(d, m**s))
             for m, d in zip(moduli, dtypes)
+            for cell in [entry_bytes(d, m ** len(stages))]
         ) + 2000 * (96 + 8 * k),
         "congruence DP states",
     )
@@ -147,34 +151,25 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _normalized_count(system: DiagonalSystem, m: int, budget: Budget) -> Fraction:
+    """f(m) = m^(k-s) M(m), the right-hand side of the divisor identity."""
+    count = congruence_count(system, m, budget).count
+    return count * Fraction(m) ** (system.degree - system.arity)
+
+
 def series_term_moebius(
-    system: DiagonalSystem,
-    q: int,
-    budget: Budget = DEFAULT_BUDGET,
-    _direct: bool = False,
+    system: DiagonalSystem, q: int, budget: Budget = DEFAULT_BUDGET
 ) -> Fraction:
     """S(q) as an exact rational, by Moebius-inverting the divisor identity
-    against the congruence counts: S(q) = sum_{d|q} mu(q/d) d^(k-s) M(d).
-    The private ``_direct`` takes every M(d) from one DP at d itself."""
+    sum_{d|q} S(d) = f(q), f(m) = m^(k-s) M(m).  S is multiplicative and
+    mu(p^e / d) vanishes unless d is p^e or p^(e-1), so
+    S(q) = prod_{p^e || q} (f(p^e) - f(p^(e-1)))."""
     if q < 1:
         raise BadParamsError("q must be >= 1")
-    k = system.degree
-    s = system.arity
-    primes = [p for p, _ in _factorize(q)]
-    # mu(t) is nonzero exactly at the squarefree t | q, products of q's primes;
-    # ascending d = q/t keeps the congruence counts in divisor order
-    terms = sorted(
-        (q // math.prod(sub), (-1) ** len(sub))
-        for r in range(len(primes) + 1)
-        for sub in itertools.combinations(primes, r)
-    )
-    total = Fraction(0)
-    for d, mu in terms:
-        if _direct:
-            m = _dp_product(system, [d], budget)
-        else:
-            m = congruence_count(system, d, budget).count
-        total += mu * Fraction(m, d ** (s - k))
+    total = Fraction(1)
+    for p, e in _factorize(q):
+        below, at = (_normalized_count(system, p**h, budget) for h in (e - 1, e))
+        total *= at - below
     return total
 
 
@@ -226,16 +221,23 @@ def multiplicativity_check(
 ) -> MultiplicativityReport:
     """Verify S(qr) = S(q) S(r) for coprime q, r (exact values, float residual).
 
-    S(qr) comes from direct DP counts at qr and its divisors (the private
-    ``_direct`` argument of ``series_term_moebius``), never from the
-    prime-power products that ``congruence_count`` forms by multiplicativity,
-    so the check does not assume what it checks.
+    S(q) and S(r) come from ``series_term_moebius``.  S(qr) is the literal
+    divisor sum sum_{d|qr} mu(qr/d) d^(k-s) M(d), each M(d) from one direct
+    DP at the modulus d itself, so the check runs neither through the
+    prime-power product rule of the series terms nor through the CRT product
+    of the congruence counts that it checks.
     """
     if math.gcd(q, r) != 1:
         raise NotCoprimeError(f"gcd({q}, {r}) != 1")
     s_q = series_term_moebius(system, q, budget)
     s_r = series_term_moebius(system, r, budget)
-    s_qr = series_term_moebius(system, q * r, budget, _direct=True)
+    n = q * r
+    s_qr = Fraction(0)
+    for d in [j for j in range(1, n + 1) if n % j == 0]:
+        t = _factorize(n // d)
+        if all(e == 1 for _, e in t):  # mu(n/d) = (-1)^len(t), else 0
+            m = _dp_product(system, [d], budget)
+            s_qr += (-1) ** len(t) * m * Fraction(d) ** (system.degree - system.arity)
     residual = abs(float(s_qr - s_q * s_r))
     tol = 1e-9 * (1.0 + abs(float(s_q * s_r)))
     return MultiplicativityReport(q, r, s_q, s_r, s_qr, residual, residual <= tol)
@@ -255,28 +257,24 @@ def euler_factor(
     system: DiagonalSystem, p: int, h_max: int, budget: Budget = DEFAULT_BUDGET
 ) -> EulerFactorReport:
     """Partial Euler factor sum_{h<=h_max} S(p^h) with its stabilization
-    diagnostic, the normalized prime-power counts p^((k-s)t) M(p^t)."""
+    diagnostic.  The normalized prime-power counts f(p^t) = p^((k-s)t) M(p^t)
+    are formed once; the series terms S(p^h) = f(p^h) - f(p^(h-1)) are their
+    successive differences, so the partial sum telescopes to f(p^h_max) and
+    the gap |f(p^h_max) - f(p^(h_max-1))| is the last term's size (0 when
+    h_max = 0)."""
     if _factorize(p) != [(p, 1)]:
         raise BadParamsError(f"{p} is not prime")
     if h_max < 0:
         raise BadParamsError("h_max must be >= 0")
-    terms = [series_term_moebius(system, p**h, budget) for h in range(h_max + 1)]
-    k = system.degree
-    s = system.arity
-    normalized = [
-        Fraction(congruence_count(system, p**t, budget).count, p ** (t * (s - k)))
-        for t in range(h_max + 1)
-    ]
-    gap = (
-        abs(normalized[-1] - normalized[-2]) if h_max >= 1 else Fraction(0)
-    )
+    normalized = [_normalized_count(system, p**t, budget) for t in range(h_max + 1)]
+    terms = [b - a for a, b in zip([Fraction(0)] + normalized, normalized)]
     return EulerFactorReport(
         prime=p,
         h_max=h_max,
         series_terms=tuple(terms),
-        partial_sum=sum(terms, Fraction(0)),
+        partial_sum=normalized[-1],
         normalized_counts=tuple(normalized),
-        stabilization_gap=gap,
+        stabilization_gap=abs(terms[-1]) if h_max >= 1 else Fraction(0),
     )
 
 

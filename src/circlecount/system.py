@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -233,21 +232,6 @@ def jacobian_closed_form_magnitude(
         for v in range(u + 1, len(idx)):
             vand *= abs(x[idx[u] - 1] - x[idx[v] - 1])
     return math.factorial(system.degree) * coeff * vand
-
-
-def trivial_count_bound(system: DiagonalSystem, cardinality: int):
-    """Upper bound floor(s/2)! * cardinality^(s/2) on the trivial-solution count.
-
-    Returned as a :class:`~circlecount.mainterm.BigLogNumber`, which keeps the
-    exact integer value whenever s is even and the number is of moderate size.
-    """
-    from .mainterm import BigLogNumber  # local import to avoid a cycle
-
-    if cardinality < 0:
-        raise BadParamsError("cardinality must be >= 0")
-    s = system.arity
-    base = BigLogNumber.from_int(cardinality)
-    return BigLogNumber.from_int(math.factorial(s // 2)) * base.power(Fraction(s, 2))
 
 
 def normalize_real_solution(y: Sequence[float]) -> tuple[float, ...]:

@@ -2,7 +2,9 @@
 
 Bit ``i - 1`` of ``mask`` records membership of the integer ``i``.  The
 representation is immutable and hashable, cardinality is a popcount, and the
-density |A_N| / N is an exact rational.
+density |A_N| / N is an exact rational.  The balanced function delta_N - A(x)
+of a window lives here too, so that ``gowers`` and ``expsums`` both import it
+from below.
 """
 
 from __future__ import annotations
@@ -73,6 +75,28 @@ class SetWindow:
 
     def indicator(self, x: int) -> int:
         return 1 if self.contains(x) else 0
+
+
+@dataclass(frozen=True)
+class BalancedFunction:
+    """N-scaled balanced function: values[x-1] = |A_N| - N*A(x) for x in [1,N]."""
+
+    window: SetWindow
+    values: tuple[int, ...]
+
+    def at(self, x: int) -> Fraction:
+        """Unscaled value delta_N - A(x), zero outside [1, N]."""
+        if 1 <= x <= self.window.length:
+            return Fraction(self.values[x - 1], self.window.length)
+        return Fraction(0)
+
+
+def balanced_function(window: SetWindow) -> BalancedFunction:
+    card = window.cardinality
+    n = window.length
+    values = tuple(card - n * window.indicator(x) for x in range(1, n + 1))
+    assert sum(values) == 0
+    return BalancedFunction(window, values)
 
 
 def parse_set_file(text: str) -> SetWindow:

@@ -1,4 +1,4 @@
-"""Equivalence gate for the congruence counts M(q).
+"""Equivalence gate for the congruence counts M(q) and the series terms S(q).
 
 Each fast path of ``local.congruence_count`` is checked against an oracle
 that does not run through it, on int64 and on big-integer cells (forced by
@@ -11,18 +11,31 @@ conftest generators up to k = 3, mirrored (L and -L) and not:
   DP over all s coefficients, at prime powers;
 * every DP against ``brute_force_congruence_count`` wherever q^s <= 10^5 on
   quad6 and cubic8, and on the draws for q = 2, 3, ... while the brute-force
-  tuples total at most 3 * 10^4 per system.
+  tuples total at most 3 * 10^4 per system;
+* the product rule of ``series_term_moebius`` against the literal divisor
+  sum sum_{d|q} mu(q/d) d^(k-s) M(d), built here from one direct DP at each
+  divisor and a trial-division mu, for q <= 60 on quad6 and cubic8 and as far
+  as ``small`` allows on the draws;
+* the exact series terms against the floating-point direct route
+  ``series_term_direct`` at k = 3, on cubic8 and the degree-3 draws.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from circlecount import congruence_count, local, validate_system
+from circlecount import (
+    congruence_count,
+    local,
+    series_term_direct,
+    series_term_moebius,
+    validate_system,
+)
 from circlecount.budget import Budget
 from circlecount.local import _factorize
 
@@ -144,3 +157,45 @@ def test_dp_equals_brute_force():
             with dp_dtype(dtype):
                 counts = [congruence_count(system, q).count for q in qs]
             assert counts == expected, (system, dtype)
+
+
+def moebius(n: int) -> int:
+    """mu(n) by its own trial division, apart from ``local._factorize``."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def literal_series_term(system, q: int) -> Fraction:
+    """sum_{d|q} mu(q/d) d^(k-s) M(d), each M(d) from one direct DP at d."""
+    return sum(
+        (moebius(q // d) * local._dp_product(system, [d], Budget())
+         * Fraction(d) ** (system.degree - system.arity)
+         for d in range(1, q + 1) if q % d == 0 and moebius(q // d)),
+        Fraction(0),
+    )
+
+
+def test_series_term_equals_literal_divisor_sum():
+    for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED:
+        qs = [q for q in range(1, 61) if system in (QUAD6, CUBIC8) or small(system, q)]
+        assert len(qs) >= 20
+        for q in qs:
+            assert series_term_moebius(system, q) == literal_series_term(system, q), (
+                system, q)
+
+
+def test_series_term_equals_direct_route_at_degree_three():
+    # q <= 12: the direct route's complete-sum table takes q^(k+1) Python steps
+    draws = [system for system in ASYMMETRIC + MIRRORED if system.degree == 3]
+    for system in [CUBIC8] + draws:
+        for q in range(1, 13):
+            exact = float(series_term_moebius(system, q))
+            direct = series_term_direct(system, q)
+            assert abs(direct - exact) <= 1e-9 * (1 + abs(exact)), (system, q)

@@ -323,10 +323,11 @@ class TestInt64Fallbacks:
                                   BIG_WINDOW, "naive", b),
         lambda b: count_solutions(validate_system(5, (2, 1, -1, -1, -1)),
                                   BIG_WINDOW, "mitm", b),
-        # the congruence DP at prime powers, one DP per call: int64 cells, then
-        # object cells past 89^12 > 2^62; these three systems are L and -L, so
-        # they run the half DP with its squared counts
-        lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 121, b),
+        # the congruence DP at prime powers, one DP per call, at moduli where
+        # the arrays outweigh the free-list term: int64 cells, then object
+        # cells past 89^12 > 2^62; these three systems are L and -L, so they
+        # run the half DP with its squared counts
+        lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 211, b),
         lambda b: congruence_count(
             validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 41, b),
         lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 89, b),

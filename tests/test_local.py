@@ -218,6 +218,20 @@ class TestEulerFactor:
                 running += term
                 assert running == rep.normalized_counts[h]
 
+    def test_series_terms_equal_direct_route(self, sys_quad4, sys_lin3):
+        # the terms are differences of the counts, so check them off that rule
+        cubic8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
+        for sys, p, hmax in [
+            (sys_quad4, 2, 3),
+            (sys_quad4, 3, 2),
+            (sys_lin3, 5, 2),
+            (cubic8, 2, 3),
+        ]:
+            rep = euler_factor(sys, p, hmax)
+            for h, term in enumerate(rep.series_terms):
+                direct = series_term_direct(sys, p**h)
+                assert abs(direct - float(term)) <= 1e-9 * (1 + abs(float(term)))
+
     def test_composite_rejected(self, sys_quad4):
         with pytest.raises(BadParamsError):
             euler_factor(sys_quad4, 6, 1)

@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness in perfbench/.
 
-One short untraced run of ``count_sweep`` and of ``uniformity_weyl`` must
-reproduce the recorded exact references, so the counting engines, the Gowers
-collapse and the harness cannot drift apart.
+One short untraced run of ``count_sweep``, ``uniformity_weyl`` and
+``major_arcs_local`` must reproduce the recorded exact references, so the
+counting engines, the Gowers collapse, the congruence counts and series terms
+and the harness cannot drift apart.
 """
 
 import json
@@ -13,16 +14,32 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# the float phases of eval_g are off by more than the check allows at
+# N = 10^5, k = 3; this is the one job that may fail until that is fixed
+KNOWN_FAILING_JOB = "eval_g_n1e5_k3_x20"
 
 
-@pytest.mark.parametrize("workload", ["count_sweep", "uniformity_weyl"])
-def test_workload_matches_references(workload):
+def run_workload(workload: str) -> tuple[dict, dict]:
+    """(record, result) of a one-second untraced run at seed 0."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, record, result = proc.stdout.strip().splitlines()
+    assert record.startswith("# record ")
+    return json.loads(record.removeprefix("# record ")), json.loads(result)
+
+
+@pytest.mark.parametrize("workload", ["count_sweep", "uniformity_weyl"])
+def test_workload_matches_references(workload):
+    _, result = run_workload(workload)
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_major_arcs_local_fails_only_the_known_job():
+    record, result = run_workload("major_arcs_local")
+    assert result["correct"] is True
+    assert {problem.split(":")[0] for problem in record["problems"]} <= {KNOWN_FAILING_JOB}
