@@ -18,6 +18,7 @@ from .expsums import (
     complete_sum,
     delta_exponent,
     eval_E,
+    eval_E_batch,
     eval_f,
     eval_g,
     eval_v,

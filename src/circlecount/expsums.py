@@ -3,8 +3,10 @@ and the major/minor arc classifier.
 
 Phase points are vectors (alpha_1, ..., alpha_k) in ascending degree order:
 alpha_j multiplies x^j.  ``_exp_sum`` is the one float phase sum, behind f, g,
-E and the quadrature of w.  All complex sums use pairwise (tree) summation with
-fixed bracketing, so repeated runs produce bit-identical values.  Rational
+E and the quadrature of w; it sums a block of phase points at once, and
+``eval_E_batch`` evaluates E at many points over one decoded window.  All
+complex sums use pairwise (tree) summation with fixed bracketing, so repeated
+runs, and batched or single evaluation, produce bit-identical values.  Rational
 phases in the complete sums are reduced mod q in exact integer arithmetic
 before any trigonometry.
 """
@@ -30,40 +32,89 @@ def reduce_phase(alpha: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(a) - math.floor(float(a)) for a in alpha)
 
 
+def _tree_sums(a: np.ndarray, width: int) -> np.ndarray:
+    """Row sums of a 2-D complex array by fixed pairwise bracketing: adjacent
+    pairs at every level, an exact zero appended to a level of odd length.
+
+    Each row is first padded with exact zeros to ``width``, a power of two at
+    least as long: that yields the same brackets and bits, and rows of even
+    width stay aligned in one flat array, so each level is one slice sum.
+    """
+    if width > a.shape[1]:
+        pad = np.zeros((len(a), width - a.shape[1]), dtype=np.complex128)
+        a = np.concatenate([a, pad], axis=1)
+    a = a.ravel()
+    while width > 1:
+        a = a[0::2] + a[1::2]
+        width //= 2
+    return a
+
+
+def _pow2_at_least(m: int) -> int:
+    return 1 << (m - 1).bit_length()
+
+
 def pairwise_sum(terms: np.ndarray) -> complex:
     """Tree summation with fixed bracketing (padding with exact zeros)."""
     a = np.asarray(terms, dtype=np.complex128)
     if a.size == 0:
         return 0j
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a, np.zeros(1, dtype=np.complex128)])
-        a = a[0::2] + a[1::2]
-    return complex(a[0])
+    return complex(_tree_sums(a[None, :], _pow2_at_least(a.size))[0])
 
 
-def _exp_sum(points, alpha: Sequence[float], weights=None) -> complex:
-    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the points,
-    with unit weights when none are given; alpha is not reduced mod 1 here."""
+# Terms per block of the phase sum.  A power of two, so the tree of a whole
+# row is the tree of its aligned blocks' sums: blocking leaves every bracket
+# and every bit unchanged.
+_CHUNK = 4096
+
+
+def _exp_sum(points, phases, weights=None) -> list[complex]:
+    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the points
+    for each row alpha of the P x k block ``phases``, with unit weights when
+    none are given; alpha is not reduced mod 1 here.
+
+    Each row forms its phase with the same float operations as a single sum
+    and sums its terms along the same tree.  A degree whose alpha_j is zero in
+    every row is skipped; in a row where only some are zero it adds exact
+    zeros, which leaves the phase unchanged while x^j is finite.
+    Work runs in blocks of at most ``_CHUNK`` terms: several rows at once
+    when there are fewer than _CHUNK points, else one row at a time in
+    column blocks of _CHUNK points, whose sums are then tree-summed.
+    """
     x = np.asarray(points, dtype=np.float64)
-    phase = np.zeros(len(x), dtype=np.float64)
-    for j, aj in enumerate(alpha, start=1):
-        if aj != 0.0:
-            phase += aj * x**j
-    terms = np.exp(TWO_PI * 1j * phase)
-    return pairwise_sum(terms if weights is None else weights * terms)
+    alpha = np.asarray(phases, dtype=np.float64)
+    alpha = alpha.reshape(len(alpha), -1) if alpha.size else alpha.reshape(len(alpha), 0)
+    n = len(x)
+    if n == 0:
+        return [0j] * len(alpha)
+    width = min(_CHUNK, _pow2_at_least(n))
+    rows = _CHUNK // width
+    degrees = [j for j, column in enumerate(zip(*phases), start=1) if any(column)]
+    sums = np.empty((len(alpha), -(-n // width)), dtype=np.complex128)
+    for c, c0 in enumerate(range(0, n, width)):
+        xc = x[c0 : c0 + width]
+        powers = [(alpha[:, j - 1, None], xc**j) for j in degrees]
+        for r0 in range(0, len(alpha), rows):
+            phase = np.zeros((min(rows, len(alpha) - r0), len(xc)), dtype=np.float64)
+            for aj, xj in powers:
+                phase += aj[r0 : r0 + rows] * xj
+            terms = np.exp(TWO_PI * 1j * phase)
+            if weights is not None:
+                terms = weights[c0 : c0 + width] * terms
+            sums[r0 : r0 + rows, c] = _tree_sums(terms, width)
+    return _tree_sums(sums, _pow2_at_least(sums.shape[1])).tolist()
 
 
 def eval_g(n: int, alpha: Sequence[float]) -> complex:
     """g(alpha) = sum_{1<=x<=N} e(alpha_k x^k + ... + alpha_1 x)."""
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    return _exp_sum(np.arange(1, n + 1), reduce_phase(alpha))
+    return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha)])[0]
 
 
 def eval_f(window: SetWindow, alpha: Sequence[float]) -> complex:
     """f(alpha): the same sum restricted to the window's elements."""
-    return _exp_sum(window.elements(), reduce_phase(alpha))
+    return _exp_sum(window.elements(), [reduce_phase(alpha)])[0]
 
 
 def eval_v(window: SetWindow, alpha: Sequence[float]) -> complex:
@@ -71,16 +122,28 @@ def eval_v(window: SetWindow, alpha: Sequence[float]) -> complex:
     return (window.cardinality / window.length) * eval_g(window.length, alpha)
 
 
+def eval_E_batch(window: SetWindow, phases: Sequence[Sequence[float]]) -> list[complex]:
+    """E(alpha) = v(alpha) - f(alpha) at each row of the P x k block ``phases``,
+    decoding the window once.  Each value is bit-identical to a single-point
+    evaluation; the phase sums run in blocks of at most 4096 terms (see
+    ``_exp_sum``), so memory does not grow with P."""
+    reduced = [reduce_phase(alpha) for alpha in phases]
+    g = _exp_sum(np.arange(1, window.length + 1), reduced)
+    f = _exp_sum(window.elements(), reduced)
+    delta = window.cardinality / window.length
+    return [delta * gi - fi for gi, fi in zip(g, f)]
+
+
 def eval_E(window: SetWindow, alpha: Sequence[float]) -> complex:
     """E(alpha) = v(alpha) - f(alpha), the balanced-function exponential sum."""
-    return eval_v(window, alpha) - eval_f(window, alpha)
+    return eval_E_batch(window, [alpha])[0]
 
 
 def eval_E_balanced(window: SetWindow, alpha: Sequence[float]) -> complex:
     """Direct evaluation of E via the balanced function (identity cross-check)."""
     n = window.length
     weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
-    return _exp_sum(np.arange(1, n + 1), reduce_phase(alpha), weights)
+    return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha)], weights)[0]
 
 
 def complete_sum(q: int, a: Sequence[int], lam: int = 1) -> complex:
@@ -113,7 +176,7 @@ def _gl_estimate(n: int, beta: Sequence[float], panels: int) -> complex:
     half = (edges[1:] - edges[:-1]) / 2.0
     pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return _exp_sum(pts, beta, wts)
+    return _exp_sum(pts, [beta], wts)[0]
 
 
 def oscillatory_w(n: int, beta: Sequence[float], lam: int = 1) -> complex:

@@ -537,38 +537,45 @@ def progression_concentration_search(
     window: SetWindow, min_length: int, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[Progression, Fraction]:
     """Exhaustive scan of arithmetic progressions of length >= min_length,
-    returning one of maximal window density (ties: smallest step, then
-    smallest start, then greatest length)."""
+    returning one of maximal window density.  Ties go to the smallest step,
+    then the smallest start, then the greatest length: the winner maximises
+    the key (density, -step, -start, length).
+
+    For each step d, prefix counts of the indicator along the residue classes
+    mod d give the member counts of all starts at one length l as a single
+    difference of two slices; the first maximum is that length's smallest
+    densest start.  Densities are compared exactly, count * length' against
+    count' * length in integers.  Summed over d there are about N ln N such
+    slice differences of at most N entries, about N^2 ln N / 2 array
+    operations, and the arrays of one step hold O(N) int64 entries.
+    """
     n = window.length
     if not 1 <= min_length <= n:
         raise BadParamsError("need 1 <= min_length <= N")
     budget.check_ops(n * n * max(n // min_length, 1), "progression search")
-    best_density = Fraction(-1)
-    best: Optional[Progression] = None
-    max_step = (n - 1) // (min_length - 1) if min_length > 1 else n - 1
-    max_step = max(max_step, 1)
+    max_step = max((n - 1) // (min_length - 1) if min_length > 1 else n - 1, 1)
+    # the largest step's padded indicator and its prefix counts (fewer than
+    # n + 2d entries each) and one row of counts (n entries)
+    budget.check_bytes(8 * (3 * n + 4 * max_step), "progression search")
+    members = np.fromiter(map(int, window.bits()), dtype=np.int64, count=n)
+    best_count, best_length, best = -1, 1, Progression(1, 1, 1)
     for step in range(1, max_step + 1):
-        last_start = n - (min_length - 1) * step
-        for start in range(1, last_start + 1):
-            count = 0
-            length = 0
-            x = start
-            while x <= n:
-                length += 1
-                if window.contains(x):
-                    count += 1
-                if length >= min_length:
-                    density = Fraction(count, length)
-                    if density > best_density:
-                        best_density = density
-                        best = Progression(start, step, length)
-                    elif (
-                        density == best_density
-                        and best is not None
-                        and start == best.start
-                        and step == best.step
-                    ):
-                        best = Progression(start, step, length)
-                x += step
-    assert best is not None
-    return best, best_density
+        rows = -(-n // step) + 1
+        padded = np.zeros(rows * step, dtype=np.int64)
+        padded[step : step + n] = members
+        # prefix[i]: members among the positions i - step, i - 2 step, ... >= 0,
+        # so the progression from position p with l terms holds
+        # prefix[p + l step] - prefix[p] members
+        prefix = padded.reshape(rows, step).cumsum(axis=0).ravel()
+        for length in range(min_length, (n - 1) // step + 2):
+            starts = n - (length - 1) * step
+            counts = prefix[length * step : length * step + starts] - prefix[:starts]
+            p = int(counts.argmax())
+            count = int(counts[p])
+            lhs, rhs = count * best_length, best_count * length
+            # steps rise, and lengths rise within a step: an equal density
+            # wins only at the same step and a start no larger than the best's
+            if lhs > rhs or (lhs == rhs and step == best.step and p + 1 <= best.start):
+                best_count, best_length = count, length
+                best = Progression(p + 1, step, length)
+    return best, Fraction(best_count, best_length)

@@ -9,6 +9,7 @@ from below.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,15 +59,18 @@ class SetWindow:
     def contains(self, x: int) -> bool:
         return 1 <= x <= self.length and bool(self.mask >> (x - 1) & 1)
 
+    def bits(self) -> str:
+        """Membership of 1..N as N characters '0'/'1', character i-1 for i,
+        read from the mask in one pass."""
+        return bin(self.mask)[:1:-1].ljust(self.length, "0")
+
     def elements(self) -> tuple[int, ...]:
         return tuple(self.iter_elements())
 
     def iter_elements(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length()
-            m ^= low
+        # one pass over the binary digits: each element ends a run of zeros
+        gaps = bin(self.mask)[:1:-1].split("1")[:-1]
+        return itertools.accumulate(len(gap) + 1 for gap in gaps)
 
     def add(self, x: int) -> "SetWindow":
         if not 1 <= x <= self.length:
@@ -94,7 +98,7 @@ class BalancedFunction:
 def balanced_function(window: SetWindow) -> BalancedFunction:
     card = window.cardinality
     n = window.length
-    values = tuple(card - n * window.indicator(x) for x in range(1, n + 1))
+    values = tuple(card - n if bit == "1" else card for bit in window.bits())
     assert sum(values) == 0
     return BalancedFunction(window, values)
 

@@ -11,18 +11,23 @@ from circlecount import (
     complete_sum,
     delta_exponent,
     eval_E,
+    eval_E_batch,
     eval_f,
     eval_g,
     major_arc_approx_check,
     oscillatory_w,
     random_density_window,
     sigma_exponent,
+    weyl_chain_check,
 )
 from circlecount.expsums import (
+    TWO_PI,
     arc_membership_brute_force,
     closed_form_w_linear,
     eval_E_balanced,
+    reduce_phase,
 )
+from circlecount.gowers import uniformity_parameter
 
 
 class TestEvalG:
@@ -82,6 +87,99 @@ class TestEvalFAndE:
                 lhs = eval_E(w, alpha)
                 rhs = eval_E_balanced(w, alpha)
                 assert abs(lhs - rhs) <= 1e-9 * w.length
+
+
+def _literal_exp_sum(points, alpha, weights=None):
+    """One phase point, written out: the whole row's phase, its terms, and one
+    pairwise tree over all of them (adjacent pairs, a zero appended to odd
+    levels)."""
+    x = np.asarray(points, dtype=np.float64)
+    phase = np.zeros(len(x), dtype=np.float64)
+    for j, aj in enumerate(alpha, start=1):
+        if aj != 0.0:
+            phase += aj * x**j
+    a = np.exp(TWO_PI * 1j * phase)
+    if weights is not None:
+        a = weights * a
+    if a.size == 0:
+        return 0j
+    while a.size > 1:
+        if a.size % 2:
+            a = np.concatenate([a, np.zeros(1, dtype=np.complex128)])
+        a = a[0::2] + a[1::2]
+    return complex(a[0])
+
+
+def _literal_E(window, alpha):
+    n, red = window.length, reduce_phase(alpha)
+    g = _literal_exp_sum(np.arange(1, n + 1), red)
+    return (window.cardinality / n) * g - _literal_exp_sum(window.elements(), red)
+
+
+def _hex(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+class TestBatchedSums:
+    """The batched sum runs in blocks of at most 4096 terms; every value must
+    be bit-for-bit the one-phase literal sum."""
+
+    @staticmethod
+    def _phases(rnd, count, k):
+        # about a third of the components are exactly zero
+        return [tuple(rnd.choice([0.0, rnd.random(), rnd.uniform(-2.0, 2.0)])
+                      for _ in range(k)) for _ in range(count)]
+
+    def test_batch_equals_literal_per_phase(self):
+        rnd = random.Random(53)
+        cases = [
+            (random_density_window(1000, 0.4, seed=1), 1, 23),  # 4 rows a block
+            (random_density_window(9000, 0.5, seed=2), 1, 3),  # 3 column blocks
+            (random_density_window(700, 0.3, seed=3), 3, 17),
+            (SetWindow.empty(300), 2, 5),
+            (SetWindow.full(300), 2, 5),
+            (SetWindow.full(1), 3, 4),
+        ]
+        for w, k, count in cases:
+            phases = self._phases(rnd, count, k) + [(0.0,) * k]
+            got = eval_E_batch(w, phases)
+            assert [_hex(z) for z in got] == [_hex(_literal_E(w, a)) for a in phases]
+        assert eval_E_batch(SetWindow.full(5), []) == []
+
+    def test_one_row_calls_equal_literal(self):
+        rnd = random.Random(59)
+        for n in (1, 17, 4096, 4097, 10000):
+            w = random_density_window(n, rnd.random(), seed=n)
+            for alpha in self._phases(rnd, 3, 3):
+                red = reduce_phase(alpha)
+                xs = np.arange(1, n + 1)
+                weights = np.asarray(
+                    [w.cardinality - n * w.indicator(x) for x in range(1, n + 1)],
+                    dtype=np.float64,
+                ) / n
+                assert _hex(eval_g(n, alpha)) == _hex(_literal_exp_sum(xs, red))
+                assert _hex(eval_f(w, alpha)) == _hex(_literal_exp_sum(w.elements(), red))
+                assert _hex(eval_E(w, alpha)) == _hex(_literal_E(w, alpha))
+                assert _hex(eval_E_balanced(w, alpha)) == _hex(
+                    _literal_exp_sum(xs, red, weights)
+                )
+
+    def test_weyl_chain_equals_per_phase_loop(self):
+        rnd = random.Random(61)
+        for n, k in ((5000, 1), (300, 2)):
+            w = random_density_window(n, 0.5, seed=k)
+            phases = self._phases(rnd, 20, k)
+            rep = weyl_chain_check(w, k, phases)
+            par = uniformity_parameter(w, k)
+            p = 2 ** (k + 1)
+            chain_rhs = float(2 * n) ** (p - k - 2) * float(par.difference_sum)
+            bound = 2.0 * float(par.parameter) ** (1.0 / p) * n
+            e_abs = [abs(eval_E(w, a)) for a in phases]
+            slack = 1.0 + 1e-9
+            assert rep.samples == len(phases) and rep.parameter == par.parameter
+            assert rep.chain_holds == all(e**p <= chain_rhs * slack + 1e-12 for e in e_abs)
+            assert rep.supnorm_holds == all(e <= bound * slack + 1e-12 for e in e_abs)
+            assert rep.max_ratio.hex() == max(e / bound for e in e_abs).hex()
 
 
 class TestCompleteSum:

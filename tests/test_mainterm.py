@@ -302,24 +302,23 @@ class TestIncrementIteration:
 
 
 def _reference_progression_search(window, min_length):
-    """Independent reference: recompute the density of every progression."""
+    """Independent reference: the literal triple loop over step, start and
+    length, counting each progression's members from its start.  Returns the
+    progression that maximises (density, -step, -start, length), with its
+    density."""
     n = window.length
     best = None
     for step in range(1, n + 1):
         for start in range(1, n + 1):
-            length = 0
-            x = start
-            elems = []
-            while x <= n:
-                length += 1
-                elems.append(window.contains(x))
-                x += step
+            count = 0
+            for length, x in enumerate(range(start, n + 1, step), start=1):
+                count += window.contains(x)
                 if length >= min_length:
-                    dens = Fraction(sum(elems), length)
-                    cand = (dens, -step, -start, length)
+                    cand = (Fraction(count, length), -step, -start, length)
                     if best is None or cand > best:
                         best = cand
-    return best[0]
+    dens, neg_step, neg_start, length = best
+    return Progression(-neg_start, -neg_step, length), dens
 
 
 class TestProgressionSearch:
@@ -346,10 +345,41 @@ class TestProgressionSearch:
             n = rnd.randint(10, 40)
             w = SetWindow(n, rnd.getrandbits(n) or 1)
             min_len = rnd.randint(2, max(2, n // 3))
-            _, dens = progression_concentration_search(w, min_len)
-            assert dens == _reference_progression_search(w, min_len)
+            got = progression_concentration_search(w, min_len)
+            assert got == _reference_progression_search(w, min_len)
 
     def test_reference_n200(self):
         w = random_density_window(200, 0.35, seed=4)
-        _, dens = progression_concentration_search(w, 40)
-        assert dens == _reference_progression_search(w, 40)
+        got = progression_concentration_search(w, 40)
+        assert got == _reference_progression_search(w, 40)
+
+    def test_every_min_length_at_small_n(self):
+        # the empty and full windows tie everywhere, so the tie key alone
+        # picks the winner; sparse masks give many equal-density candidates
+        rnd = random.Random(29)
+        windows = [SetWindow.empty(9), SetWindow.full(9), SetWindow(1, 1), SetWindow(1, 0)]
+        for _ in range(40):
+            n = rnd.randint(1, 14)
+            windows.append(SetWindow(n, rnd.getrandbits(n) & rnd.getrandbits(n)))
+        for w in windows:
+            for min_len in range(1, w.length + 1):
+                got = progression_concentration_search(w, min_len)
+                assert got == _reference_progression_search(w, min_len), (w, min_len)
+
+    def test_seeded_windows_up_to_n300(self):
+        rnd = random.Random(31)
+        cases = [(random_density_window(300, 0.5, seed=3), 10)]
+        for seed in range(12):
+            n = rnd.randint(15, 60)
+            w = random_density_window(n, rnd.random(), seed=seed)
+            cases.append((w, rnd.randint(1, n)))
+        for w, min_len in cases:
+            got = progression_concentration_search(w, min_len)
+            assert got == _reference_progression_search(w, min_len), (w, min_len)
+
+    def test_refuses_before_work(self):
+        w = random_density_window(1000, 0.5, seed=1)
+        with pytest.raises(BudgetExceededError, match="progression search"):
+            progression_concentration_search(w, 20, Budget(max_ops=10**6))
+        with pytest.raises(BudgetExceededError, match="progression search"):
+            progression_concentration_search(w, 20, Budget(max_key_bytes=8 * 3000))

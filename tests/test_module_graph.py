@@ -1,6 +1,8 @@
 """No function in the package imports anything: modules import each other at
 module level only, so the import graph is explicit, and a cycle in it fails
-at import time instead of hiding inside a function body."""
+at import time instead of hiding inside a function body.  The window and
+system modules stay free of numpy, directly and through the package modules
+they import, so that commands needing only them can start without it."""
 
 import ast
 from pathlib import Path
@@ -21,3 +23,31 @@ def test_no_function_contains_an_import():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def _imports(path):
+    """(absolute module names, package-relative module names) imported by a file."""
+    absolute, relative = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                relative.add(node.module)
+            else:
+                absolute.add(node.module.split(".")[0])
+    return absolute, relative
+
+
+def test_windows_and_system_import_no_numpy():
+    for name in ("windows", "system"):
+        seen, todo, reached = set(), [name], set()
+        while todo:
+            module = todo.pop()
+            if module in seen:
+                continue
+            seen.add(module)
+            absolute, relative = _imports(SRC / f"{module}.py")
+            reached |= absolute
+            todo.extend(relative)
+        assert "numpy" not in reached, (name, sorted(seen))

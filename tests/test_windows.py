@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from circlecount import (
     SetWindow,
+    balanced_function,
     format_set,
     parse_set_file,
     progression_window,
@@ -66,3 +69,30 @@ def test_random_density_deterministic():
     assert a == b
     assert a != c
     assert 20 <= a.cardinality <= 80
+
+
+def _peeled_elements(mask):
+    """Reference decode: peel the lowest set bit off the mask until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def test_one_pass_decode_matches_bit_peeling():
+    rnd = random.Random(41)
+    windows = [SetWindow.empty(1), SetWindow.full(1), SetWindow.empty(5000),
+               SetWindow.full(5000), SetWindow(5000, 1 << 4999)]
+    for _ in range(60):
+        n = rnd.randint(1, 5000)
+        windows.append(SetWindow(n, rnd.getrandbits(n)))
+    for w in windows:
+        elems = _peeled_elements(w.mask)
+        assert w.elements() == elems
+        assert tuple(w.iter_elements()) == elems
+        assert len(w.bits()) == w.length
+        card, n = w.cardinality, w.length
+        values = tuple(card - n * w.indicator(x) for x in range(1, n + 1))
+        assert balanced_function(w).values == values
