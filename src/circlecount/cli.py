@@ -61,14 +61,8 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            out.append(float(Fraction(tok)))
-        else:
-            out.append(float(tok))
-    return tuple(out)
+    toks = [tok.strip() for tok in text.split(",")]
+    return tuple(float(Fraction(tok)) if "/" in tok else float(tok) for tok in toks)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -85,13 +79,10 @@ def _window_from_args(args) -> SetWindow:
 
 def _config_echo(args) -> dict:
     # command has its own envelope field
-    skip = {"func", "output", "command"}
-    cfg = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        cfg[key] = val
-    return cfg
+    return {
+        key: val for key, val in sorted(vars(args).items())
+        if key not in ("func", "output", "command") and val is not None
+    }
 
 
 def _emit(args, result: dict, csv_rows=None, csv_fields=None, csv_footer=()) -> None:
@@ -207,16 +198,11 @@ def cmd_arcs(args, budget):
 def cmd_series(args, budget):
     system = load_system(args.system)
     trunc = truncated_singular_series(system, args.qmax, budget, method=args.method)
-    rows = []
-    for term in trunc.terms:
-        rows.append(
-            (
-                term.q,
-                _frac_str(term.value),
-                term.method,
-                "" if term.residual is None else repr(term.residual),
-            )
-        )
+    rows = [
+        (t.q, _frac_str(t.value), t.method,
+         "" if t.residual is None else repr(t.residual))
+        for t in trunc.terms
+    ]
     result = {
         "cutoff": trunc.cutoff,
         "partial_sum": _frac_str(trunc.partial_sum),
@@ -313,9 +299,11 @@ def cmd_predict(args, budget):
         series_cutoff=args.qmax,
         budget=budget,
     )
-    s_trunc = float(
-        truncated_singular_series(system, args.qmax, budget).partial_sum
-    )
+    s_trunc = est.details.get("series_value")  # the ratio estimator's, same cutoff
+    if s_trunc is None:
+        s_trunc = float(
+            truncated_singular_series(system, args.qmax, budget).partial_sum
+        )
     predicted = predicted_count(system, args.delta, args.n, est.value, s_trunc)
     _emit(
         args,
@@ -442,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="truncated singular series")
     p.add_argument("--system", required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--method", choices=["direct", "moebius", "both"], default="moebius")
+    p.add_argument("--method", choices=["moebius", "both"], default="moebius")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("local", help="congruence counts and Euler factors")
@@ -507,8 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 3 if exc.code == 2 else exc.code
     budget = Budget() if args.budget is None else Budget(max_ops=args.budget)
     start = time.monotonic()
     try:

@@ -10,7 +10,8 @@ each other:
   f(m) = m^(k-s) M(m), which is exact rational arithmetic on congruence
   counts.  S is multiplicative, so the inversion is a product over q's prime
   powers of f(p^e) - f(p^(e-1)); ``euler_factor`` reports the counts f(p^t)
-  and takes its terms as the same differences.
+  and takes its terms as the same differences.  A truncated series keeps the
+  counts f(p^e) in one table for all its terms; no count outlives its call.
 
 The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
 so it is the product of the counts at q's prime-power factors, each from one
@@ -30,7 +31,6 @@ Jacobian matrix that ``system.jacobian_matrix`` builds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,7 +69,7 @@ def congruence_count(
     L and -L up to order, the stages run over L alone and the count is
     sum_v c(v)^2, c(v) the number of x with L-values v.  Cells are int64
     while p^(es) fits and Python big integers (an ``object`` array) beyond,
-    on the same code; counts stay in a bounded cache.
+    on the same code.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
@@ -90,7 +90,6 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     stages = left if squares else system.coefficients
     # every DP cell and the sum of squares count tuples of (Z/m)^s
     dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
-    # refuse before consulting the cache so refusal never depends on warmth
     budget.check_ops(
         sum(len(stages) * m ** (k + 1) for m in moduli), "congruence count"
     )
@@ -112,10 +111,6 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     )
 
 
-# a series to cutoff Q needs M(p^e) for every prime power p^e <= Q, 25 moduli
-# at Q = 60, so 256 entries hold ten such series; a direct count at a
-# composite modulus takes an entry too
-@functools.lru_cache(maxsize=256)
 def _congruence_dp(
     stages: tuple[int, ...], k: int, q: int, dtype, squares: bool
 ) -> int:
@@ -151,10 +146,25 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _normalized_count(system: DiagonalSystem, m: int, budget: Budget) -> Fraction:
-    """f(m) = m^(k-s) M(m), the right-hand side of the divisor identity."""
-    count = congruence_count(system, m, budget).count
-    return count * Fraction(m) ** (system.degree - system.arity)
+def _normalized_count(
+    system: DiagonalSystem, m: int, budget: Budget, counts: dict[int, Fraction]
+) -> Fraction:
+    """f(m) = m^(k-s) M(m), the right-hand side of the divisor identity, read
+    from ``counts`` or counted once into it."""
+    if m not in counts:
+        count = congruence_count(system, m, budget).count
+        counts[m] = count * Fraction(m) ** (system.degree - system.arity)
+    return counts[m]
+
+
+def _series_term(
+    system: DiagonalSystem, q: int, budget: Budget, counts: dict[int, Fraction]
+) -> Fraction:
+    total = Fraction(1)
+    for p, e in _factorize(q):
+        below = _normalized_count(system, p ** (e - 1), budget, counts)
+        total *= _normalized_count(system, p**e, budget, counts) - below
+    return total
 
 
 def series_term_moebius(
@@ -166,11 +176,7 @@ def series_term_moebius(
     S(q) = prod_{p^e || q} (f(p^e) - f(p^(e-1)))."""
     if q < 1:
         raise BadParamsError("q must be >= 1")
-    total = Fraction(1)
-    for p, e in _factorize(q):
-        below, at = (_normalized_count(system, p**h, budget) for h in (e - 1, e))
-        total *= at - below
-    return total
+    return _series_term(system, q, budget, {})
 
 
 def series_term_direct(
@@ -188,8 +194,6 @@ def series_term_direct(
     s = system.arity
     budget.check_ops(q ** (k + 1) + q**k * s, "direct series term")
     budget.check_bytes(q ** k * 16, "complete-sum table")
-    if q == 1:
-        return 1.0 + 0j
     vecs = np.indices((q,) * k).reshape(k, -1).T  # rows are (a_1, ..., a_k)
     table = np.array(
         [complete_sum(q, b) for b in itertools.product(range(q), repeat=k)],
@@ -266,7 +270,10 @@ def euler_factor(
         raise BadParamsError(f"{p} is not prime")
     if h_max < 0:
         raise BadParamsError("h_max must be >= 0")
-    normalized = [_normalized_count(system, p**t, budget) for t in range(h_max + 1)]
+    counts: dict[int, Fraction] = {}
+    normalized = [
+        _normalized_count(system, p**t, budget, counts) for t in range(h_max + 1)
+    ]
     terms = [b - a for a, b in zip([Fraction(0)] + normalized, normalized)]
     return EulerFactorReport(
         prime=p,
@@ -302,35 +309,25 @@ def truncated_singular_series(
 ) -> SeriesTruncation:
     """Partial sums sum_{q<=Q} S(q) with per-term values.
 
-    The Moebius route is exact and memoizes congruence counts across terms,
-    so it is the default; ``method="both"`` also runs the direct route and
-    records the residual per term.
+    The Moebius route is exact, so it is the default; it counts each prime
+    power once per call, in one dict shared by all terms.  ``method="both"``
+    also runs the direct route and records the residual per term.
     """
     if cutoff < 1:
         raise BadParamsError("cutoff must be >= 1")
-    if method not in ("moebius", "direct", "both"):
+    if method not in ("moebius", "both"):
         raise BadParamsError(f"unknown method {method!r}")
+    counts: dict[int, Fraction] = {}
     terms = []
     total = Fraction(0)
     ninek = 9 * system.degree
     for q in range(1, cutoff + 1):
-        exact = series_term_moebius(system, q, budget)
+        exact = _series_term(system, q, budget, counts)
         residual = None
-        used = "moebius"
-        if method in ("direct", "both"):
-            direct = series_term_direct(system, q, budget)
-            residual = abs(direct - complex(float(exact)))
-            used = method
+        if method == "both":
+            residual = abs(series_term_direct(system, q, budget) - float(exact))
         total += exact
-        terms.append(
-            SeriesTerm(
-                q=q,
-                value=exact,
-                method=used,
-                residual=residual,
-                tail_reference=float(q) ** (-ninek),
-            )
-        )
+        terms.append(SeriesTerm(q, exact, method, residual, float(q) ** (-ninek)))
     return SeriesTruncation(cutoff=cutoff, partial_sum=total, terms=tuple(terms))
 
 

@@ -547,13 +547,21 @@ def progression_concentration_search(
     densest start.  Densities are compared exactly, count * length' against
     count' * length in integers.  Summed over d there are about N ln N such
     slice differences of at most N entries, about N^2 ln N / 2 array
-    operations, and the arrays of one step hold O(N) int64 entries.
+    operations, and the arrays of one step hold O(N) int64 entries.  The ops
+    estimate is the number of entries formed, in closed form per step.
     """
     n = window.length
     if not 1 <= min_length <= n:
         raise BadParamsError("need 1 <= min_length <= N")
-    budget.check_ops(n * n * max(n // min_length, 1), "progression search")
     max_step = max((n - 1) // (min_length - 1) if min_length > 1 else n - 1, 1)
+    ops = 0
+    for d in range(1, max_step + 1):
+        # sum of N - (l - 1) d starts over l = min_length..top, and two prefix
+        # arrays of fewer than N + 2d entries
+        top = (n - 1) // d + 1
+        ops += (top - min_length + 1) * (2 * n - d * (min_length + top - 2)) // 2
+        ops += 2 * (n + 2 * d)
+    budget.check_ops(ops, "progression search")
     # the largest step's padded indicator and its prefix counts (fewer than
     # n + 2d entries each) and one row of counts (n entries)
     budget.check_bytes(8 * (3 * n + 4 * max_step), "progression search")

@@ -51,6 +51,24 @@ def test_validate_bad_system_exit3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_usage_errors_exit3(quad4_file):
+    # exit 2 is a budget refusal; a bad choice, a bad value or a missing flag
+    # is a usage error, reported with argparse's usage text
+    for args in (
+        ["series", "--system", quad4_file, "--qmax", "3", "--method", "direct"],
+        ["count", "--system", quad4_file, "--n", "notanint"],
+        ["count", "--n", "3"],
+        ["--output", "xml", "validate", "--system", quad4_file],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: circlecount")
+        assert "error: " in proc.stderr
+    proc = run_cli("series", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: circlecount series")
+
+
 def test_count_json(quad4_file):
     proc = run_cli("count", "--system", quad4_file, "--n", "3")
     res = result_of(proc)

@@ -65,7 +65,7 @@ MIRRORED = [random_mirrored_system(_rnd, half, k)
             for half, k in ((1, 3), (2, 2), (3, 3), (2, 1), (3, 2), (4, 3))]
 
 DTYPES = pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
-# the cached DP itself, which a test below replaces by a spy
+# the DP itself, which a test below replaces by a spy
 _DP = local._congruence_dp
 
 
@@ -88,7 +88,7 @@ def moduli(system, dtype, prime_powers: bool) -> list[int]:
 
 @contextlib.contextmanager
 def dp_dtype(dtype):
-    """Run every DP on ``dtype`` cells, from a cold cache."""
+    """Run every DP on ``dtype`` cells."""
     real = local.fits_int64
 
     def decide(bound):
@@ -97,11 +97,7 @@ def dp_dtype(dtype):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(local, "fits_int64", decide)
-        _DP.cache_clear()
-        try:
-            yield
-        finally:
-            _DP.cache_clear()
+        yield
 
 
 def test_draws_cover_both_kinds():

@@ -12,7 +12,6 @@ from circlecount import (
     enumeration,
     greedy_solution_free,
     is_trivial,
-    local,
     stream_solutions,
     trivial_count,
     validate_system,
@@ -351,7 +350,6 @@ def test_key_byte_estimate_tracks_traced_peak(count):
             super().check_bytes(nbytes, what)
 
     count(Budget())  # warm imports and caches outside the trace
-    local._congruence_dp.cache_clear()  # but do not let the DP hit its cache
     tracemalloc.start()
     try:
         count(Recording())

@@ -20,6 +20,7 @@ from circlecount import (
 from circlecount.budget import Budget
 from circlecount.errors import (
     BadParamsError,
+    BudgetExceededError,
     HypothesisViolatedError,
     NotCoprimeError,
     SingularJacobianError,
@@ -81,11 +82,7 @@ class TestCongruenceCount:
             return False
 
         monkeypatch.setattr(local, "fits_int64", big_integers)
-        local._congruence_dp.cache_clear()
-        try:
-            forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
-        finally:
-            local._congruence_dp.cache_clear()
+        forced = [congruence_count(sys, q).count for sys in systems for q in moduli]
         # one decision per prime-power DP
         assert len(decisions) == len(systems) * sum(len(_factorize(q)) for q in moduli)
         assert forced == expected
@@ -104,18 +101,6 @@ class TestCongruenceCount:
         mirrored = validate_system(1, (1,) * 7 + (-1,) * 7)
         for q in (27, 29):
             assert congruence_count(mirrored, q).count == q**13
-
-    def test_cache_is_bounded_and_refusal_ignores_it(self, sys_quad4):
-        from circlecount.budget import Budget
-        from circlecount.errors import BudgetExceededError
-
-        assert local._congruence_dp.cache_info().maxsize >= 100
-        first = congruence_count(sys_quad4, 97)
-        hits = local._congruence_dp.cache_info().hits
-        assert congruence_count(sys_quad4, 97) == first
-        assert local._congruence_dp.cache_info().hits == hits + 1
-        with pytest.raises(BudgetExceededError):
-            congruence_count(sys_quad4, 97, Budget(max_ops=10))
 
     def test_budget_refusal(self, sys_quad4):
         from circlecount.budget import Budget
@@ -254,6 +239,31 @@ class TestTruncatedSeries:
     def test_both_method_records_residuals(self, sys_quad4):
         trunc = truncated_singular_series(sys_quad4, 6, method="both")
         assert all(t.residual is not None and t.residual < 1e-9 for t in trunc.terms)
+
+    def test_series_counts_each_prime_power_once(self, sys_quad4, monkeypatch):
+        # the counts live for one call: each prime power <= 60 is counted once
+        # per series, a repeat call counts them again, and an earlier count
+        # never lets a later call skip its budget check
+        cubic8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
+        dp_moduli = []
+        real = local._congruence_dp
+
+        def spy(stages, k, q, dtype, squares):
+            dp_moduli.append(q)
+            return real(stages, k, q, dtype, squares)
+
+        monkeypatch.setattr(local, "_congruence_dp", spy)
+        prime_powers = [q for q in range(2, 61) if len(_factorize(q)) == 1]
+        assert len(prime_powers) == 25
+        values = []
+        for _ in range(2):
+            values.append(truncated_singular_series(cubic8, 60))
+            assert sorted(dp_moduli) == prime_powers
+            del dp_moduli[:]
+        assert values[0] == values[1]
+        congruence_count(sys_quad4, 97)
+        with pytest.raises(BudgetExceededError):
+            congruence_count(sys_quad4, 97, Budget(max_ops=10))
 
 
 class TestHenselLift:

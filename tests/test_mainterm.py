@@ -377,6 +377,30 @@ class TestProgressionSearch:
             got = progression_concentration_search(w, min_len)
             assert got == _reference_progression_search(w, min_len), (w, min_len)
 
+    def test_ops_estimate_tracks_entries_formed(self):
+        # literal count: at each step d that fits min_len terms (d = 1 always),
+        # one entry per start of each length that fits, and the padded
+        # indicator and its prefix counts, at least N + d entries each
+        estimates = []
+
+        class Recording(Budget):
+            def check_ops(self, ops, what):
+                estimates.append(ops)
+                raise BudgetExceededError(what)
+
+        for n in range(1, 61):
+            for min_len in range(1, n + 1):
+                steps = [d for d in range(1, n) if (min_len - 1) * d <= n - 1] or [1]
+                literal = sum(
+                    sum(n - (l - 1) * d for l in range(min_len, n + 1)
+                        if n - (l - 1) * d >= 1) + 2 * (n + d)
+                    for d in steps
+                )
+                with pytest.raises(BudgetExceededError):
+                    progression_concentration_search(
+                        SetWindow.full(n), min_len, Recording())
+                assert literal <= estimates.pop() <= 2 * literal, (n, min_len)
+
     def test_refuses_before_work(self):
         w = random_density_window(1000, 0.5, seed=1)
         with pytest.raises(BudgetExceededError, match="progression search"):

@@ -2,7 +2,10 @@
 module level only, so the import graph is explicit, and a cycle in it fails
 at import time instead of hiding inside a function body.  The window and
 system modules stay free of numpy, directly and through the package modules
-they import, so that commands needing only them can start without it."""
+they import, so that commands needing only them can start without it.  The
+one cache decorator in the package is on the partition histogram, which
+depends on the coefficients alone; every other count lives in the call that
+makes it."""
 
 import ast
 from pathlib import Path
@@ -23,6 +26,19 @@ def test_no_function_contains_an_import():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_only_the_partition_histogram_is_cached():
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cached += [
+                    f"{path.stem}.{fn.name}"
+                    for dec in fn.decorator_list
+                    if "cache" in ast.unparse(dec)
+                ]
+    assert cached == ["enumeration._zero_sum_partition_histogram"]
 
 
 def _imports(path):
