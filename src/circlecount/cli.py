@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .errors import (
     BudgetExceededError,
     CircleCountError,
     HypothesisError,
+    ParseError,
     ValidationError,
 )
 from .expsums import classify_arc, eval_E, eval_f, eval_g
@@ -60,13 +62,33 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def finite(text) -> float:
+    """float(text), refused unless finite: the argparse type of every float
+    option (argparse reports "invalid finite value") and of each entry of a
+    phase list, where text may be a Fraction."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not finite")
+    return x
+
+
+def _parsed(parse, text: str):
+    """parse(text), with a malformed or non-finite number as a ParseError."""
+    try:
+        return parse(text)
+    except (ArithmeticError, ValueError) as exc:
+        raise ParseError(f"cannot parse {text!r}: {exc}") from None
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    toks = [tok.strip() for tok in text.split(",")]
-    return tuple(float(Fraction(tok)) if "/" in tok else float(tok) for tok in toks)
+    return tuple(
+        _parsed(lambda t: finite(Fraction(t) if "/" in t else t), tok.strip())
+        for tok in text.split(",")
+    )
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in text.split(","))
+    return tuple(_parsed(int, tok.strip()) for tok in text.split(","))
 
 
 def _window_from_args(args) -> SetWindow:
@@ -322,7 +344,7 @@ def cmd_predict(args, budget):
 def cmd_increment(args, budget):
     sheet = constants(args.k, cs_value=args.cs)
     trace = increment_iteration(
-        Fraction(args.delta), args.loglogn, args.y, sheet.K_const, sheet.C_exp
+        _parsed(Fraction, args.delta), args.loglogn, args.y, sheet.K_const, sheet.C_exp
     )
     _emit(
         args,
@@ -424,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", required=True, help="a1,...,ak (ascending degree)")
-    p.add_argument("--arc-exponent", type=float, default=None)
+    p.add_argument("--arc-exponent", type=finite, default=None)
     p.set_defaults(func=cmd_arcs)
 
     p = sub.add_parser("series", help="truncated singular series")
@@ -452,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="constant sheet for degree k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cs", type=float, default=None)
+    p.add_argument("--cs", type=finite, default=None)
     p.add_argument("--bracket", choices=["floor", "trunc"], default="floor")
     p.set_defaults(func=cmd_constants)
 
@@ -461,15 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--qmax", type=int, default=50)
     p.add_argument("--cs-method", choices=["band", "ratio"], default="band")
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=finite, default=1.0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("increment", help="density-increment iteration trace")
     p.add_argument("--delta", required=True)
-    p.add_argument("--loglogn", type=float, required=True)
+    p.add_argument("--loglogn", type=finite, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cs", type=float, default=4.0)
+    p.add_argument("--cs", type=finite, default=4.0)
     p.set_defaults(func=cmd_increment)
 
     p = sub.add_parser("concentrate", help="densest long arithmetic progression")
@@ -484,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float)
+    p.add_argument("--density", type=finite)
     p.add_argument("--start", type=int)
     p.add_argument("--step", type=int)
     p.add_argument("--system")

@@ -6,9 +6,9 @@ alpha_j multiplies x^j.  ``_exp_sum`` is the one float phase sum, behind f, g,
 E and the quadrature of w; it sums a block of phase points at once, and
 ``eval_E_batch`` evaluates E at many points over one decoded window.  All
 complex sums use pairwise (tree) summation with fixed bracketing, so repeated
-runs, and batched or single evaluation, produce bit-identical values.  Rational
-phases in the complete sums are reduced mod q in exact integer arithmetic
-before any trigonometry.
+runs, and batched or single evaluation, produce bit-identical values.  The
+complete sums S(q, b) come from one table, ``complete_sums``, over exact
+residues mod q; only their q-th roots of unity involve floating point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadDegreeError, BadParamsError, ToleranceNotMetError
+from .budget import fits_int64
+from .errors import BadDegreeError, BadParamsError, BudgetExceededError, ToleranceNotMetError
 from .windows import SetWindow, balanced_function
 
 TWO_PI = 2.0 * math.pi
@@ -146,25 +147,32 @@ def eval_E_balanced(window: SetWindow, alpha: Sequence[float]) -> complex:
     return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha)], weights)[0]
 
 
-def complete_sum(q: int, a: Sequence[int], lam: int = 1) -> complex:
-    """S(q, lam*a) = sum_{m=1}^q e_q(lam*(a_k m^k + ... + a_1 m)).
+def complete_sums(q: int, vecs) -> np.ndarray:
+    """S(q, b) = sum_{m=1}^q e_q(b_1 m + ... + b_k m^k) at each row b of the
+    n x k block ``vecs`` of residues in [0, q).  The terms' residues are exact
+    int64 values below k q^2, refused past that bound, and each row is
+    tree-summed as ``pairwise_sum`` sums, in row blocks of about _CHUNK terms."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    k = vecs.shape[1]
+    if not fits_int64(k * q * q):
+        raise BudgetExceededError(f"complete sums: residues below {k * q * q} exceed int64")
+    powers = [[pow(m, j, q) for m in range(1, q + 1)] for j in range(1, k + 1)]
+    powers = np.array(powers, dtype=np.int64).reshape(k, q)  # row j - 1: m^j mod q
+    roots = np.array([cmath.exp(TWO_PI * 1j * r / q) for r in range(q)])
+    width = _pow2_at_least(q)
+    rows = max(1, _CHUNK // width)
+    out = np.empty(len(vecs), dtype=np.complex128)
+    for r0 in range(0, len(vecs), rows):
+        out[r0 : r0 + rows] = _tree_sums(roots[vecs[r0 : r0 + rows] @ powers % q], width)
+    return out
 
-    The phase of each term is the exact residue of the integer polynomial
-    mod q; only the final q-th roots of unity involve floating point.
-    """
+
+def complete_sum(q: int, a: Sequence[int], lam: int = 1) -> complex:
+    """S(q, lam*a) = sum_{m=1}^q e_q(lam*(a_k m^k + ... + a_1 m)): one row of
+    ``complete_sums``, with lam*a reduced mod q in exact integers."""
     if q < 1:
         raise BadParamsError("q must be >= 1")
-    b = [(int(lam) * int(aj)) % q for aj in a]
-    roots = [cmath.exp(TWO_PI * 1j * r / q) for r in range(q)]
-    terms = np.empty(q, dtype=np.complex128)
-    for i, m in enumerate(range(1, q + 1)):
-        r = 0
-        mp = 1
-        for bj in b:
-            mp = mp * m % q
-            r = (r + bj * mp) % q
-        terms[i] = roots[r]
-    return pairwise_sum(terms)
+    return complex(complete_sums(q, [[int(lam) * int(aj) % q for aj in a]])[0])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -309,13 +317,11 @@ def major_arc_approx_check(
     Returns |g - S w / q| over q (1 + sum |beta_j| N^j); the bound guarantees
     this ratio is O(1), and the report lets experiments record the constant.
     """
-    if q < 1:
-        raise BadParamsError("q must be >= 1")
     if len(a) != len(beta):
         raise BadParamsError("a and beta must have equal length")
+    approx = complete_sum(q, a, lam) * oscillatory_w(n, beta, lam) / q  # checks q >= 1
     alpha = [aj / q + bj for aj, bj in zip(a, beta)]
     g_val = eval_g(n, [lam * x for x in alpha])
-    approx = complete_sum(q, a, lam) * oscillatory_w(n, beta, lam) / q
     num = abs(g_val - approx)
     den = q * (1.0 + sum(abs(b) * float(n) ** j for j, b in enumerate(beta, start=1)))
     return MajorArcApproxReport(

@@ -5,7 +5,7 @@ The series term S(q) is computed by two independent routes that cross-check
 each other:
 
 * direct summation of the normalized complete-sum products over admissible
-  numerator vectors (floating point, exact phase reduction);
+  numerator vectors, from one table of complete sums (floating point);
 * Moebius inversion of the divisor identity  sum_{d|q} S(d) = f(q),
   f(m) = m^(k-s) M(m), which is exact rational arithmetic on congruence
   counts.  S is multiplicative, so the inversion is a product over q's prime
@@ -31,7 +31,6 @@ Jacobian matrix that ``system.jacobian_matrix`` builds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .errors import (
     NotCoprimeError,
     SingularJacobianError,
 )
-from .expsums import complete_sum, pairwise_sum
+from .expsums import _CHUNK, _pow2_at_least, complete_sums, pairwise_sum
 from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, mirrored
 
 
@@ -185,27 +184,25 @@ def series_term_direct(
     """S(q) by direct summation over admissible numerator vectors.
 
     Sums q^(-s) * prod_i S(q, lam_i a) over a in [0, q)^k with
-    gcd(q, a_1, ..., a_k) = 1; the complete sums S(q, b) are tabulated once
-    for every residue vector b and looked up per coefficient.
+    gcd(q, a_1, ..., a_k) = 1; ``complete_sums`` tabulates S(q, b) once for
+    every residue vector b, and each lam_i a mod q is looked up in it.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
     k = system.degree
     s = system.arity
     budget.check_ops(q ** (k + 1) + q**k * s, "direct series term")
-    budget.check_bytes(q ** k * 16, "complete-sum table")
+    # per vector a: a, the table, the gcd mask, the product, lam * a mod q and
+    # its lookup index, the masked product and its tree; one table block
+    budget.check_bytes(
+        q**k * (24 * k + 105) + 56 * max(_CHUNK, _pow2_at_least(q)), "direct series term"
+    )
     vecs = np.indices((q,) * k).reshape(k, -1).T  # rows are (a_1, ..., a_k)
-    table = np.array(
-        [complete_sum(q, b) for b in itertools.product(range(q), repeat=k)],
-        dtype=np.complex128,
-    )  # S(q, b) indexed by the flattened vector b
-    strides = np.array([q ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    gcds = np.gcd.reduce(vecs, axis=1)
-    mask = np.gcd(gcds, q) == 1
-    prod = np.ones(vecs.shape[0], dtype=np.complex128)
+    table = complete_sums(q, vecs).reshape((q,) * k)
+    mask = np.gcd(np.gcd.reduce(vecs, axis=1), q) == 1
+    prod = np.ones(len(vecs), dtype=np.complex128)
     for lam in system.coefficients:
-        idx = ((lam * vecs) % q) @ strides
-        prod *= table[idx]
+        prod *= table[tuple(lam % q * vecs.T % q)]
     return pairwise_sum(prod[mask]) / float(q) ** s
 
 

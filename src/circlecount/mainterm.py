@@ -529,9 +529,6 @@ class Progression:
     step: int
     length: int
 
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self.start + i * self.step for i in range(self.length))
-
 
 def progression_concentration_search(
     window: SetWindow, min_length: int, budget: Budget = DEFAULT_BUDGET

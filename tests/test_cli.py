@@ -69,6 +69,35 @@ def test_usage_errors_exit3(quad4_file):
     assert proc.returncode == 0 and proc.stdout.startswith("usage: circlecount series")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["arcs", "--n", "100", "--k", "2", "--alpha", "1/0,0.5"],
+        ["arcs", "--n", "100", "--k", "2", "--alpha", "abc,0.5"],
+        ["expsum", "g", "--n", "9", "--alpha", "nan,0.5"],
+        ["expsum", "g", "--n", "9", "--alpha", "inf"],
+        ["expsum", "g", "--n", "9", "--alpha", "1e400,0"],
+        ["lift", "--system", "QUAD6", "-p", "5", "-t", "2", "--seed", "1,x,1,2,3,2"],
+        ["lift", "--system", "QUAD6", "-p", "5", "-t", "2", "--seed", "1,0,1,2,3,2",
+         "--free", "1,x"],
+        ["increment", "--delta", "1/0", "--loglogn", "50", "--y", "3", "--k", "2"],
+        ["increment", "--delta", "abc", "--loglogn", "50", "--y", "3", "--k", "2"],
+        ["increment", "--delta", "1/2", "--loglogn", "nan", "--y", "3", "--k", "2"],
+        ["arcs", "--n", "100", "--k", "2", "--alpha", "0,0", "--arc-exponent", "nan"],
+        ["constants", "--k", "2", "--cs", "nan"],
+        ["predict", "--system", "QUAD6", "--n", "32", "--delta", "nan"],
+        ["gen-set", "--kind", "random_density", "--n", "10", "--density", "inf"],
+    ],
+)
+def test_bad_numbers_exit3(args, quad6_file):
+    # a malformed or non-finite number is a usage or parse error: no
+    # traceback, and never a NaN in the JSON on stdout
+    proc = run_cli(*[quad6_file if a == "QUAD6" else a for a in args])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error: " in proc.stderr
+
+
 def test_count_json(quad4_file):
     proc = run_cli("count", "--system", quad4_file, "--n", "3")
     res = result_of(proc)

@@ -12,6 +12,7 @@ from circlecount import (
     enumeration,
     greedy_solution_free,
     is_trivial,
+    series_term_direct,
     stream_solutions,
     trivial_count,
     validate_system,
@@ -336,10 +337,17 @@ class TestInt64Fallbacks:
         lambda b: congruence_count(validate_system(2, (2, 1, -1, -1, -1)), 289, b),
         lambda b: congruence_count(
             validate_system(2, (2, 2, 1, 1, 1, 1, -1, -1, -1, -1, -1, -3)), 37, b),
+        # the direct series route: its q^k-row arrays, then at k = 1 a modulus
+        # where one row block of complete sums outweighs them
+        lambda b: series_term_direct(validate_system(2, (1, 1, 1, -1, -1, -1)), 60, b),
+        lambda b: series_term_direct(
+            validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 30, b),
+        lambda b: series_term_direct(validate_system(1, (2, -1, -1)), 1000, b),
     ],
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "naive_int64",
          "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
-         "dp_full_int64", "dp_full_object"],
+         "dp_full_int64", "dp_full_object", "direct_quad6", "direct_cubic8",
+         "direct_linear_block"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):
     estimates = []

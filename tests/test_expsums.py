@@ -20,10 +20,12 @@ from circlecount import (
     sigma_exponent,
     weyl_chain_check,
 )
+from circlecount.errors import BudgetExceededError
 from circlecount.expsums import (
     TWO_PI,
     arc_membership_brute_force,
     closed_form_w_linear,
+    complete_sums,
     eval_E_balanced,
     reduce_phase,
 )
@@ -101,6 +103,12 @@ def _literal_exp_sum(points, alpha, weights=None):
     a = np.exp(TWO_PI * 1j * phase)
     if weights is not None:
         a = weights * a
+    return _literal_tree(a)
+
+
+def _literal_tree(a):
+    """One pairwise tree over all terms: adjacent pairs, a zero appended to
+    odd levels."""
     if a.size == 0:
         return 0j
     while a.size > 1:
@@ -108,6 +116,22 @@ def _literal_exp_sum(points, alpha, weights=None):
             a = np.concatenate([a, np.zeros(1, dtype=np.complex128)])
         a = a[0::2] + a[1::2]
     return complex(a[0])
+
+
+def _literal_complete_sum(q, a, lam):
+    """S(q, lam a) as a per-m loop: the exact residue of each term from
+    running powers of m mod q, one root of unity each, then one tree."""
+    b = [lam * aj % q for aj in a]
+    roots = [cmath.exp(TWO_PI * 1j * r / q) for r in range(q)]
+    terms = []
+    for m in range(1, q + 1):
+        r = 0
+        mp = 1
+        for bj in b:
+            mp = mp * m % q
+            r = (r + bj * mp) % q
+        terms.append(roots[r])
+    return _literal_tree(np.array(terms, dtype=np.complex128))
 
 
 def _literal_E(window, alpha):
@@ -185,6 +209,23 @@ class TestBatchedSums:
 class TestCompleteSum:
     def test_q_one(self):
         assert complete_sum(1, (0, 0)) == 1
+
+    def test_equals_literal_loop_bit_for_bit(self):
+        # every b, one row at a time and as one table
+        for k, qmax in ((1, 30), (2, 30), (3, 15)):
+            for q in range(1, qmax + 1):
+                vecs = np.indices((q,) * k).reshape(k, -1).T
+                for lam in (1, -3):
+                    table = complete_sums(q, lam * vecs % q).tolist()
+                    for b, row in zip(vecs.tolist(), table):
+                        want = _hex(_literal_complete_sum(q, b, lam))
+                        assert _hex(complete_sum(q, b, lam)) == want, (q, b, lam)
+                        assert _hex(row) == want, (q, b, lam)
+
+    def test_refuses_residues_past_int64(self):
+        # k q^2 = 2^63 at k = 2: refused before the powers and roots are formed
+        with pytest.raises(BudgetExceededError):
+            complete_sum(2**31, (1, 1))
 
     def test_quadratic_gauss_sum_q3(self):
         s = complete_sum(3, (0, 1))  # phase m^2 / 3

@@ -133,6 +133,14 @@ class TestSeriesTerms:
                 exact = float(series_term_moebius(sys, q))
                 assert abs(direct - exact) <= 1e-9 * (1 + abs(exact))
 
+    def test_direct_reduces_huge_coefficients_mod_q(self):
+        # lam * b would wrap int64 before its reduction mod q
+        big = 2 * 10**18 + 1
+        sys = validate_system(2, (big, big, -big, -big))
+        for q in range(1, 13):
+            exact = float(series_term_moebius(sys, q))
+            assert abs(series_term_direct(sys, q) - exact) <= 1e-9 * (1 + abs(exact)), q
+
     def test_imaginary_parts_negligible(self, sys_quad4):
         for q in range(1, 26):
             s = series_term_direct(sys_quad4, q)
