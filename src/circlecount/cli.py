@@ -201,20 +201,11 @@ def cmd_expsum(args, budget):
 
 
 def cmd_arcs(args, budget):
-    alpha = _parse_floats(args.alpha)
-    label = classify_arc(alpha, args.n, args.k, args.arc_exponent)
-    if label is None:
-        _emit(args, {"member": False})
-    else:
-        _emit(
-            args,
-            {
-                "member": True,
-                "q": label.q,
-                "a": list(label.numerators),
-                "beta": list(label.beta),
-            },
-        )
+    label = classify_arc(_parse_floats(args.alpha), args.n, args.k, args.arc_exponent, budget)
+    result = {"member": label is not None}
+    if label is not None:
+        result.update(q=label.q, a=list(label.numerators), beta=list(label.beta))
+    _emit(args, result)
 
 
 def cmd_series(args, budget):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import fits_int64
+from .budget import DEFAULT_BUDGET, Budget, fits_int64
 from .errors import BadDegreeError, BadParamsError, BudgetExceededError, ToleranceNotMetError
 from .windows import SetWindow, balanced_function
 
@@ -67,6 +67,7 @@ def pairwise_sum(terms: np.ndarray) -> complex:
 # row is the tree of its aligned blocks' sums: blocking leaves every bracket
 # and every bit unchanged.
 _CHUNK = 4096
+_ARC_ROWS = 1 << 16  # values of q per block of the arc scan
 
 
 def _exp_sum(points, phases, weights=None) -> list[complex]:
@@ -252,32 +253,38 @@ def classify_arc(
     n: int,
     k: int,
     exponent_override: Optional[float] = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> Optional[ArcLabel]:
     """Return the major-arc label of alpha, or None on the minor arcs.
 
-    Scans q = 1..floor(N^delta); for each q the nearest numerator vector is
-    the only candidate that can satisfy the box condition
-    |q alpha_j - a_j| <= N^(delta - j).  A common divisor of (q, a_k, ..., a_1)
-    is divided out, which preserves both conditions.
+    For each q = 1..floor(N^delta) the nearest numerator vector is the only
+    candidate for the box |q alpha_j - a_j| <= N^(delta - j).  The q * k tests,
+    refused past the ops budget first, run on blocks of _ARC_ROWS rows of
+    q alpha in float64, with the products, thresholds and half-to-even
+    rounding of a one-q scan, so the first q that passes is the same and
+    memory is one block.  A common divisor of (q, a_k, ..., a_1) is divided
+    out, which preserves both conditions.
     """
     if n < 2:
         raise BadParamsError("n must be >= 2")
     if len(alpha) != k:
         raise BadParamsError(f"alpha must have {k} components")
+    if not all(math.isfinite(float(a)) for a in alpha):
+        raise BadParamsError("alpha components must be finite")
     delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
     a_red = reduce_phase(alpha)
     qmax = max(1, math.floor(float(n) ** delta + 1e-12))
-    for q in range(1, qmax + 1):
-        nums = [round(q * aj) for aj in a_red]
-        if all(
-            abs(q * aj - aq) <= float(n) ** (delta - j) + 1e-15
-            for j, (aj, aq) in enumerate(zip(a_red, nums), start=1)
-        ):
+    budget.check_ops(qmax * k, "arc classification")
+    bounds = [float(n) ** (delta - j) + 1e-15 for j in range(1, k + 1)]
+    for q0 in range(1, qmax + 1, _ARC_ROWS):
+        qa = np.arange(q0, min(q0 + _ARC_ROWS, qmax + 1), dtype=np.float64)[:, None] * a_red
+        hits = np.flatnonzero((np.abs(qa - np.round(qa)) <= bounds).all(axis=1))
+        if hits.size:
+            q = q0 + int(hits[0])
+            nums = [round(q * aj) for aj in a_red]
             beta = tuple(aj - aq / q for aj, aq in zip(a_red, nums))
-            g = math.gcd(q, *(abs(x) for x in nums)) if nums else q
-            q_star = q // g
-            reduced = tuple((x // g) % q_star for x in nums)
-            return ArcLabel(q_star, reduced, beta)
+            g = math.gcd(q, *nums)
+            return ArcLabel(q // g, tuple(x // g % (q // g) for x in nums), beta)
     return None
 
 

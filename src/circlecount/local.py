@@ -15,13 +15,15 @@ each other:
 
 The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
 so it is the product of the counts at q's prime-power factors, each from one
-numpy dynamic program.  When the coefficients are L and -L up to order
-(``system.mirrored``), the DP runs its stages over L alone and reads out the
-sum of squared counts.  Cells are int64 or, when m^s does not fit at the DP's
-modulus m, Python big integers; ``budget.fits_int64`` picks the dtype and
-nothing else differs.  ``multiplicativity_check`` takes S(qr) as the literal
-divisor sum over direct DP counts at each divisor of qr, so it stays a real
-check of both product rules.
+numpy dynamic program: its first min(k, stages) stages are one bincount of
+the power-sum vectors of all tuples, and dense np.roll stages run the rest.
+When the coefficients are L and -L up to order (``system.mirrored``), the DP
+runs its stages over L alone and reads out the sum of squared counts.  Cells
+are int64 or, when m^s does not fit at the DP's modulus m, Python big
+integers; ``budget.fits_int64`` picks the dtype and nothing else differs.
+``multiplicativity_check`` takes S(qr) as the literal divisor sum over direct
+DP counts at each divisor of qr, so it stays a real check of both product
+rules.
 
 ``_factorize`` is the one trial-division loop: it gives the Moebius route its
 prime powers and ``euler_factor`` and ``hensel_lift`` their primality test.
@@ -64,7 +66,9 @@ def congruence_count(
     M is multiplicative (Chinese remainder theorem), so M(q) is the product
     of one DP count per prime-power factor p^e of q.  The DP runs over the
     residue vector of partial power sums: state space (Z/p^e)^k, one stage
-    per coefficient, p^e transitions per stage.  When the coefficients are
+    per coefficient.  At most p^(ej) vectors exist after j <= k stages, so
+    the first min(k, stages) are one bincount of those vectors and each later
+    stage is dense, p^e shifted copies of the state.  When the coefficients are
     L and -L up to order, the stages run over L alone and the count is
     sum_v c(v)^2, c(v) the number of x with L-values v.  Cells are int64
     while p^(es) fits and Python big integers (an ``object`` array) beyond,
@@ -89,17 +93,18 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     stages = left if squares else system.coefficients
     # every DP cell and the sum of squares count tuples of (Z/m)^s
     dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
-    budget.check_ops(
-        sum(len(stages) * m ** (k + 1) for m in moduli), "congruence count"
-    )
-    # held at once by one DP stage: the counts, the next stage (a Python
-    # integer per cell of each on the object path) and np.roll's copy; the
-    # read-out by squares holds the counts and the squared counts instead.
-    # np.roll's index 2-tuples and k-tuples may also fill the interpreter's
-    # free lists, 2000 tuples each
+    head = min(k, len(stages))
+    ops = sum(head * k * m**head + (len(stages) - head) * m ** (k + 1) for m in moduli)
+    budget.check_ops(ops, "congruence count")
+    # held at once by the scatter: the m^head power-sum vectors, their flat
+    # indices, the bincount and its cells; by a dense stage: the counts, the
+    # next stage (a Python integer per cell of each on the object path) and
+    # np.roll's copy, or the counts and their squares in the read-out; and
+    # np.roll's index 2-tuples and k-tuples in free lists, 2000 tuples each
     budget.check_bytes(
         max(
-            m**k * max(2 * cell + 8, cell + squares * entry_bytes(d, m**s))
+            max(8 * (k + 1) * m**head + (8 + cell) * m**k,
+                m**k * max(2 * cell + 8, cell + squares * entry_bytes(d, m**s)))
             for m, d in zip(moduli, dtypes)
             for cell in [entry_bytes(d, m ** len(stages))]
         ) + 2000 * (96 + 8 * k),
@@ -113,10 +118,16 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
 def _congruence_dp(
     stages: tuple[int, ...], k: int, q: int, dtype, squares: bool
 ) -> int:
-    counts = np.zeros((q,) * k, dtype=dtype)
-    counts[(0,) * k] = 1
+    head = min(k, len(stages))
+    vecs = np.zeros(k, dtype=np.int64)
+    for lam in stages[:head]:
+        terms = (lam * pow(x, j, q) % q for x in range(q) for j in range(1, k + 1))
+        vecs = vecs[..., None, :] + np.fromiter(terms, np.int64, q * k).reshape(q, k)
+    flat = np.ravel_multi_index(np.moveaxis(vecs, -1, 0), (q,) * k, mode="wrap").ravel()
+    counts = np.bincount(flat, minlength=q**k).reshape((q,) * k).astype(dtype, copy=False)
+    del vecs, flat  # the dense stages hold only the counts
     axes = tuple(range(k))
-    for lam in stages:
+    for lam in stages[head:]:
         nxt = np.zeros_like(counts)
         for x in range(q):
             shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))

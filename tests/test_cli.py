@@ -145,6 +145,14 @@ def test_arcs_minor_and_major():
     assert major["member"] is True and major["q"] == 1
 
 
+def test_arcs_budget_exit2():
+    # 2 * floor(10^(9 * 0.9)) tests of the box, refused before the first block
+    proc = run_cli("--budget", "1000000", "arcs", "--n", "1000000000", "--k", "2",
+                   "--alpha", "0.1,0.2", "--arc-exponent", "0.9")
+    assert proc.returncode == 2
+    assert "budget refused: arc classification" in proc.stderr
+
+
 def test_series_csv(quad4_file):
     proc = run_cli("--output", "csv", "series", "--system", quad4_file, "--qmax", "3")
     assert proc.returncode == 0

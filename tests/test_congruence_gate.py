@@ -17,7 +17,10 @@ conftest generators up to k = 3, mirrored (L and -L) and not:
   divisor and a trial-division mu, for q <= 60 on quad6 and cubic8 and as far
   as ``small`` allows on the draws;
 * the exact series terms against the floating-point direct route
-  ``series_term_direct`` at k = 3, on cubic8 and the degree-3 draws.
+  ``series_term_direct`` at k = 3, on cubic8 and the degree-3 draws;
+* the DP itself, whose first min(k, stages) stages are one bincount scatter,
+  against ``_literal_dp``, the stage-by-stage np.roll recursion, at every
+  prime power up to 60 (30 for cubic8 on big integers) and on edge stages.
 """
 
 from __future__ import annotations
@@ -195,3 +198,60 @@ def test_series_term_equals_direct_route_at_degree_three():
             exact = float(series_term_moebius(system, q))
             direct = series_term_direct(system, q)
             assert abs(direct - exact) <= 1e-9 * (1 + abs(exact)), (system, q)
+
+
+def _literal_dp(stages, k: int, q: int, dtype, squares: bool) -> int:
+    """The DP one stage at a time from the zero vector: each stage, the first
+    included, sums q rolls of the whole (Z/q)^k array, by lam x^j mod q for
+    each residue x."""
+    counts = np.zeros((q,) * k, dtype=dtype)
+    counts[(0,) * k] = 1
+    axes = tuple(range(k))
+    for lam in stages:
+        nxt = np.zeros_like(counts)
+        for x in range(q):
+            shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
+            nxt += np.roll(counts, shifts, axis=axes)
+        counts = nxt
+    if squares:
+        return int((counts * counts).sum())
+    return int(counts[(0,) * k])
+
+
+def dp_runs(system):
+    """(stages, squares) of the DPs a system can run: all coefficients with
+    the zero read-out and, when they are L and -L, L with the squared counts."""
+    runs = [(system.coefficients, False)]
+    if is_mirrored(system):
+        runs.append((tuple(c for c in system.coefficients if c > 0), True))
+    return runs
+
+
+@DTYPES
+def test_dp_equals_literal_stage_by_stage_dp(dtype):
+    for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED:
+        k = system.degree
+        qs = moduli(system, dtype, prime_powers=True)
+        assert qs
+        for stages, squares in dp_runs(system):
+            for q in qs:
+                if squares or small(system, q):  # cubic8's 8 stages: q <= 26
+                    assert _DP(stages, k, q, dtype, squares) == _literal_dp(
+                        stages, k, q, dtype, squares), (system, stages, q)
+
+
+# head = min(k, stages) below, equal to and above k; a coefficient 0 mod 2;
+# negative and int64-overflowing coefficients; k = 1
+EDGE_STAGES = [
+    ((1, 2), 3), ((2, -3, 5), 3), ((1, -1, 2, 3, -4), 2), ((2, 1, -1), 2),
+    ((-3, 5, -1), 2), ((2**70 + 1, -(2**65)), 2), ((1, -1, 2), 1), ((7,), 1),
+]
+
+
+@DTYPES
+@pytest.mark.parametrize("stages,k", EDGE_STAGES)
+def test_dp_edge_stages_equal_literal_dp(dtype, stages, k):
+    for q in range(1, 13 if k < 3 else 9):
+        for squares in (False, True):
+            assert _DP(stages, k, q, dtype, squares) == _literal_dp(
+                stages, k, q, dtype, squares), q

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from circlecount import (
     sigma_exponent,
     weyl_chain_check,
 )
-from circlecount.errors import BudgetExceededError
+from circlecount.budget import Budget
+from circlecount.errors import BadParamsError, BudgetExceededError
 from circlecount.expsums import (
+    _ARC_ROWS,
     TWO_PI,
+    ArcLabel,
     arc_membership_brute_force,
     closed_form_w_linear,
     complete_sums,
@@ -138,6 +142,22 @@ def _literal_E(window, alpha):
     n, red = window.length, reduce_phase(alpha)
     g = _literal_exp_sum(np.arange(1, n + 1), red)
     return (window.cardinality / n) * g - _literal_exp_sum(window.elements(), red)
+
+
+def _literal_classify_arc(alpha, n, k, exponent_override=None):
+    """The arc scan one q at a time: round each q alpha_j, test the box
+    |q alpha_j - a_j| <= N^(delta - j), and reduce the first pair that passes."""
+    delta = exponent_override if exponent_override is not None else delta_exponent(k)
+    a_red = reduce_phase(alpha)
+    qmax = max(1, math.floor(float(n) ** delta + 1e-12))
+    for q in range(1, qmax + 1):
+        nums = [round(q * aj) for aj in a_red]
+        if all(abs(q * aj - aq) <= float(n) ** (delta - j) + 1e-15
+               for j, (aj, aq) in enumerate(zip(a_red, nums), start=1)):
+            beta = tuple(aj - aq / q for aj, aq in zip(a_red, nums))
+            g = math.gcd(q, *(abs(x) for x in nums)) if nums else q
+            return ArcLabel(q // g, tuple((x // g) % (q // g) for x in nums), beta)
+    return None
 
 
 def _hex(z):
@@ -337,6 +357,81 @@ class TestArcs:
                 got = classify_arc(alpha, n, 2, override) is not None
                 want = arc_membership_brute_force(alpha, n, 2, override)
                 assert got == want
+
+    @staticmethod
+    def _label_key(label):
+        if label is None:
+            return None
+        return label.q, label.numerators, tuple(b.hex() for b in label.beta)
+
+    @staticmethod
+    def _phases(rnd, n, k, override):
+        """Uniform phases, phases near a rational a/q, dyadic phases whose
+        q alpha_j are exact half-integers (ties), and phases on the q = 1 box
+        boundary and one ulp outside it."""
+        yield from ([rnd.random() for _ in range(k)] for _ in range(15))
+        for _ in range(15):
+            q = rnd.randrange(1, 60)
+            yield [(rnd.randrange(q) / q + rnd.uniform(-2, 2) * n ** (-j)) % 1.0
+                   for j in range(1, k + 1)]
+        for e in range(4):
+            yield [rnd.randrange(1, 2 ** (e + 1), 2) / 2 ** (e + 1) for _ in range(k)]
+        delta = override if override is not None else delta_exponent(k)
+        edge = [float(n) ** (delta - j) + 1e-15 for j in range(1, k + 1)]
+        if max(edge) < 0.5:
+            yield edge
+            for j in range(k):
+                yield edge[:j] + [math.nextafter(edge[j], 1.0)] + edge[j + 1:]
+
+    def test_block_scan_equals_literal_scan_bit_for_bit(self):
+        rnd = random.Random(20261018)
+        cases = majors = 0
+        for k in (1, 2, 3):
+            for n in (10**3, 10**6):
+                for override in ([None] if k > 1 else []) + [0.3, 0.45, 0.6, 0.9]:
+                    if n ** (override or delta_exponent(k)) > 5000:
+                        continue
+                    for alpha in self._phases(rnd, n, k, override):
+                        want = _literal_classify_arc(alpha, n, k, override)
+                        got = classify_arc(alpha, n, k, override)
+                        assert self._label_key(got) == self._label_key(want), (alpha, n, k)
+                        cases += 1
+                        majors += want is not None
+        assert cases > 600 and 0.2 * cases < majors < 0.8 * cases
+
+    def test_ties_round_half_to_even(self):
+        # q alpha_1 = 0.5 is a tie at q = 1 (k = 1, a box wider than 1/2) and
+        # at q = 2 (k = 2, q = 1 fails the narrow second box); a_1 = 0, even
+        for alpha, k, override, want in [((0.5,), 1, 0.95, (1, (0,), (0.5,))),
+                                         ((0.25, 0.5), 2, 1.5, (2, (0, 1), (0.25, 0.0)))]:
+            label = classify_arc(alpha, 1000, k, override)
+            assert label == _literal_classify_arc(alpha, 1000, k, override)
+            assert (label.q, label.numerators, label.beta) == want
+
+    def test_memory_is_one_block(self):
+        # q alpha for all q <= 10^(9 * 0.75) would take 90 MB at k = 2
+        alpha = (math.sqrt(2) - 1, math.pi - 3)
+        qmax = math.floor(1e9**0.75)
+        block = 8 * 2 * _ARC_ROWS
+        assert 8 * 2 * qmax > 20 * block
+        tracemalloc.start()
+        try:
+            assert classify_arc(alpha, 10**9, 2, 0.75) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block
+
+    def test_budget_refuses_before_work(self):
+        qmax = math.floor(1e9**0.9)
+        with pytest.raises(BudgetExceededError):
+            classify_arc((0.1, 0.2), 10**9, 2, 0.9, Budget(max_ops=2 * qmax - 1))
+        assert classify_arc((0.0, 0.0), 10**9, 2, 0.9, Budget(max_ops=2 * qmax)).q == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_bad_params(self, bad):
+        with pytest.raises(BadParamsError):
+            classify_arc((0.1, bad), 10**6, 2)
 
     def test_sigma_value(self):
         assert sigma_exponent(2) == pytest.approx(0.0124507, abs=1e-6)
