@@ -18,6 +18,7 @@ from .errors import BudgetExceededError
 DEFAULT_MAX_OPS = 10**9
 DEFAULT_MAX_KEY_BYTES = 4 * 1024**3  # 4 GiB
 INT64_SAFE = 2**62
+FLOAT64_EXACT = 2**53
 
 
 def fits_int64(bound: int) -> bool:
@@ -25,6 +26,14 @@ def fits_int64(bound: int) -> bool:
     bound on each value the int64 path would form; otherwise the engine runs
     on Python big integers, never wrapping around."""
     return bound < INT64_SAFE
+
+
+def fits_float64(bound: int) -> bool:
+    """Whether float64 holds exactly every integer an engine forms, given an
+    integer bound on the sum of the magnitudes of any sum it forms: every
+    product and partial sum is then an integer below 2^53, exact in any
+    summation order."""
+    return bound < FLOAT64_EXACT
 
 
 def entry_bytes(dtype, bound: int) -> int:

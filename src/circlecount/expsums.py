@@ -248,6 +248,22 @@ class ArcLabel:
     beta: tuple[float, ...]
 
 
+def _arc_qmax(n: int, delta: float, k: int, budget: Budget) -> int:
+    """The largest major-arc denominator, max(1, floor(N^delta)), refused
+    before anything is formed when N^delta overflows a float or its qmax * k
+    box tests exceed the ops budget."""
+    if math.isnan(delta):
+        raise BadParamsError("arc exponent must not be nan")
+    try:  # a finite N^delta past the largest float, or an infinite one
+        qmax = max(1, math.floor(float(n) ** delta + 1e-12))
+    except OverflowError:
+        raise BudgetExceededError(
+            f"arc classification: N^delta = {n}^{delta} overflows a float"
+        ) from None
+    budget.check_ops(qmax * k, "arc classification")
+    return qmax
+
+
 def classify_arc(
     alpha: Sequence[float],
     n: int,
@@ -272,9 +288,8 @@ def classify_arc(
     if not all(math.isfinite(float(a)) for a in alpha):
         raise BadParamsError("alpha components must be finite")
     delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
+    qmax = _arc_qmax(n, delta, k, budget)
     a_red = reduce_phase(alpha)
-    qmax = max(1, math.floor(float(n) ** delta + 1e-12))
-    budget.check_ops(qmax * k, "arc classification")
     bounds = [float(n) ** (delta - j) + 1e-15 for j in range(1, k + 1)]
     for q0 in range(1, qmax + 1, _ARC_ROWS):
         qa = np.arange(q0, min(q0 + _ARC_ROWS, qmax + 1), dtype=np.float64)[:, None] * a_red
@@ -291,10 +306,11 @@ def classify_arc(
 def arc_membership_brute_force(
     alpha: Sequence[float], n: int, k: int, exponent_override: Optional[float] = None
 ) -> bool:
-    """Set-theoretic major-arc membership by enumerating all (q, a) pairs."""
+    """Set-theoretic major-arc membership by enumerating all (q, a) pairs.
+    Only its scan of q is checked against the default ops budget."""
     delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
+    qmax = _arc_qmax(n, delta, k, DEFAULT_BUDGET)
     a_red = reduce_phase(alpha)
-    qmax = max(1, math.floor(float(n) ** delta + 1e-12))
     for q in range(1, qmax + 1):
         for nums in itertools.product(range(q + 1), repeat=k):
             if math.gcd(q, *nums) != 1:

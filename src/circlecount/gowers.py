@@ -25,10 +25,23 @@ half.  Each level thus sums the work of the level below over support lengths
 1..N: the multiply-adds total at most N^(k+1), about 2 N^(k+1) / (k+1)!, and
 the budget estimate N^(k+1) bounds the work from above.
 
-Every value the recursion forms is bounded by N^(2^k + 1).  While that bound
-fits int64 (``budget.fits_int64``) the values are numpy int64; otherwise they
-are Python integers in an object array.  ``np.correlate`` is exact on both,
-and the leaf squares in Python integers.
+The recursion runs on one of three exact dtypes, chosen once per call from
+the bound N^(2^k + 1) = N (N^(2^(k-1)))^2.  After the k - 1 product levels
+every value has magnitude at most N^(2^(k-1)), so that bound covers the sum
+of the magnitudes of the terms of every correlation the recursion forms:
+
+- float64 while the bound is below 2^53 (``budget.fits_float64``): every
+  product and every partial sum is then an integer float64 holds exactly, so
+  ``np.correlate`` (a SIMD dot product on float64) is exact in any summation
+  order, with or without fused multiply-adds.  This holds for N <= 208,063
+  at k = 1, 1,552 at k = 2, 59 at k = 3 and 8 at k = 4;
+- int64 while it is below 2^62 (``budget.fits_int64``): N <= 5,404 at
+  k = 2, 118 at k = 3 and 12 at k = 4;
+- otherwise Python integers in an object array.
+
+The leaf's lags exceed neither bound, but their squares may, so the leaf
+converts the lags to int64 (exactly, from float64) and squares them in Python
+integers.
 
 A naive evaluator of the literal (k+2)-fold sum with the translated-interval
 restriction is kept for cross-checking; it uses neither the collapse nor the
@@ -39,13 +52,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .budget import Budget, fits_int64
+from .budget import Budget, fits_float64, fits_int64
 from .errors import BadParamsError
 from .expsums import eval_E_batch
 # the balanced function lives in windows, below expsums and this module, and
@@ -65,12 +79,15 @@ class UniformityReport:
 
 def _collapse_scaled(values: Sequence[int], k: int, dtype: type) -> int:
     """Integer numerator of the difference sum: the collapse-identity recursion
-    on the balanced values held as ``dtype`` (np.int64 or object)."""
+    on the balanced values held as ``dtype`` (np.float64, np.int64 or object)."""
 
     def rec(c: np.ndarray, depth: int) -> int:
         if depth == 1:
-            ac = np.correlate(c, c, "full")[len(c) - 1 :].tolist()
-            return ac[0] ** 2 + 2 * sum(v * v for v in ac[1:])
+            ac = np.correlate(c, c, "full")[len(c) - 1 :]
+            if ac.dtype == np.float64:
+                ac = ac.astype(np.int64)
+            ac = ac.tolist()
+            return 2 * sum(map(operator.mul, ac, ac)) - ac[0] ** 2
         n = len(c)
         shifted = sum(rec(c[w:] * c[: n - w], depth - 1) for w in range(1, n))
         return rec(c * c, depth - 1) + 2 * shifted
@@ -88,8 +105,9 @@ def difference_sum(
     budget.check_ops(n ** (degree + 1), "difference sum")
     b = balanced_function(window)
     # values bounded by N^(2^(k-1)) after the product levels, correlate adds
-    # a factor N^(2^(k-1)) * N: int64 is exact while N^(2^k + 1) fits
-    dtype = np.int64 if fits_int64(n ** (2**degree + 1)) else object
+    # a factor N^(2^(k-1)) * N: exact while N^(2^k + 1) fits the dtype
+    bound = n ** (2**degree + 1)
+    dtype = np.float64 if fits_float64(bound) else np.int64 if fits_int64(bound) else object
     scaled = _collapse_scaled(b.values, degree, dtype)
     assert scaled >= 0
     return Fraction(scaled, n ** (2 ** (degree + 1)))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,6 +152,17 @@ def test_arcs_budget_exit2():
                    "--alpha", "0.1,0.2", "--arc-exponent", "0.9")
     assert proc.returncode == 2
     assert "budget refused: arc classification" in proc.stderr
+
+
+def test_arcs_overflowing_height_exit2():
+    # N^delta = 10^2400 overflows a float: refused before qmax is formed
+    start = time.perf_counter()
+    proc = run_cli("arcs", "--n", "1000000", "--k", "2", "--alpha", "0.1,0.2",
+                   "--arc-exponent", "400")
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2
+    assert "budget refused: arc classification" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_series_csv(quad4_file):

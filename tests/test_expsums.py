@@ -428,6 +428,22 @@ class TestArcs:
             classify_arc((0.1, 0.2), 10**9, 2, 0.9, Budget(max_ops=2 * qmax - 1))
         assert classify_arc((0.0, 0.0), 10**9, 2, 0.9, Budget(max_ops=2 * qmax)).q == 1
 
+    @pytest.mark.parametrize("exponent", [400.0, math.inf])
+    def test_overflowing_height_refused(self, exponent):
+        for scan in (classify_arc, arc_membership_brute_force):
+            with pytest.raises(BudgetExceededError, match="overflows a float"):
+                scan((0.1, 0.2), 10**6, 2, exponent)
+
+    def test_nan_exponent_is_bad_params(self):
+        for scan in (classify_arc, arc_membership_brute_force):
+            with pytest.raises(BadParamsError):
+                scan((0.1, 0.2), 10**6, 2, math.nan)
+
+    def test_brute_force_scan_is_budgeted(self):
+        # 2 * 10^9 box tests exceed the default budget: refused, not scanned
+        with pytest.raises(BudgetExceededError):
+            arc_membership_brute_force((0.1, 0.2), 10**6, 2, 1.5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_is_bad_params(self, bad):
         with pytest.raises(BadParamsError):

@@ -14,7 +14,7 @@ from circlecount import (
     uniformity_parameter,
     weyl_chain_check,
 )
-from circlecount.budget import INT64_SAFE, Budget
+from circlecount.budget import FLOAT64_EXACT, INT64_SAFE, Budget
 from circlecount.errors import BudgetExceededError
 
 
@@ -120,23 +120,62 @@ def collapse_dtypes(monkeypatch):
     return dtypes
 
 
+def _half_window(n: int, seed: int) -> SetWindow:
+    """Exactly floor(n/2) elements, so every balanced value has magnitude
+    about N/2 and their absolute sum is the largest any window reaches."""
+    return SetWindow.from_elements(n, random.Random(seed).sample(range(1, n + 1), n // 2))
+
+
+def _forced(monkeypatch, window, degree, dtype):
+    """difference_sum with the tiers above ``dtype`` (int64 or object) refused."""
+    with monkeypatch.context() as m:
+        m.setattr(gowers, "fits_float64", lambda bound: False)
+        if dtype is object:
+            m.setattr(gowers, "fits_int64", lambda bound: False)
+        return difference_sum(window, degree)
+
+
 class TestBigIntegerPath:
     @pytest.mark.parametrize("degree, sizes", [
         (1, (2, 9, 30)), (2, (3, 8, 20)), (3, (3, 6, 12)), (4, (3, 4, 12)),
     ], ids=["k1", "k2", "k3", "k4"])
     def test_forced_object_path_agrees(self, monkeypatch, collapse_dtypes,
                                        degree, sizes):
+        # the default tier, forced int64 and forced big integers agree
         rnd = random.Random(degree)
         windows = [SetWindow(n, rnd.getrandbits(n) or 1) for n in sizes]
         expected = [difference_sum(w, degree) for w in windows]
-        assert set(collapse_dtypes) == {np.int64}
-        del collapse_dtypes[:]
-        monkeypatch.setattr(gowers, "fits_int64", lambda bound: False)
-        assert [difference_sum(w, degree) for w in windows] == expected
-        assert set(collapse_dtypes) == {object}
+        assert collapse_dtypes == [
+            np.float64 if w.length ** (2**degree + 1) < FLOAT64_EXACT else np.int64
+            for w in windows
+        ]
+        for dtype in (np.int64, object):
+            del collapse_dtypes[:]
+            got = [_forced(monkeypatch, w, degree, dtype) for w in windows]
+            assert got == expected
+            assert set(collapse_dtypes) == {dtype}
         for w, ds in zip(windows, expected):
             if w.length ** (degree + 1) <= 10**4:
                 assert ds == difference_sum_naive(w, degree)
+
+    @pytest.mark.parametrize("degree, largest", [(3, 59), (4, 8), (2, 1552)])
+    def test_float64_boundary(self, collapse_dtypes, degree, largest):
+        # float64 holds N^(2^k + 1) exactly up to ``largest``; one past it, a
+        # density-1/2 window's sums still fit, so every tier must agree on
+        # both sides (big integers only where they finish quickly)
+        assert largest ** (2**degree + 1) < FLOAT64_EXACT
+        assert (largest + 1) ** (2**degree + 1) >= FLOAT64_EXACT
+        for n, dtype in ((largest, np.float64), (largest + 1, np.int64)):
+            w = _half_window(n, seed=n)
+            ds = difference_sum(w, degree)
+            assert collapse_dtypes.pop() is dtype
+            values = balanced_function(w).values
+            others = {np.float64, np.int64, object} - {dtype}
+            if degree == 2:
+                others.discard(object)
+            for other in others:
+                scaled = gowers._collapse_scaled(values, degree, other)
+                assert ds == Fraction(scaled, n ** (2 ** (degree + 1)))
 
     @pytest.mark.parametrize("degree, largest", [(3, 118), (4, 12)])
     def test_dtype_boundary(self, collapse_dtypes, degree, largest):
@@ -153,6 +192,13 @@ class TestBigIntegerPath:
             values = balanced_function(w).values
             scaled = gowers._collapse_scaled(values, degree, other)
             assert ds == Fraction(scaled, n ** (2 ** (degree + 1)))
+
+    def test_benchmark_sizes_run_on_float64(self, collapse_dtypes):
+        # work gate: the sizes of the uniformity sweep stay on the float64
+        # tier, so a fall back to int64 fails here on any host
+        difference_sum(random_density_window(768, 0.5, seed=1), 2)
+        weyl_chain_check(random_density_window(4096, 0.5, seed=2), 1, [(0.25,)])
+        assert collapse_dtypes == [np.float64, np.float64]
 
 
 class TestUniformityParameter:
