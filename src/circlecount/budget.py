@@ -11,8 +11,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_OPS = 10**9
@@ -38,8 +36,9 @@ def fits_float64(bound: int) -> bool:
 
 def entry_bytes(dtype, bound: int) -> int:
     """Bytes one array entry of magnitude at most ``bound`` takes: the int64,
-    or an ``object`` pointer plus the Python integer it points to."""
-    return 8 if dtype == np.int64 else 8 + sys.getsizeof(bound)
+    or an ``object`` pointer plus the Python integer it points to.  Compared
+    without numpy: ``object`` and ``np.dtype(object)`` both equal ``object``."""
+    return 8 + sys.getsizeof(bound) if dtype == object else 8
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _window_from_args(args) -> SetWindow:
     if getattr(args, "set", None):
         return load_set(args.set)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         return SetWindow.full(args.n)
     raise BadParamsError("provide --set FILE or --n N")
 
@@ -191,7 +191,7 @@ def cmd_gowers(args, budget):
 def cmd_expsum(args, budget):
     alpha = _parse_floats(args.alpha)
     if args.which == "g":
-        if not args.n:
+        if args.n is None:
             raise BadParamsError("expsum g needs --n")
         val = eval_g(args.n, alpha)
     else:

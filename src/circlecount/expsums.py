@@ -4,11 +4,12 @@ and the major/minor arc classifier.
 Phase points are vectors (alpha_1, ..., alpha_k) in ascending degree order:
 alpha_j multiplies x^j.  ``_exp_sum`` is the one float phase sum, behind f, g,
 E and the quadrature of w; it sums a block of phase points at once, and
-``eval_E_batch`` evaluates E at many points over one decoded window.  All
-complex sums use pairwise (tree) summation with fixed bracketing, so repeated
-runs, and batched or single evaluation, produce bit-identical values.  The
-complete sums S(q, b) come from one table, ``complete_sums``, over exact
-residues mod q; only their q-th roots of unity involve floating point.
+``eval_E_batch`` evaluates E at many points in one pass over 1..N, weighting
+each term by the balanced function delta_N - 1_A(x).  All complex sums use
+pairwise (tree) summation with fixed bracketing, so repeated runs, and batched
+or single evaluation, produce bit-identical values.  The complete sums S(q, b)
+come from one table, ``complete_sums``, over exact residues mod q; only their
+q-th roots of unity involve floating point.
 """
 
 from __future__ import annotations
@@ -125,27 +126,20 @@ def eval_v(window: SetWindow, alpha: Sequence[float]) -> complex:
 
 
 def eval_E_batch(window: SetWindow, phases: Sequence[Sequence[float]]) -> list[complex]:
-    """E(alpha) = v(alpha) - f(alpha) at each row of the P x k block ``phases``,
-    decoding the window once.  Each value is bit-identical to a single-point
-    evaluation; the phase sums run in blocks of at most 4096 terms (see
-    ``_exp_sum``), so memory does not grow with P."""
-    reduced = [reduce_phase(alpha) for alpha in phases]
-    g = _exp_sum(np.arange(1, window.length + 1), reduced)
-    f = _exp_sum(window.elements(), reduced)
-    delta = window.cardinality / window.length
-    return [delta * gi - fi for gi, fi in zip(g, f)]
+    """E(alpha) = sum_{1<=x<=N} (delta_N - 1_A(x)) e(alpha_1 x + ... + alpha_k x^k)
+    at each row of the P x k block ``phases``: one weighted phase sum over
+    1..N, with the balanced function's weights (|A| - N 1_A(x)) / N.  Each
+    value is bit-identical to a single-point evaluation; the phase sums run
+    in blocks of at most 4096 terms (see ``_exp_sum``), so memory does not
+    grow with P."""
+    n = window.length
+    weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
+    return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha) for alpha in phases], weights)
 
 
 def eval_E(window: SetWindow, alpha: Sequence[float]) -> complex:
     """E(alpha) = v(alpha) - f(alpha), the balanced-function exponential sum."""
     return eval_E_batch(window, [alpha])[0]
-
-
-def eval_E_balanced(window: SetWindow, alpha: Sequence[float]) -> complex:
-    """Direct evaluation of E via the balanced function (identity cross-check)."""
-    n = window.length
-    weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
-    return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha)], weights)[0]
 
 
 def complete_sums(q: int, vecs) -> np.ndarray:

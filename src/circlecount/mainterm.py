@@ -123,13 +123,14 @@ class BigLogNumber:
         return BigLogNumber(self.sign * other.sign, mag, exact)
 
     def power(self, exponent) -> "BigLogNumber":
-        """Raise to an integer, Fraction, or float power (value must be > 0
-        unless the exponent is a nonnegative integer)."""
+        """Raise to an integer, Fraction, or float power.  A zero base needs
+        a nonnegative exponent, with 0^0 = 1; a negative base needs an
+        integer exponent."""
         rational = isinstance(exponent, (int, Fraction))
         if self.sign == 0:
-            if rational and exponent > 0:
-                return BigLogNumber.zero()
-            raise BadParamsError("zero to a non-positive power")
+            if exponent < 0:
+                raise BadParamsError("zero to a negative power")
+            return BigLogNumber.from_int(1) if exponent == 0 else BigLogNumber.zero()
         if self.sign < 0 and not isinstance(exponent, int):
             raise BadParamsError("negative base needs an integer exponent")
         exact = None

@@ -99,6 +99,22 @@ def test_bad_numbers_exit3(args, quad6_file):
     assert "Traceback" not in proc.stderr and "error: " in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["expsum", "g", "--n", "0", "--alpha", "0.1"], "n must be >= 1"),
+        (["expsum", "E", "--n", "0", "--alpha", "0.1"], "window length must be >= 1"),
+        (["count", "--system", "QUAD4", "--n", "0"], "window length must be >= 1"),
+    ],
+)
+def test_n_zero_reports_its_bound(args, message, quad4_file):
+    # --n 0 is given, not missing: the error names the bound it breaks
+    proc = run_cli(*[quad4_file if a == "QUAD4" else a for a in args])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"error: {message}" in proc.stderr
+
+
 def test_count_json(quad4_file):
     proc = run_cli("count", "--system", quad4_file, "--n", "3")
     res = result_of(proc)

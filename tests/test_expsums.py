@@ -15,6 +15,8 @@ from circlecount import (
     eval_E_batch,
     eval_f,
     eval_g,
+    eval_v,
+    expsums,
     major_arc_approx_check,
     oscillatory_w,
     random_density_window,
@@ -30,7 +32,6 @@ from circlecount.expsums import (
     arc_membership_brute_force,
     closed_form_w_linear,
     complete_sums,
-    eval_E_balanced,
     reduce_phase,
 )
 from circlecount.gowers import uniformity_parameter
@@ -79,8 +80,8 @@ class TestEvalFAndE:
         assert eval_E(w, (0.5,)) == pytest.approx(1.0)
 
     def test_E_matches_balanced_sum(self):
-        # identity E = delta g - f = sum of the balanced function against the
-        # phases, at 10^4 random (window, alpha) pairs
+        # identity: the balanced-function sum E equals v - f = delta g - f,
+        # at 10^4 random (window, alpha) pairs
         rnd = random.Random(23)
         windows = [
             random_density_window(rnd.randint(2, 32), rnd.random(), seed=i)
@@ -91,7 +92,7 @@ class TestEvalFAndE:
             for _ in range(100):
                 alpha = (rnd.random(), rnd.random())
                 lhs = eval_E(w, alpha)
-                rhs = eval_E_balanced(w, alpha)
+                rhs = eval_v(w, alpha) - eval_f(w, alpha)
                 assert abs(lhs - rhs) <= 1e-9 * w.length
 
 
@@ -139,9 +140,14 @@ def _literal_complete_sum(q, a, lam):
 
 
 def _literal_E(window, alpha):
-    n, red = window.length, reduce_phase(alpha)
-    g = _literal_exp_sum(np.arange(1, n + 1), red)
-    return (window.cardinality / n) * g - _literal_exp_sum(window.elements(), red)
+    """E at one phase point as its definition: the weights
+    (|A| - N 1_A(x)) / N times the terms over 1..N, in one tree."""
+    n = window.length
+    weights = np.array(
+        [window.cardinality - n * window.indicator(x) for x in range(1, n + 1)],
+        dtype=np.float64,
+    ) / n
+    return _literal_exp_sum(np.arange(1, n + 1), reduce_phase(alpha), weights)
 
 
 def _literal_classify_arc(alpha, n, k, exponent_override=None):
@@ -183,6 +189,7 @@ class TestBatchedSums:
             (SetWindow.empty(300), 2, 5),
             (SetWindow.full(300), 2, 5),
             (SetWindow.full(1), 3, 4),
+            (random_density_window(17, 0.5, seed=4), 2, 6),  # odd length
         ]
         for w, k, count in cases:
             phases = self._phases(rnd, count, k) + [(0.0,) * k]
@@ -197,16 +204,27 @@ class TestBatchedSums:
             for alpha in self._phases(rnd, 3, 3):
                 red = reduce_phase(alpha)
                 xs = np.arange(1, n + 1)
-                weights = np.asarray(
-                    [w.cardinality - n * w.indicator(x) for x in range(1, n + 1)],
-                    dtype=np.float64,
-                ) / n
                 assert _hex(eval_g(n, alpha)) == _hex(_literal_exp_sum(xs, red))
                 assert _hex(eval_f(w, alpha)) == _hex(_literal_exp_sum(w.elements(), red))
                 assert _hex(eval_E(w, alpha)) == _hex(_literal_E(w, alpha))
-                assert _hex(eval_E_balanced(w, alpha)) == _hex(
-                    _literal_exp_sum(xs, red, weights)
-                )
+
+    def test_E_batch_is_one_weighted_pass(self, monkeypatch):
+        # one phase sum over 1..N with the balanced weights, not g and f
+        calls, real = [], expsums._exp_sum
+
+        def spy(points, phases, weights=None):
+            calls.append((points, weights))
+            return real(points, phases, weights)
+
+        monkeypatch.setattr(expsums, "_exp_sum", spy)
+        w = random_density_window(300, 0.4, seed=5)
+        eval_E_batch(w, self._phases(random.Random(67), 9, 2))
+        assert len(calls) == 1
+        points, weights = calls[0]
+        assert points.tolist() == list(range(1, 301))
+        assert weights.tolist() == [(w.cardinality - 300 * w.indicator(x)) / 300
+                                    for x in range(1, 301)]
+        assert not hasattr(expsums, "eval_E_balanced")
 
     def test_weyl_chain_equals_per_phase_loop(self):
         rnd = random.Random(61)

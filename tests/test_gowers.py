@@ -235,3 +235,19 @@ class TestWeylChain:
         rep = weyl_chain_check(w, 2, phases)
         assert rep.chain_holds and rep.supnorm_holds
         assert rep.max_ratio <= 1.0
+
+    def test_violations_are_reported(self, monkeypatch):
+        # sums above the chain's root ((2N)^(p-k-2) D)^(1/p), p = 8, then
+        # above the sup-norm bound: the chain bound is the sharper of the
+        # two, so the first sums break it alone
+        w = random_density_window(48, 0.4, seed=2)
+        par = uniformity_parameter(w, 2)
+        chain_root = (96.0 ** 4 * float(par.difference_sum)) ** (1 / 8)
+        bound = 2.0 * float(par.parameter) ** (1 / 8) * 48
+        assert chain_root < bound
+        for values, sup in (([0j, 1.01j * chain_root], True),
+                            ([1.01 * bound + 0j, 0.5j * bound], False)):
+            monkeypatch.setattr(gowers, "eval_E_batch", lambda window, phases: values)
+            rep = weyl_chain_check(w, 2, [(0.1, 0.2)] * len(values))
+            assert not rep.chain_holds and rep.supnorm_holds == sup
+            assert rep.max_ratio == max(abs(v) for v in values) / bound

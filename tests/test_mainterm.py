@@ -52,6 +52,8 @@ class TestBigLogNumber:
         assert float(m.power(2)) == 4.0
         with pytest.raises(BadParamsError):
             m.power(Fraction(1, 2))
+        with pytest.raises(BadParamsError):
+            BigLogNumber(2, 1)
 
     def test_comparisons(self):
         vals = [
@@ -111,6 +113,48 @@ class TestBigLogNumber:
             direct = BigLogNumber.from_fraction(Fraction(base) ** exponent)
             assert powered.level == direct.level == level
             assert powered.exact == direct.exact
+
+    def test_zero_power(self):
+        # 0^0 is the exact 1, as for int and Fraction; any positive exponent
+        # gives zero, and a negative one raises
+        zero = BigLogNumber.zero()
+        for exponent in (0, Fraction(0), 0.0):
+            one = zero.power(exponent)
+            assert (one.sign, one.exact, float(one)) == (1, 1, 1.0)
+        for exponent in (1, 3, Fraction(1, 2), 0.5):
+            assert zero.power(exponent).to_json_dict() == zero.to_json_dict()
+        for exponent in (-1, Fraction(-1, 2), -0.5):
+            with pytest.raises(BadParamsError, match="negative"):
+                zero.power(exponent)
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: BigLogNumber.from_fraction(Fraction(0)).to_json_dict(),
+             {"sign": 0, "level": 0, "log2_magnitude": "0.0", "exact": "0"}),
+            (lambda: BigLogNumber(-1, 3).to_json_dict(),
+             {"sign": -1, "level": 1, "log2_magnitude": "3.0"}),
+            (lambda: float(BigLogNumber.zero()), 0.0),
+            (lambda: float(BigLogNumber.from_int(2**2000)), math.inf),
+            (lambda: float(BigLogNumber(1, 2**20)), math.inf),
+            (lambda: float(BigLogNumber(-1, 2**20)), -math.inf),
+            (lambda: str(float(BigLogNumber(1, -(2**20)))), "0.0"),
+            (lambda: str(float(BigLogNumber(-1, -(2**20)))), "-0.0"),
+            (lambda: (BigLogNumber.zero() * BigLogNumber.from_int(5)).to_json_dict(),
+             BigLogNumber.zero().to_json_dict()),
+            (lambda: BigLogNumber.from_int(2).__mul__(3), NotImplemented),
+            (lambda: BigLogNumber.from_int(2) <= BigLogNumber.from_int(2), True),
+            (lambda: BigLogNumber.from_int(3) <= BigLogNumber.from_int(2), False),
+            (lambda: repr(BigLogNumber.from_fraction(Fraction(-3, 4))),
+             "BigLogNumber(-3/4)"),
+            (lambda: repr(BigLogNumber(1, 5000)), "BigLogNumber(sign=1, log2=5000.0)"),
+            (lambda: BigLogNumber.zero().log2_of_abs_log2, None),
+            (lambda: BigLogNumber(1, mpmath.mpf(2) ** 200).to_json_dict()["log2_of_abs_log2"],
+             "200.0"),
+        ],
+    )
+    def test_edge_branches(self, make, expected):
+        assert make() == expected
 
 
 class TestConstants:

@@ -1,11 +1,11 @@
 """No function in the package imports anything: modules import each other at
 module level only, so the import graph is explicit, and a cycle in it fails
-at import time instead of hiding inside a function body.  The window and
-system modules stay free of numpy, directly and through the package modules
-they import, so that commands needing only them can start without it.  The
-one cache decorator in the package is on the partition histogram, which
-depends on the coefficients alone; every other count lives in the call that
-makes it."""
+at import time instead of hiding inside a function body.  The budget,
+error, system and window modules stay free of numpy and mpmath, directly and
+through the package modules they import, so that commands needing only them
+can start without either.  The one cache decorator in the package is on the
+partition histogram, which depends on the coefficients alone; every other
+count lives in the call that makes it."""
 
 import ast
 from pathlib import Path
@@ -55,8 +55,8 @@ def _imports(path):
     return absolute, relative
 
 
-def test_windows_and_system_import_no_numpy():
-    for name in ("windows", "system"):
+def test_pure_python_modules_import_neither_numpy_nor_mpmath():
+    for name in ("budget", "errors", "system", "windows"):
         seen, todo, reached = set(), [name], set()
         while todo:
             module = todo.pop()
@@ -66,4 +66,4 @@ def test_windows_and_system_import_no_numpy():
             absolute, relative = _imports(SRC / f"{module}.py")
             reached |= absolute
             todo.extend(relative)
-        assert "numpy" not in reached, (name, sorted(seen))
+        assert not reached & {"numpy", "mpmath"}, (name, sorted(seen))
