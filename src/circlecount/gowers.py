@@ -15,15 +15,27 @@ which also shows the quantity is nonnegative.  Zero-extension of the balanced
 function makes this equal to the interval-restricted sum: any term with an
 argument outside [1, N] vanishes.
 
-Zero-extension also makes every level of the recursion invariant under
-translation, which the evaluator uses twice.  The product c(x) c(x+w) at shift
--w is a translate of the product c(x) c(x-w) at +w, so the shift loop runs
-over w >= 0 and doubles the w > 0 terms; and the product at shift w lives on
-N - w points, so the recursion passes that trimmed slice.  The leaf's
-autocorrelation is symmetric too, so it squares only the centre and the right
-half.  Each level thus sums the work of the level below over support lengths
-1..N: the multiply-adds total at most N^(k+1), about 2 N^(k+1) / (k+1)!, and
-the budget estimate N^(k+1) bounds the work from above.
+Unrolled, the sum is sum_{w in Z^k} D(w)^2 with the k-fold difference sum
+D(w) = sum_x prod_{S subset of [k]} c(x + sum_{i in S} w_i), and D has two
+symmetries.  Negating one shift w_i leaves D unchanged: translate x by w_i.
+Permuting the shifts leaves it unchanged too, because the cube
+{sum_{i in S} w_i} is the same set.  So the evaluator runs over sorted shifts
+0 <= w_1 <= ... <= w_k alone and weights D(w)^2 by the size of its orbit,
+2^(number of nonzero w_i) k! / prod r_j!, where the r_j are the lengths of
+the runs of equal shifts.  Level i forms the product c(x) c(x + w_i) of the
+level above; zero-extension makes it a translate of the product at -w_i, and
+it lives on N - w_i points, so the recursion passes that trimmed slice.  The
+leaf correlates only the lags w_k >= w_(k-1): a lag equal to w_(k-1) extends
+its run and every larger lag starts a run of one, so the leaf needs two
+weights, which stay Python integers.
+
+The leaf below shifts w_1..w_(k-1) correlates two slices of length
+p = N - w_1 - ... - w_(k-2) - 2 w_(k-1), in p^2 multiply-adds.  In the gaps
+u_j = w_j - w_(j-1) >= 0 that is p = N - (k u_1 + (k-1) u_2 + ... + 2 u_(k-1)),
+so the multiply-adds total about 2 N^(k+1) / ((k+1)! k!): N^3 / 6 at k = 2
+and N^4 / 72 at k = 3, k! times fewer than the 2 N^(k+1) / (k+1)! of a
+recursion that uses the sign symmetry alone.  The budget estimate N^(k+1)
+bounds the work from above.
 
 The recursion runs on one of three exact dtypes, chosen once per call from
 the bound N^(2^k + 1) = N (N^(2^(k-1)))^2.  After the k - 1 product levels
@@ -45,7 +57,7 @@ integers.
 
 A naive evaluator of the literal (k+2)-fold sum with the translated-interval
 restriction is kept for cross-checking; it uses neither the collapse nor the
-symmetry nor the trimming.
+symmetries nor the trimming.
 """
 
 from __future__ import annotations
@@ -79,20 +91,35 @@ class UniformityReport:
 
 def _collapse_scaled(values: Sequence[int], k: int, dtype: type) -> int:
     """Integer numerator of the difference sum: the collapse-identity recursion
-    on the balanced values held as ``dtype`` (np.float64, np.int64 or object)."""
+    over sorted shifts on the balanced values held as ``dtype`` (np.float64,
+    np.int64 or object)."""
 
-    def rec(c: np.ndarray, depth: int) -> int:
+    def rec(c: np.ndarray, depth: int, lo: int, run: int, weight: int) -> int:
+        # c is the product over the i - 1 shifts chosen so far, the last of
+        # them lo, which ends a run of ``run`` equal shifts; ``weight`` is
+        # their 2^(#nonzero) (i - 1)! / prod r_j!.  Choosing w_i multiplies
+        # it by i / r (r the length of w_i's run) and by 2 if w_i > 0.
+        i = k - depth + 1
         if depth == 1:
-            ac = np.correlate(c, c, "full")[len(c) - 1 :]
+            p = len(c) - lo
+            ac = np.correlate(c[lo:], c[:p], "full")[p - 1 :]
             if ac.dtype == np.float64:
                 ac = ac.astype(np.int64)
             ac = ac.tolist()
-            return 2 * sum(map(operator.mul, ac, ac)) - ac[0] ** 2
+            tie = weight * i // (run + 1) * (2 if lo else 1)
+            new = 2 * weight * i
+            return new * sum(map(operator.mul, ac, ac)) - (new - tie) * ac[0] ** 2
         n = len(c)
-        shifted = sum(rec(c[w:] * c[: n - w], depth - 1) for w in range(1, n))
-        return rec(c * c, depth - 1) + 2 * shifted
+        total = 0
+        # the depth shifts left are all >= w and the leaf's first lag must
+        # fall inside its slice, so w * depth < n
+        for w in range(lo, (n + depth - 1) // depth):
+            r = run + 1 if w == lo else 1
+            child = weight * i // r * (2 if w else 1)
+            total += rec(c[w:] * c[: n - w], depth - 1, w, r, child)
+        return total
 
-    return rec(np.asarray(values, dtype=dtype), k)
+    return rec(np.asarray(values, dtype=dtype), k, 0, 0, 1)
 
 
 def difference_sum(

@@ -171,11 +171,9 @@ class BigLogNumber:
                 return float(self.exact)
             except OverflowError:
                 pass
+        # float() of an mpf past the float range is +-inf or +-0.0
         with mpmath.workprec(_PREC):
-            try:
-                return float(self.sign * mpmath.power(2, self.log2_magnitude))
-            except (OverflowError, ValueError):
-                return math.inf * self.sign if self.log2_magnitude > 0 else 0.0
+            return float(self.sign * mpmath.power(2, self.log2_magnitude))
 
     def to_json_dict(self) -> dict:
         out: dict = {"sign": self.sign, "level": self.level}

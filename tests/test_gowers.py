@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from circlecount import (
     uniformity_parameter,
     weyl_chain_check,
 )
-from circlecount.budget import FLOAT64_EXACT, INT64_SAFE, Budget
+from circlecount.budget import FLOAT64_EXACT, INT64_SAFE, Budget, fits_float64, fits_int64
 from circlecount.errors import BudgetExceededError
 
 
@@ -104,6 +106,14 @@ class TestCollapseIdentity:
         for mask in range(1, 1 << n):
             w = SetWindow(n, mask)
             assert difference_sum(w, 3) == difference_sum_naive(w, 3)
+
+    def test_random_k4(self):
+        # k = 4 is the first degree whose sorted shifts have runs of 2 + 2,
+        # 3 + 1 and 4 equal shifts, so every multinomial weight is used
+        rnd = random.Random(17)
+        for n in (3, 3, 4, 5):
+            w = SetWindow(n, rnd.getrandbits(n) or 1)
+            assert difference_sum(w, 4) == difference_sum_naive(w, 4)
 
 
 @pytest.fixture
@@ -199,6 +209,101 @@ class TestBigIntegerPath:
         difference_sum(random_density_window(768, 0.5, seed=1), 2)
         weyl_chain_check(random_density_window(4096, 0.5, seed=2), 1, [(0.25,)])
         assert collapse_dtypes == [np.float64, np.float64]
+
+
+def _sign_only_collapse(values, k: int, dtype) -> int:
+    """The collapse recursion that uses only the sign symmetry of the shifts:
+    each product level runs over w >= 0 and doubles the w > 0 terms, and the
+    leaf squares its full autocorrelation."""
+
+    def rec(c, depth):
+        if depth == 1:
+            ac = np.correlate(c, c, "full")[len(c) - 1 :]
+            if ac.dtype == np.float64:
+                ac = ac.astype(np.int64)
+            ac = ac.tolist()
+            return 2 * sum(map(operator.mul, ac, ac)) - ac[0] ** 2
+        n = len(c)
+        shifted = sum(rec(c[w:] * c[: n - w], depth - 1) for w in range(1, n))
+        return rec(c * c, depth - 1) + 2 * shifted
+
+    return rec(np.asarray(values, dtype=dtype), k)
+
+
+def _admissible_dtypes(n: int, k: int) -> list:
+    bound = n ** (2**k + 1)
+    dtypes = [object]
+    if fits_int64(bound):
+        dtypes.append(np.int64)
+    if fits_float64(bound):
+        dtypes.append(np.float64)
+    return dtypes
+
+
+@pytest.fixture
+def correlations(monkeypatch):
+    """Record (len(a), len(v)) of every np.correlate call."""
+    sizes = []
+    real = np.correlate
+
+    def spy(a, v, mode):
+        sizes.append((len(a), len(v)))
+        return real(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    return sizes
+
+
+def _leaf_sizes(n: int, k: int) -> list:
+    """Leaf length p = n - (k u_1 + (k-1) u_2 + ... + 2 u_{k-1}) wherever it is
+    positive, over the gaps u_j = w_j - w_{j-1} >= 0 of the sorted shifts."""
+    sizes = (n - sum(map(operator.mul, range(k, 1, -1), gaps))
+             for gaps in itertools.product(range(n), repeat=k - 1))
+    return [p for p in sizes if p >= 1]
+
+
+class TestSortedShiftCollapse:
+    @pytest.mark.parametrize("degree, sizes", [
+        (1, (1, 2, 17, 60)), (2, (1, 3, 12, 40)), (3, (2, 7, 20, 59, 60)),
+        (4, (2, 5, 8, 9)),
+    ], ids=["k1", "k2", "k3", "k4"])
+    def test_equals_sign_only_recursion(self, degree, sizes):
+        # empty, full, singleton and seeded windows on every admissible dtype;
+        # 59 at k = 3 and 8 at k = 4 are the last float64 sizes
+        rnd = random.Random(100 + degree)
+        for n in sizes:
+            windows = [SetWindow.empty(n), SetWindow.full(n),
+                       SetWindow.from_elements(n, [rnd.randint(1, n)]),
+                       SetWindow(n, rnd.getrandbits(n)),
+                       random_density_window(n, 0.5, seed=n)]
+            for w in windows:
+                values = balanced_function(w).values
+                for dtype in _admissible_dtypes(n, degree):
+                    assert gowers._collapse_scaled(values, degree, dtype) == (
+                        _sign_only_collapse(values, degree, dtype)), (n, dtype)
+
+    @pytest.mark.parametrize("degree, n", [(2, 200), (3, 40)])
+    def test_leaf_work(self, correlations, degree, n):
+        # work gate: one leaf correlation of two length-p slices per sorted
+        # shift tuple, so a fall back to the sign-only recursion fails here
+        # whatever the host speed
+        w = random_density_window(n, 0.5, seed=n)
+        difference_sum(w, degree)
+        leaves = _leaf_sizes(n, degree)
+        assert all(a == v for a, v in correlations)
+        assert len(correlations) == len(leaves)
+        assert sum(a * v for a, v in correlations) == sum(p * p for p in leaves)
+        if degree == 2:
+            # N/2 leaves of lengths N, N - 2, ..., 2 at even N
+            assert len(leaves) == n // 2
+            assert sum(p * p for p in leaves) == n * (n + 1) * (n + 2) // 6
+        else:
+            # the sign-only recursion has N(N+1)/2 leaves at k = 3
+            sorted_calls = len(correlations)
+            del correlations[:]
+            _sign_only_collapse(balanced_function(w).values, degree, np.float64)
+            assert len(correlations) == n * (n + 1) // 2
+            assert 3 * sorted_calls <= len(correlations)
 
 
 class TestUniformityParameter:
