@@ -2,11 +2,12 @@
 
 Two counting engines share one contract:
 
-* ``naive`` scans the full grid A^s and classifies every solution tuple;
-* ``mitm`` splits the variables in half and joins power-sum keys, trading
-  A^s work for A^ceil(s/2) time and key storage.  Triviality cannot be
-  decided per tuple in the joined stream, so the trivial count comes from the
-  exact value-class partition formula instead.
+* ``mitm`` joins the power-sum keys of the two variable halves in
+  A^ceil(s/2) time and key storage, and takes the trivial count from the
+  exact value-class partition formula, as the joined stream cannot classify
+  tuples.  Counts use it up to arity ``MAX_PARTITION_ARITY``;
+* ``naive`` scans the full grid A^s and classifies every solution tuple; it
+  serves ``naive`` counts, streams and the arities above that cap.
 
 The scan builds the power sums of the trailing s-1 variables once over
 A^(s-1) and, for each leading value in ascending order, masks the tuples that
@@ -37,6 +38,7 @@ from .system import DiagonalSystem, mirrored, value_classes_zero_sum
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
+MAX_PARTITION_ARITY = 12  # largest arity whose set partitions are enumerated
 
 
 @dataclass(frozen=True)
@@ -224,10 +226,9 @@ def trivial_count(system: DiagonalSystem, cardinality: int) -> int:
     """
     if cardinality < 0:
         raise BadParamsError("cardinality must be >= 0")
-    if system.arity > 12:
-        raise ArityTooLargeError(
-            f"set-partition enumeration supports arity <= 12, got {system.arity}"
-        )
+    if system.arity > MAX_PARTITION_ARITY:
+        raise ArityTooLargeError(f"set-partition enumeration supports arity <= "
+                                 f"{MAX_PARTITION_ARITY}, got {system.arity}")
     hist = _zero_sum_partition_histogram(system.coefficients)
     return sum(n * math.perm(cardinality, r) for r, n in hist)
 
@@ -240,15 +241,14 @@ def count_solutions(
 ) -> SolutionTally:
     """Count ordered solution tuples in A^s, split into trivial/nontrivial.
 
-    ``naive`` classifies tuple by tuple; ``mitm`` joins power-sum keys of the
-    two variable halves and takes the trivial count from the partition
-    formula.  ``auto`` picks naive for small grids, mitm otherwise.
+    ``mitm`` joins the power-sum keys of the two variable halves and takes the
+    trivial count from the partition formula; ``naive`` classifies each tuple.
+    ``auto`` is the join, or the scan above arity ``MAX_PARTITION_ARITY``.
     """
     if method not in ("naive", "mitm", "auto"):
         raise BadParamsError(f"unknown method {method!r}")
     if method == "auto":
-        grid = max(window.cardinality, 1) ** system.arity
-        method = "naive" if grid <= 10**6 else "mitm"
+        method = "mitm" if system.arity <= MAX_PARTITION_ARITY else "naive"
     if method == "naive":
         total = trivial = 0
         for tup in _solutions(system, window.elements(), budget, "naive count"):
@@ -306,7 +306,7 @@ def greedy_solution_free(
     window = SetWindow.empty(n)
     for x in range(1, n + 1):
         candidate = window.add(x)
-        tally = count_solutions(system, candidate, method="auto", budget=budget)
+        tally = count_solutions(system, candidate, budget=budget)
         if tally.nontrivial == 0:
             window = candidate
     return window

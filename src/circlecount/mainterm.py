@@ -430,7 +430,7 @@ def estimate_singular_integral_constant(
     )
     ratios = []
     for n in n_values:
-        tally = count_solutions(system, SetWindow.full(n), method="auto", budget=budget)
+        tally = count_solutions(system, SetWindow.full(n), budget=budget)
         ratios.append(tally.total / float(n) ** exponent / s_tr)
     spread = max(ratios) - min(ratios) if len(ratios) > 1 else abs(ratios[0]) * 0.5
     return CEstimate(

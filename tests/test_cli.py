@@ -124,6 +124,7 @@ def test_count_json(quad4_file):
 def test_count_budget_exit2(quad6_file):
     proc = run_cli("--budget", "10", "count", "--system", quad6_file, "--n", "7")
     assert proc.returncode == 2
+    assert "budget refused: mitm count" in proc.stderr
 
 
 def test_stream(quad6_file):

@@ -24,6 +24,7 @@ from circlecount.errors import ArityTooLargeError, BudgetExceededError
 from conftest import (
     brute_force_moment,
     brute_force_tally,
+    random_mirrored_system,
     random_system,
     random_window,
 )
@@ -149,7 +150,69 @@ class TestVinogradovMoment:
         assert vinogradov_moment(n, k, t) >= multiset_pairs
 
 
+def _recount_greedy(system, n):
+    """The greedy builder written out literally: keep x whenever the naive
+    scan finds no nontrivial solution in the window with x added."""
+    window = SetWindow.empty(n)
+    for x in range(1, n + 1):
+        candidate = window.add(x)
+        if count_solutions(system, candidate, "naive").nontrivial == 0:
+            window = candidate
+    return window
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Record the stage name of every naive scan the engines start."""
+    calls = []
+    real = enumeration._solutions
+
+    def spy(system, elems, budget, what):
+        calls.append(what)
+        return real(system, elems, budget, what)
+
+    monkeypatch.setattr(enumeration, "_solutions", spy)
+    return calls
+
+
+class TestEngineChoice:
+    def test_auto_joins_up_to_the_arity_cap(self, scan_calls):
+        rnd = random.Random(16)
+        for s in range(2, enumeration.MAX_PARTITION_ARITY + 1):
+            sys = random_system(rnd, s, rnd.randint(1, 3))
+            # size keeps the naive reference count below 10^5 tuples
+            size = min(20, max(2, int((10**5) ** (1 / s))))
+            w = SetWindow.from_elements(20, rnd.sample(range(1, 21), size))
+            tally = count_solutions(sys, w, "auto")
+            assert scan_calls == [], sys
+            assert tally == count_solutions(sys, w, "naive")
+            del scan_calls[:]
+
+    def test_greedy_never_scans(self, scan_calls, sys_quad6):
+        assert greedy_solution_free(sys_quad6, 30).cardinality < 30
+        assert scan_calls == []
+
+    def test_scan_above_the_arity_cap(self, scan_calls):
+        sys = validate_system(1, (3,) + (1,) * 5 + (-1,) * 8)
+        assert sys.arity == enumeration.MAX_PARTITION_ARITY + 2
+        w = SetWindow.from_elements(5, (2, 5))
+        tally = count_solutions(sys, w, "auto")
+        assert scan_calls == ["naive count"]
+        assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
+
+
 class TestGreedySolutionFree:
+    def test_equals_recount_oracle(self):
+        # n keeps every candidate grid the oracle scans below 10^7 tuples
+        rnd = random.Random(16)
+        for k in (1, 2, 3):
+            for half in (1, 2, 3):
+                for sys in (random_mirrored_system(rnd, half, k),
+                            random_system(rnd, 2 * half + 1, k)):
+                    n = min(24, int((10**7) ** (1 / sys.arity)))
+                    got = greedy_solution_free(sys, n)
+                    assert got == _recount_greedy(sys, n), (sys, n)
+
     def test_pair_system_keeps_everything(self):
         sys = validate_system(1, (1, -1))
         assert greedy_solution_free(sys, 10) == SetWindow.full(10)

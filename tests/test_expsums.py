@@ -368,13 +368,26 @@ class TestArcs:
         assert label.beta[0] == pytest.approx(-1e-7)
 
     def test_brute_force_agreement(self):
+        # uniform phases, nearly all minor, then phases a/q plus an offset
+        # inside the box, drawn as perfbench's near_rational_phase draws them
         rnd = random.Random(31)
         for n, override in [(50, 0.35), (200, 0.3), (10**4, None)]:
-            for _ in range(40):
-                alpha = (rnd.random(), rnd.random())
+            delta = override if override is not None else delta_exponent(2)
+            qmax = max(1, math.floor(n**delta))
+            phases = [(rnd.random(), rnd.random()) for _ in range(40)]
+            for _ in range(20):
+                q = rnd.randint(1, qmax)
+                phases.append(tuple(
+                    (rnd.randrange(q) / q
+                     + rnd.uniform(-0.9, 0.9) * n ** (delta - j) / q) % 1.0
+                    for j in (1, 2)))
+            members = 0
+            for alpha in phases:
                 got = classify_arc(alpha, n, 2, override) is not None
                 want = arc_membership_brute_force(alpha, n, 2, override)
-                assert got == want
+                assert got == want, (alpha, n, override)
+                members += want
+            assert members >= 1, (n, override)
 
     @staticmethod
     def _label_key(label):
