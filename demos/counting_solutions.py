@@ -3,8 +3,11 @@
 
 Walks through the two counting engines (full enumeration vs the
 meet-in-the-middle key join), the closed-form trivial count, solution
-streaming, and greedy construction of nontrivial-solution-free sets.
+streaming, greedy construction of nontrivial-solution-free sets, and a count
+at the paper's arity s0(2) = 42.
 """
+
+import math
 
 from circlecount import (
     SetWindow,
@@ -51,3 +54,10 @@ print("  t=1 forces x = y, so the count is N:",
       [vinogradov_moment(n, 2, 1) for n in (5, 10, 20)])
 print("  t=2, k=2 gives 2N^2 - N:",
       [(n, vinogradov_moment(n, 2, 2)) for n in (5, 10, 20)])
+
+print("\n== s = 42 = s0(2) variables over A = {3, 7} ==")
+# over two values every solution is trivial: choose the 21 variables set to 3
+wide = validate_system(2, (1,) * 21 + (-1,) * 21)
+tally = count_solutions(wide, SetWindow.from_elements(7, (3, 7)))
+print(f"  total={tally.total} trivial={tally.trivial} nontrivial={tally.nontrivial}")
+print(f"  C(42, 21) = {math.comb(42, 21)}")

@@ -5,9 +5,10 @@ Two counting engines share one contract:
 * ``mitm`` joins the power-sum keys of the two variable halves in
   A^ceil(s/2) time and key storage, and takes the trivial count from the
   exact value-class partition formula, as the joined stream cannot classify
-  tuples.  Counts use it up to arity ``MAX_PARTITION_ARITY``;
+  tuples.  ``auto`` is this join at every arity: a DP on the multiplicities
+  of the distinct coefficients gives that formula with no arity cap;
 * ``naive`` scans the full grid A^s and classifies every solution tuple; it
-  serves ``naive`` counts, streams and the arities above that cap.
+  serves ``naive`` counts and streams.
 
 The scan builds the power sums of the trailing s-1 variables once over
 A^(s-1) and, for each leading value in ascending order, masks the tuples that
@@ -33,12 +34,11 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
-from .errors import ArityTooLargeError, BadParamsError
+from .errors import BadParamsError
 from .system import DiagonalSystem, mirrored, value_classes_zero_sum
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
-MAX_PARTITION_ARITY = 12  # largest arity whose set partitions are enumerated
 
 
 @dataclass(frozen=True)
@@ -182,53 +182,60 @@ def _join_count(
     return sum(map(operator.mul, lmult[li].tolist(), rmult[ri].tolist()))
 
 
+def _zero_sum_blocks(values: Sequence[int], v: Sequence[int]) -> list:
+    """Pairs (b, prod_i C(v_i, b_i)) over the b <= v with sum_i b_i values_i
+    = 0, built one entry at a time; a prefix is dropped once its sum exceeds
+    what the values left can cancel."""
+    left = sum(abs(c) * n for c, n in zip(values, v))
+    out = [((), 0, 1)]
+    for c, n in zip(values, v):
+        left -= abs(c) * n
+        out = [(b + (j,), t + j * c, ways * math.comb(n, j))
+               for b, t, ways in out for j in range(n + 1) if abs(t + j * c) <= left]
+    return [(b, ways) for b, _, ways in out]
+
+
 @functools.lru_cache(maxsize=64)
 def _zero_sum_partition_histogram(
     coeffs: tuple[int, ...],
 ) -> tuple[tuple[int, int], ...]:
     """Pairs (block count, number of set partitions) over partitions of the
-    coefficient indices whose every block sums to zero."""
-    s = len(coeffs)
-    suffix_abs = [0] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        suffix_abs[i] = suffix_abs[i + 1] + abs(coeffs[i])
-    hist: dict[int, int] = {}
-    blocks: list[int] = []
-
-    def rec(i: int) -> None:
-        # each open block still needs |sum| absorbed by remaining coefficients
-        if sum(abs(b) for b in blocks) > suffix_abs[i]:
-            return
-        if i == s:
-            if all(b == 0 for b in blocks):
-                hist[len(blocks)] = hist.get(len(blocks), 0) + 1
-            return
-        c = coeffs[i]
-        for idx in range(len(blocks)):
-            blocks[idx] += c
-            rec(i + 1)
-            blocks[idx] -= c
-        blocks.append(c)
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return tuple(sorted(hist.items()))
+    coefficient indices whose every block sums to zero, by a DP on the vector
+    v of indices left per distinct coefficient, largest magnitude first: the
+    block of the first index left, of coefficient i0, is a zero-sum b <= v with
+    b_i0 >= 1, in C(v_i0 - 1, b_i0 - 1) * prod_{i != i0} C(v_i, b_i) ways, and
+    v - b, zero-sum and lexicographically before v, is partitioned after."""
+    values = sorted(set(coeffs), key=lambda c: (-abs(c), c))
+    mults = tuple(map(coeffs.count, values))
+    zero_sum = sorted(v for v, _ in _zero_sum_blocks(values, mults))
+    hist = {zero_sum[0]: {0: 1}}  # the empty multiset, lexicographically first
+    for v in zero_sum[1:]:
+        first = next(i for i, n in enumerate(v) if n)
+        row = hist[v] = {}
+        for b, ways in _zero_sum_blocks(values, v):
+            if b[first]:
+                ways = ways * b[first] // v[first]  # C(v_i0 - 1, b_i0 - 1)
+                for r, n in hist[tuple(map(operator.sub, v, b))].items():
+                    row[r + 1] = row.get(r + 1, 0) + ways * n
+    return tuple(sorted(hist[mults].items()))
 
 
-def trivial_count(system: DiagonalSystem, cardinality: int) -> int:
+def trivial_count(
+    system: DiagonalSystem, cardinality: int, budget: Budget = DEFAULT_BUDGET
+) -> int:
     """Exact number of trivial tuples drawable from a set of given cardinality.
 
     Sums, over set partitions of the variable indices whose blocks all have
     zero coefficient sum, the falling factorial |A|(|A|-1)...(|A|-r+1) with r
     the block count: that assigns distinct values to blocks, so each trivial
-    tuple is counted once, at its exact value-class partition.
+    tuple is counted once, at its exact value-class partition.  Checked first
+    (stage ``trivial count``): the DP's at most prod_i (m_i+1)(m_i+2)/2 pairs
+    (v, b), in Python iterations, m_i the multiplicities of the coefficients.
     """
     if cardinality < 0:
         raise BadParamsError("cardinality must be >= 0")
-    if system.arity > MAX_PARTITION_ARITY:
-        raise ArityTooLargeError(f"set-partition enumeration supports arity <= "
-                                 f"{MAX_PARTITION_ARITY}, got {system.arity}")
+    mults = map(system.coefficients.count, set(system.coefficients))
+    budget.check_ops(math.prod((m + 1) * (m + 2) // 2 for m in mults), "trivial count")
     hist = _zero_sum_partition_histogram(system.coefficients)
     return sum(n * math.perm(cardinality, r) for r, n in hist)
 
@@ -241,14 +248,12 @@ def count_solutions(
 ) -> SolutionTally:
     """Count ordered solution tuples in A^s, split into trivial/nontrivial.
 
-    ``mitm`` joins the power-sum keys of the two variable halves and takes the
-    trivial count from the partition formula; ``naive`` classifies each tuple.
-    ``auto`` is the join, or the scan above arity ``MAX_PARTITION_ARITY``.
+    ``mitm`` and ``auto`` join the power-sum keys of the two variable halves
+    and take the trivial count from the partition formula, checking both
+    estimates before any key is built; ``naive`` classifies each tuple.
     """
     if method not in ("naive", "mitm", "auto"):
         raise BadParamsError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "mitm" if system.arity <= MAX_PARTITION_ARITY else "naive"
     if method == "naive":
         total = trivial = 0
         for tup in _solutions(system, window.elements(), budget, "naive count"):
@@ -256,12 +261,10 @@ def count_solutions(
             trivial += value_classes_zero_sum(system, tup)
         return SolutionTally(total, trivial, total - trivial)
     elems, k, half = window.elements(), system.degree, (system.arity + 1) // 2
-    total = 0
-    if elems:
-        budget.check_ops(len(elems) ** half * k, "mitm count")
-        left, right = system.coefficients[:half], system.coefficients[half:]
-        total = _join_count(elems, left, right, k, budget, "mitm keys")
-    triv = trivial_count(system, window.cardinality)
+    budget.check_ops(len(elems) ** half * k, "mitm count")
+    triv = trivial_count(system, window.cardinality, budget)
+    left, right = system.coefficients[:half], system.coefficients[half:]
+    total = _join_count(elems, left, right, k, budget, "mitm keys") if elems else 0
     return SolutionTally(total, triv, total - triv)
 
 

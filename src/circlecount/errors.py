@@ -42,10 +42,6 @@ class BadIndicesError(ValidationError):
     """Index subset is not a valid k-subset of the variable indices."""
 
 
-class ArityTooLargeError(ValidationError):
-    """Arity too large for set-partition enumeration."""
-
-
 class NotCoprimeError(ValidationError):
     """Arguments required to be coprime are not."""
 

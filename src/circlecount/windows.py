@@ -104,7 +104,7 @@ def balanced_function(window: SetWindow) -> BalancedFunction:
 
 
 def parse_set_file(text: str) -> SetWindow:
-    """Parse the on-disk set format.
+    """Parse the on-disk set format; ``N`` and ``mask`` are whole tokens.
 
     Two forms, both starting with a header line ``N <value>``:
 
@@ -112,7 +112,7 @@ def parse_set_file(text: str) -> SetWindow:
     * a single line ``mask <hex>`` with bit i-1 marking membership of i.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("N"):
+    if not lines or lines[0].split()[0] != "N":
         raise ParseError('set file must start with a header line "N <value>"')
     head = lines[0].split()
     if len(head) != 2:
@@ -124,7 +124,7 @@ def parse_set_file(text: str) -> SetWindow:
     if n < 1:
         raise ParseError(f"N must be >= 1, got {n}")
     body = lines[1:]
-    if body and body[0].startswith("mask"):
+    if body and body[0].split()[0] == "mask":
         if len(body) != 1:
             raise ParseError("mask form takes exactly one mask line")
         parts = body[0].split()

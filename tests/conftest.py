@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized paths: plain
 nested loops and exact integer arithmetic only, so they stay valid reference
-points for the fast implementations.
+points for the fast implementations.  The opt-in ``--line-trace`` option
+registers the plugin of ``line_trace.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from circlecount import DiagonalSystem, SetWindow, validate_system
+from line_trace import LineTrace
 
 
 @pytest.fixture
@@ -96,3 +98,15 @@ def random_window(rnd: random.Random, n: int, max_grid: int, s: int) -> SetWindo
         w = SetWindow(n, mask)
         if w.cardinality**s <= max_grid:
             return w
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--line-trace", action="store_true",
+        help="list the function-body lines of src/circlecount that no test ran",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--line-trace"):
+        config.pluginmanager.register(LineTrace(), "line-trace")

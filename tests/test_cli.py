@@ -127,6 +127,28 @@ def test_count_budget_exit2(quad6_file):
     assert "budget refused: mitm count" in proc.stderr
 
 
+def test_count_above_arity_12(tmp_path):
+    # every engine answers: the trivial count has no arity cap
+    system = tmp_path / "s14.json"
+    system.write_text('{"k": 1, "lambda": [3, 1, 1, 1, 1, 1, '
+                      '-1, -1, -1, -1, -1, -1, -1, -1]}')
+    window = tmp_path / "a.txt"
+    window.write_text("N 5\n2\n5\n")
+    args = ("count", "--system", str(system), "--set", str(window))
+    expected = {"total": "2574", "trivial": "2574", "nontrivial": "0"}
+    assert result_of(run_cli(*args, "--method", "naive")) == expected
+    assert result_of(run_cli(*args, "--method", "mitm")) == expected
+    assert result_of(run_cli(*args)) == expected
+
+
+def test_set_file_keyword_prefix_exit3(tmp_path):
+    path = tmp_path / "prefix.txt"
+    path.write_text("Nonsense 5\n1\n3\n")
+    proc = run_cli("gowers", "--set", str(path), "--degree", "2")
+    assert proc.returncode == 3
+    assert "header line" in proc.stderr
+
+
 def test_stream(quad6_file):
     res = result_of(
         run_cli("stream", "--system", quad6_file, "--n", "7", "--filter", "nontrivial")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -19,7 +20,8 @@ from circlecount import (
     vinogradov_moment,
 )
 from circlecount.budget import INT64_SAFE, Budget
-from circlecount.errors import ArityTooLargeError, BudgetExceededError
+from circlecount.errors import BadParamsError, BudgetExceededError
+from circlecount.mainterm import BigLogNumber, trivial_count_bound
 
 from conftest import (
     brute_force_moment,
@@ -76,11 +78,53 @@ class TestCountSolutions:
         with pytest.raises(BudgetExceededError):
             list(stream_solutions(sys_quad6, SetWindow.full(7), "all", tiny))
 
+    def test_unknown_method_rejected(self, sys_quad4):
+        with pytest.raises(BadParamsError, match="unknown method"):
+            count_solutions(sys_quad4, SetWindow.full(3), "scan")
+
+
+def _set_partition_histogram(coeffs):
+    """Reference histogram: list every set partition of the indices, growing
+    blocks one index at a time and pruning when the open blocks' sums exceed
+    what the remaining coefficients can cancel."""
+    s = len(coeffs)
+    suffix_abs = [0] * (s + 1)
+    for i in range(s - 1, -1, -1):
+        suffix_abs[i] = suffix_abs[i + 1] + abs(coeffs[i])
+    hist = {}
+    blocks = []
+
+    def rec(i):
+        if sum(abs(b) for b in blocks) > suffix_abs[i]:
+            return
+        if i == s:
+            if all(b == 0 for b in blocks):
+                hist[len(blocks)] = hist.get(len(blocks), 0) + 1
+            return
+        c = coeffs[i]
+        for idx in range(len(blocks)):
+            blocks[idx] += c
+            rec(i + 1)
+            blocks[idx] -= c
+        blocks.append(c)
+        rec(i + 1)
+        blocks.pop()
+
+    rec(0)
+    return tuple(sorted(hist.items()))
+
+
+def _all_distinct(s):
+    """Arity-s system with s distinct coefficients: 1..s-1 and minus their sum."""
+    return validate_system(1, tuple(range(1, s)) + (-s * (s - 1) // 2,))
+
 
 class TestTrivialCount:
     def test_pair(self):
         sys = validate_system(1, (1, -1))
         assert trivial_count(sys, 5) == 5
+        with pytest.raises(BadParamsError, match="cardinality"):
+            trivial_count(sys, -1)
 
     def test_quad4(self, sys_quad4):
         # partitions {{1,2,3,4}}, {{1,3},{2,4}}, {{1,4},{2,3}}: 3 + 6 + 6
@@ -100,10 +144,44 @@ class TestTrivialCount:
             )
             assert streamed == trivial_count(sys, w.cardinality)
 
-    def test_arity_cap(self):
-        sys = validate_system(1, (1,) * 7 + (-1,) * 7)
-        with pytest.raises(ArityTooLargeError):
-            trivial_count(sys, 3)
+    def test_dp_matches_set_partition_oracle(self):
+        rnd = random.Random(17)
+        systems = [random_system(rnd, rnd.randint(2, 10), 1) for _ in range(150)]
+        systems += [random_mirrored_system(rnd, rnd.randint(1, 5), 1)
+                    for _ in range(50)]
+        systems += [validate_system(1, (1,) * 6 + (-1,) * 6),
+                    validate_system(1, tuple(range(1, 7)) + tuple(range(-6, 0))),
+                    validate_system(1, (3, -2, 2, 1, -1, -1, 1, -2, -3, 3, -1))]
+        for sys in systems:
+            got = enumeration._zero_sum_partition_histogram.__wrapped__(sys.coefficients)
+            assert got == _set_partition_histogram(sys.coefficients), sys
+
+    def test_paper_range_closed_form(self):
+        # s = 42 = s0(2): over two values the trivial tuples are the solutions,
+        # one for each choice of the 21 variables that take the smaller value
+        sys = validate_system(2, (1,) * 21 + (-1,) * 21)
+        tally = count_solutions(sys, SetWindow.from_elements(7, (3, 7)))
+        assert tally.total == tally.trivial == math.comb(42, 21)
+        assert tally.nontrivial == 0
+
+    def test_within_the_trivial_solution_bound(self):
+        rnd = random.Random(24)
+        for s in range(2, 25):
+            for _ in range(4):
+                sys = random_system(rnd, s, 1)
+                for c in (0, 1, 2, 3, 5, 10, 40, 1000):
+                    got = BigLogNumber.from_int(trivial_count(sys, c))
+                    assert got <= trivial_count_bound(sys, c), (sys, c)
+
+    def test_estimate_is_checked_first(self, sys_quad6):
+        # quad6: (3 + 1)(3 + 2)/2 pairs for each of its two coefficients
+        with pytest.raises(BudgetExceededError, match="trivial count: estimated 100 "):
+            trivial_count(sys_quad6, 2, Budget(max_ops=99))
+        assert trivial_count(sys_quad6, 2, Budget(max_ops=100)) == 2 + 2 * 9
+        # s distinct coefficients: 3^s, within the default budget up to s = 18
+        assert trivial_count(_all_distinct(18), 7) == 7
+        with pytest.raises(BudgetExceededError, match="trivial count"):
+            trivial_count(_all_distinct(19), 7)
 
 
 class TestStreamSolutions:
@@ -176,9 +254,9 @@ def scan_calls(monkeypatch):
 
 
 class TestEngineChoice:
-    def test_auto_joins_up_to_the_arity_cap(self, scan_calls):
+    def test_auto_never_scans(self, scan_calls):
         rnd = random.Random(16)
-        for s in range(2, enumeration.MAX_PARTITION_ARITY + 1):
+        for s in range(2, 17):
             sys = random_system(rnd, s, rnd.randint(1, 3))
             # size keeps the naive reference count below 10^5 tuples
             size = min(20, max(2, int((10**5) ** (1 / s))))
@@ -192,13 +270,30 @@ class TestEngineChoice:
         assert greedy_solution_free(sys_quad6, 30).cardinality < 30
         assert scan_calls == []
 
-    def test_scan_above_the_arity_cap(self, scan_calls):
-        sys = validate_system(1, (3,) + (1,) * 5 + (-1,) * 8)
-        assert sys.arity == enumeration.MAX_PARTITION_ARITY + 2
-        w = SetWindow.from_elements(5, (2, 5))
-        tally = count_solutions(sys, w, "auto")
-        assert scan_calls == ["naive count"]
-        assert (tally.total, tally.trivial) == brute_force_tally(sys, w)
+    def test_auto_joins_above_arity_12(self, scan_calls):
+        rnd = random.Random(14)
+        for sys in (validate_system(1, (3,) + (1,) * 5 + (-1,) * 8),
+                    random_system(rnd, 14, 1), random_system(rnd, 14, 2)):
+            w = SetWindow.from_elements(5, (2, 5))
+            tally = count_solutions(sys, w, "auto")
+            assert (tally.total, tally.trivial) == brute_force_tally(sys, w), sys
+        assert scan_calls == []
+
+    def test_trivial_count_refuses_before_the_join(self, monkeypatch):
+        packed = []
+        real = enumeration._packed_keys
+
+        def spy(elems, halves, radices):
+            packed.append(len(halves))
+            return real(elems, halves, radices)
+
+        monkeypatch.setattr(enumeration, "_packed_keys", spy)
+        sys = validate_system(1, tuple(range(1, 11)) + tuple(range(-10, 0)))
+        w = SetWindow.from_elements(2, (1, 2))
+        # the join's 2^10 ops pass, the DP's 3^20 pairs do not
+        with pytest.raises(BudgetExceededError, match="trivial count"):
+            count_solutions(sys, w, "mitm", Budget(max_ops=10**6))
+        assert packed == []
 
 
 class TestGreedySolutionFree:

@@ -52,6 +52,11 @@ def test_parse_errors():
         parse_set_file("N 5\n7\n")
     with pytest.raises(ParseError):
         parse_set_file("N 5\nmask fff\n")
+    # the keywords are whole tokens, not prefixes
+    with pytest.raises(ParseError):
+        parse_set_file("Nonsense 5\n1\n3\n")
+    with pytest.raises(ParseError):
+        parse_set_file("N 8\nmaskara ff\n")
 
 
 def test_squares():
