@@ -2,25 +2,28 @@
 
 Two counting engines share one contract:
 
-* ``mitm`` joins the power-sum keys of the two variable halves in
-  A^ceil(s/2) time and key storage, and takes the trivial count from the
-  exact value-class partition formula, as the joined stream cannot classify
-  tuples.  ``auto`` is this join at every arity: a DP on the multiplicities
-  of the distinct coefficients gives that formula with no arity cap;
+* ``mitm`` joins the power-sum keys of the two variable halves and takes the
+  trivial count from the exact value-class partition formula, as the joined
+  stream cannot classify tuples.  ``auto`` is this join at every arity: a DP
+  on the multiplicities of the distinct coefficients gives that formula with
+  no arity cap;
 * ``naive`` scans the full grid A^s and classifies every solution tuple; it
   serves ``naive`` counts and streams.
 
-The scan builds the power sums of the trailing s-1 variables once over
-A^(s-1) and, for each leading value in ascending order, masks the tuples that
-cancel it, so solutions come out in lexicographic order.  The join packs each
-half's degree-1..k power sums into one key by mixed radix and matches the
-halves with ``np.unique`` and ``np.intersect1d``.  When the right half's
-coefficients negate the left half's up to order, as in every Vinogradov
-system, the count is the sum of squared key multiplicities over one half;
-``vinogradov_moment`` is this same join.  Counts are exact integers
-everywhere: the shared helper ``budget.fits_int64`` picks the dtype, int64
-when every value a path forms fits and ``object`` (Python big integers)
-otherwise, and both dtypes run the same numpy code, never wrapping around.
+One builder forms the power sums of both.  The scan asks it for the ordered
+grid A^(s-1) of the trailing variables and, for each leading value in
+ascending order, masks the tuples that cancel it, so solutions come out in
+lexicographic order.  Power sums are symmetric, so the join asks it for one
+multiset per group of equal coefficients, prod_g C(|A|+m_g-1, m_g) entries
+per half, each weighted by its orderings; it packs each entry's degree-1..k
+sums into one key by mixed radix, sums the weights of equal keys and matches
+the halves with ``np.intersect1d``.  When the right half's coefficients negate
+the left half's up to order, as in every Vinogradov system, the count is the
+sum of squared key multiplicities over one half; ``vinogradov_moment`` is this
+same join.  Counts are exact integers everywhere: the shared helper
+``budget.fits_int64`` picks the dtype, int64 when every value a path forms
+fits and ``object`` (Python big integers) otherwise, and both dtypes run the
+same numpy code, never wrapping around.
 """
 
 from __future__ import annotations
@@ -62,25 +65,40 @@ class SolutionTally:
 
 
 def _power_sum_columns(
-    elems: np.ndarray, coeffs: Sequence[int], degree: int
-) -> list[np.ndarray]:
-    """Partial power sums over the tuple grid A^len(coeffs), in the dtype of
-    ``elems``.
+    elems: np.ndarray, groups: Sequence[tuple[int, int]], degree: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Power sums over one multiset per group (c, m) of m variables of
+    coefficient c, in the dtype of ``elems``.
 
-    Column j-1 holds sum_i lam_i x_i^j for j = 1..degree, one entry per tuple
-    in lexicographic order.
+    A group's multisets are the sorted index tuples i_1 <= ... <= i_m, built
+    one index at a time in lexicographic order: a tuple ending at l extends by
+    each index from l up, and its orderings m!/prod r! (r the run lengths)
+    grow by the new length over the last run's.  Column j-1 holds the degree-j
+    sum, one entry per choice of a multiset in each group, groups in
+    lexicographic order, so groups of one give the ordered grid.  Returns the
+    columns and each group's orderings.
     """
-    m = len(coeffs)
-    cols = []
-    for j in range(1, degree + 1):
-        pw = elems**j
-        acc = np.zeros((1,) * m, dtype=elems.dtype)
-        for i, lam in enumerate(coeffs):
-            shape = [1] * m
-            shape[i] = len(elems)
-            acc = acc + lam * pw.reshape(shape)
-        cols.append(acc.ravel())
-    return cols
+    n = elems.size
+    powers = [elems**j for j in range(1, degree + 1)]
+    group_cols, group_weights = [], []
+    for c, m in groups:
+        terms = [c * pw for pw in powers]
+        cols, last = terms, np.arange(n)
+        weight, run = np.ones(n, dtype=elems.dtype), np.ones(n, dtype=np.int64)
+        for size in range(2, m + 1):
+            counts = n - last  # the first child repeats the index l
+            first = np.cumsum(counts) - counts
+            last = np.arange(first[-1] + counts[-1]) - np.repeat(first - last, counts)
+            cols = [np.repeat(col, counts) + term[last] for col, term in zip(cols, terms)]
+            grown = run + 1
+            run = np.ones(last.size, dtype=np.int64)
+            run[first] = grown
+            weight = np.repeat(weight * size, counts)
+            weight[first] //= grown
+        group_cols.append(cols)
+        group_weights.append(weight)
+    cols = [functools.reduce(np.add.outer, col).ravel() for col in zip(*group_cols)]
+    return cols, group_weights
 
 
 def _solutions(
@@ -106,7 +124,7 @@ def _solutions(
         f"{what} grid",
     )
     lead, *rest = system.coefficients
-    cols = _power_sum_columns(arr, rest, k)
+    cols, _ = _power_sum_columns(arr, [(c, 1) for c in rest], k)
     for x in elems:
         mask = cols[0] == -lead * x
         for j, col in enumerate(cols[1:], 2):
@@ -116,11 +134,27 @@ def _solutions(
             yield (x, *tail)
 
 
+def _join_halves(left: Sequence[int], right: Sequence[int]) -> list[list]:
+    """The halves the join builds, ``left`` alone when ``right`` negates it up
+    to order, else ``left`` and ``-right``, as (coefficient, multiplicity)
+    groups in order of first appearance."""
+    halves = (left,) if mirrored(left, right) else (left, tuple(-c for c in right))
+    return [[(c, half.count(c)) for c in dict.fromkeys(half)] for half in halves]
+
+
+def _multisets(n: int, groups: Sequence[tuple[int, int]]) -> int:
+    """Entries a half builds over n elements: prod_g C(n+m_g-1, m_g)."""
+    return math.prod(math.comb(n + m - 1, m) for _, m in groups)
+
+
 def _packed_keys(
-    elems: np.ndarray, halves: Sequence[Sequence[int]], radices: Sequence[int]
-) -> list[np.ndarray]:
-    """One key per tuple of each half's grid, in the dtype of ``elems``, equal
-    iff the power sums are.
+    elems: np.ndarray,
+    halves: Sequence[Sequence[tuple[int, int]]],
+    radices: Sequence[int],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One key and one weight per multiset entry of each half, in the dtype of
+    ``elems``; keys are equal iff the power sums are, and a weight counts the
+    ordered tuples of its entry.
 
     The degree-j sum shifted by radices[j-1] // 2 is a mixed-radix digit.  When
     the next digit would overflow an int64 key, the keys so far are renumbered
@@ -128,8 +162,9 @@ def _packed_keys(
     radices[-1].  ``object`` keys are never renumbered: renumbering costs more
     than the big-integer key it saves.
     """
-    cols = [_power_sum_columns(elems, half, len(radices)) for half in halves]
-    keys = [np.zeros(elems.size ** len(half), dtype=elems.dtype) for half in halves]
+    built = [_power_sum_columns(elems, half, len(radices)) for half in halves]
+    cols = [half_cols for half_cols, _ in built]
+    keys = [np.zeros(half_cols[0].size, dtype=elems.dtype) for half_cols in cols]
     span = 1  # every key lies in [0, span)
     for radix in reversed(radices):
         if elems.dtype == np.int64 and not fits_int64(span * radix):
@@ -141,57 +176,91 @@ def _packed_keys(
             key += col.pop()
             key += radix // 2
         span *= radix
-    return keys
+    # a half of distinct coefficients builds ordered tuples, each of weight 1
+    weights = [functools.reduce(np.multiply.outer, w).ravel()
+               if any(m > 1 for _, m in half) else None
+               for half, (_, w) in zip(halves, built)]
+    return keys, weights
+
+
+def _weighted_counts(
+    keys: np.ndarray, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the weights of each."""
+    if weights is None:
+        return np.unique(keys, return_counts=True)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights[order], starts)
 
 
 def _join_count(
     elems: tuple[int, ...],
-    left: Sequence[int],
-    right: Sequence[int],
+    halves: Sequence[Sequence[tuple[int, int]]],
     degree: int,
     budget: Budget,
     what: str,
 ) -> int:
     """Number of (x, y) in A^len(left) x A^len(right) whose power sums
-    sum_i left_i x_i^j + sum_i right_i y_i^j vanish for j = 1..degree.
+    sum_i left_i x_i^j + sum_i right_i y_i^j vanish for j = 1..degree, given
+    the ``halves`` of ``_join_halves(left, right)``.
 
-    Keys of x under ``left`` meet keys of y under ``-right``; a ``-right``
-    that is ``left`` up to order builds one half and sums squared counts.
-    Byte estimate ``what`` per key built: the degree columns and the key, each
-    entry sized by ``entry_bytes`` for the chosen dtype, and the key's 8-byte
-    sorted copy; ``object`` keys are not renumbered and reach the radix product.
+    A key's multiplicity is the summed orderings of its multisets; keys of x
+    under ``left`` meet keys of y under ``-right``, and one half alone sums
+    squared multiplicities.  Weights, and their products with the next length
+    while they grow, stay below h * |A|^h (h the half's length), so they join
+    the key bound in the dtype decision; the count, at most |A|^s, is one
+    ``np.dot`` when it fits int64.  Byte estimate ``what`` per multiset entry
+    built: the degree columns and the key, sized by ``entry_bytes``, and the
+    key's 8-byte sorted copy; in a half that repeats a coefficient also the
+    weight, the 8-byte sort order and the weights' sorted copy.  ``object``
+    keys are not renumbered and reach the radix product.
     """
-    halves = (left,) if mirrored(left, right) else (left, tuple(-c for c in right))
-    weight = max(sum(abs(c) for c in half) for half in halves)
-    radices = [2 * weight * elems[-1] ** j + 1 for j in range(1, degree + 1)]
-    entries = sum(len(elems) ** len(half) for half in halves)
+    n = len(elems)
+    lengths = [sum(m for _, m in half) for half in halves]
+    spread = max(sum(abs(c) * m for c, m in half) for half in halves)
+    radices = [2 * spread * elems[-1] ** j + 1 for j in range(1, degree + 1)]
+    entries = sum(_multisets(n, half) for half in halves)
     product = math.prod(radices)
     key_bound = min(product, entries * radices[-1])
-    dtype = np.dtype(np.int64 if fits_int64(key_bound) else object)
-    per_key = degree * entry_bytes(dtype, radices[-1])
-    per_key += entry_bytes(dtype, product) + 8
-    budget.check_bytes(entries * per_key, what)
-    keys = _packed_keys(np.asarray(elems, dtype=dtype), halves, radices)
+    orderings = max(lengths) * n ** max(lengths)
+    dtype = np.dtype(np.int64 if fits_int64(max(key_bound, orderings)) else object)
+    per_entry = degree * entry_bytes(dtype, radices[-1]) + entry_bytes(dtype, product) + 8
+    weighted = entry_bytes(dtype, orderings) + 16
+    budget.check_bytes(sum(
+        _multisets(n, half) * (per_entry + weighted * any(m > 1 for _, m in half))
+        for half in halves), what)
+    keys, weights = _packed_keys(np.asarray(elems, dtype=dtype), halves, radices)
     # pop, so that each key array is freed as soon as it is counted
-    counts = [np.unique(keys.pop(0), return_counts=True) for _ in halves]
+    counts = [_weighted_counts(keys.pop(0), weights.pop(0)) for _ in halves]
     if len(counts) == 1:
-        mults = counts[0][1].tolist()
-        return sum(map(operator.mul, mults, mults))
-    (lkeys, lmult), (rkeys, rmult) = counts
-    _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
-    return sum(map(operator.mul, lmult[li].tolist(), rmult[ri].tolist()))
+        lmult = rmult = counts[0][1]
+    else:
+        (lkeys, lmult), (rkeys, rmult) = counts
+        _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
+        lmult, rmult = lmult[li], rmult[ri]
+    # one half stands for both when mirrored, so s = lengths[0] + lengths[-1]
+    if fits_int64(n ** (lengths[0] + lengths[-1])):
+        return int(np.dot(lmult, rmult))
+    return sum(map(operator.mul, lmult.tolist(), rmult.tolist()))
 
 
-def _zero_sum_blocks(values: Sequence[int], v: Sequence[int]) -> list:
+def _zero_sum_blocks(
+    values: Sequence[int], v: Sequence[int], first: int | None = None
+) -> list:
     """Pairs (b, prod_i C(v_i, b_i)) over the b <= v with sum_i b_i values_i
-    = 0, built one entry at a time; a prefix is dropped once its sum exceeds
-    what the values left can cancel."""
+    = 0; given ``first``, only the b with b_first >= 1, taken C(v_first - 1,
+    b_first - 1) ways there.  Built one entry at a time; a prefix is dropped
+    once its sum exceeds what the values left can cancel."""
     left = sum(abs(c) * n for c, n in zip(values, v))
     out = [((), 0, 1)]
-    for c, n in zip(values, v):
+    for i, (c, n) in enumerate(zip(values, v)):
         left -= abs(c) * n
-        out = [(b + (j,), t + j * c, ways * math.comb(n, j))
-               for b, t, ways in out for j in range(n + 1) if abs(t + j * c) <= left]
+        lead = int(i == first)
+        out = [(b + (j,), t + j * c, ways * math.comb(n - lead, j - lead))
+               for b, t, ways in out for j in range(lead, n + 1)
+               if abs(t + j * c) <= left]
     return [(b, ways) for b, _, ways in out]
 
 
@@ -212,11 +281,9 @@ def _zero_sum_partition_histogram(
     for v in zero_sum[1:]:
         first = next(i for i, n in enumerate(v) if n)
         row = hist[v] = {}
-        for b, ways in _zero_sum_blocks(values, v):
-            if b[first]:
-                ways = ways * b[first] // v[first]  # C(v_i0 - 1, b_i0 - 1)
-                for r, n in hist[tuple(map(operator.sub, v, b))].items():
-                    row[r + 1] = row.get(r + 1, 0) + ways * n
+        for b, ways in _zero_sum_blocks(values, v, first):
+            for r, n in hist[tuple(map(operator.sub, v, b))].items():
+                row[r + 1] = row.get(r + 1, 0) + ways * n
     return tuple(sorted(hist[mults].items()))
 
 
@@ -261,10 +328,10 @@ def count_solutions(
             trivial += value_classes_zero_sum(system, tup)
         return SolutionTally(total, trivial, total - trivial)
     elems, k, half = window.elements(), system.degree, (system.arity + 1) // 2
-    budget.check_ops(len(elems) ** half * k, "mitm count")
+    halves = _join_halves(system.coefficients[:half], system.coefficients[half:])
+    budget.check_ops(sum(_multisets(len(elems), g) for g in halves) * k, "mitm count")
     triv = trivial_count(system, window.cardinality, budget)
-    left, right = system.coefficients[:half], system.coefficients[half:]
-    total = _join_count(elems, left, right, k, budget, "mitm keys") if elems else 0
+    total = _join_count(elems, halves, k, budget, "mitm keys") if elems else 0
     return SolutionTally(total, triv, total - triv)
 
 
@@ -293,9 +360,10 @@ def vinogradov_moment(
     """
     if t < 1 or k < 1 or n < 1:
         raise BadParamsError("need n, k, t >= 1")
-    budget.check_ops(n**t * k, "vinogradov moment")
+    halves = _join_halves((1,) * t, (-1,) * t)
+    budget.check_ops(_multisets(n, halves[0]) * k, "vinogradov moment")
     elems = tuple(range(1, n + 1))
-    return _join_count(elems, (1,) * t, (-1,) * t, k, budget, "vinogradov keys")
+    return _join_count(elems, halves, k, budget, "vinogradov keys")
 
 
 def greedy_solution_free(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -296,6 +297,108 @@ class TestEngineChoice:
         assert packed == []
 
 
+def _expected_half_keys(coeffs, n):
+    """prod_g C(n + m_g - 1, m_g) over the multiplicities m_g of the distinct
+    coefficients of one half: its multisets, one per equal-coefficient group."""
+    return math.prod(math.comb(n + m - 1, m)
+                     for m in collections.Counter(coeffs).values())
+
+
+@pytest.fixture
+def half_keys(monkeypatch):
+    """Record the number of keys the join packs for each half."""
+    sizes = []
+    real = enumeration._packed_keys
+
+    def spy(elems, halves, radices):
+        keys, weights = real(elems, halves, radices)
+        sizes.append([key.size for key in keys])
+        return keys, weights
+
+    monkeypatch.setattr(enumeration, "_packed_keys", spy)
+    return sizes
+
+
+class TestMultisetJoin:
+    # work gate: each half packs one key per multiset of each group of equal
+    # coefficients, so a fall back to the ordered grid fails here whatever the
+    # host speed
+    @pytest.mark.parametrize("coeffs, k, n, keys, tally", [
+        ((1, 1, 1, -1, -1, -1), 2, 60, [37_820], (1_963_464, 1_263_840)),
+        ((1,) * 4 + (-1,) * 4, 3, 30, [40_920], (17_856_234, 17_568_810)),
+        ((2, 2, 1, -1, -1, -3), 2, 24, [7_200, 7_200], (11_476, 2_232)),
+    ], ids=["quad6", "cubic8", "non_mirrored"])
+    def test_keys_per_half(self, half_keys, coeffs, k, n, keys, tally):
+        # tallies recorded from an ordered-grid join, which has no weights
+        half = (len(coeffs) + 1) // 2
+        left, right = coeffs[:half], tuple(-c for c in coeffs[half:])
+        halves = (left,) if sorted(left) == sorted(right) else (left, right)
+        assert keys == [_expected_half_keys(h, n) for h in halves]
+        got = count_solutions(validate_system(k, coeffs), SetWindow.full(n), "mitm")
+        assert (got.total, got.trivial) == tally
+        assert half_keys == [keys]
+        # fewer than the n^half ordered tuples per half: 5.7, 19.8 and 1.9 times
+        assert all(n**half > size for size in keys)
+
+    def test_moment_keys(self, half_keys):
+        assert vinogradov_moment(100, 2, 3) == 10_022_752
+        assert half_keys == [[math.comb(102, 3)]] == [[171_700]]
+
+    def test_naive_scan_builds_the_ordered_grid(self, monkeypatch):
+        # the oracle engine never groups: one group of one per trailing
+        # variable, |A|^(s-1) entries in lexicographic order
+        grids = []
+        real = enumeration._power_sum_columns
+
+        def spy(elems, groups, degree):
+            cols, weights = real(elems, groups, degree)
+            grids.append((list(groups), cols[0].size))
+            return cols, weights
+
+        monkeypatch.setattr(enumeration, "_power_sum_columns", spy)
+        sys = validate_system(2, (1, 1, 1, -1, -1, -1))
+        count_solutions(sys, SetWindow.full(9), "naive")
+        assert grids == [([(1, 1), (1, 1), (-1, 1), (-1, 1), (-1, 1)], 9**5)]
+
+    def test_orderings_past_int64(self):
+        # |A|^t passes 2^62 while the multisets stay few: the weights run on
+        # Python integers; at (3, 2, 20) and (2, 1, 56) they fit int64 and only
+        # the sum of squared multiplicities leaves it, C(112, 56) > 2^63 at
+        # the latter
+        for n, k, t in [(3, 2, 40), (2, 3, 70), (4, 2, 31), (3, 2, 20), (2, 1, 56)]:
+            assert vinogradov_moment(n, k, t) == _moment_by_convolution(n, k, t)
+        assert vinogradov_moment(2, 1, 56) == math.comb(112, 56)
+
+    def test_ops_estimate_counts_multisets(self, sys_quad6):
+        # k times the entries built: C(102, 3) for quad6 and the moment at
+        # n = 100, both halves' prod_g C(n+m_g-1, m_g) for a non-mirrored system
+        w = SetWindow.full(100)
+        for what, count in (
+                ("mitm count", lambda b: count_solutions(sys_quad6, w, "mitm", b)),
+                ("vinogradov moment", lambda b: vinogradov_moment(100, 2, 3, b))):
+            with pytest.raises(BudgetExceededError, match=f"{what}: estimated 343400 "):
+                count(Budget(max_ops=343_399))
+            assert count(Budget(max_ops=343_400)) == count(Budget())
+        # two halves of C(101, 2) * 100 = 505,000 entries each, k = 2
+        sys = validate_system(2, (2, 2, 1, -1, -1, -3))
+        with pytest.raises(BudgetExceededError, match="mitm count: estimated 2020000 "):
+            count_solutions(sys, w, "mitm", Budget(max_ops=2_019_999))
+
+
+def _moment_by_convolution(n, k, t):
+    """Sum of squared multiplicities of the power-sum vectors of t-tuples over
+    [1, n], the vectors counted by a dictionary convolution, one variable at a
+    time, with no multisets and no arrays."""
+    counts = {(0,) * k: 1}
+    for _ in range(t):
+        nxt = collections.Counter()
+        for key, c in counts.items():
+            for x in range(1, n + 1):
+                nxt[tuple(a + x**j for j, a in enumerate(key, 1))] += c
+        counts = nxt
+    return sum(c * c for c in counts.values())
+
+
 class TestGreedySolutionFree:
     def test_equals_recount_oracle(self):
         # n keeps every candidate grid the oracle scans below 10^7 tuples
@@ -474,6 +577,12 @@ class TestInt64Fallbacks:
         lambda b: count_solutions(validate_system(2, (2, 1, -1, -1, -1)),
                                   SetWindow.full(60), "mitm", b),
         lambda b: vinogradov_moment(60, 2, 3, b),
+        # one group of four: 40,920 multisets for 810,000 ordered tuples
+        lambda b: count_solutions(validate_system(3, (1,) * 4 + (-1,) * 4),
+                                  SetWindow.full(30), "mitm", b),
+        # two halves that each repeat a coefficient, both weighted
+        lambda b: count_solutions(validate_system(2, (2, 2, 1, -1, -1, -3)),
+                                  SetWindow.full(60), "mitm", b),
         lambda b: count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
                                   SetWindow.full(13), "naive", b),
         # above 2^62 from here: object scan and object keys
@@ -502,7 +611,8 @@ class TestInt64Fallbacks:
             validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 30, b),
         lambda b: series_term_direct(validate_system(1, (2, -1, -1)), 1000, b),
     ],
-    ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "naive_int64",
+    ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "mitm_cubic_multisets",
+         "mitm_non_mirrored_weighted", "naive_int64",
          "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
          "dp_full_int64", "dp_full_object", "direct_quad6", "direct_cubic8",
          "direct_linear_block"],
