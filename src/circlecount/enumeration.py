@@ -148,13 +148,11 @@ def _multisets(n: int, groups: Sequence[tuple[int, int]]) -> int:
 
 
 def _packed_keys(
-    elems: np.ndarray,
-    halves: Sequence[Sequence[tuple[int, int]]],
-    radices: Sequence[int],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One key and one weight per multiset entry of each half, in the dtype of
-    ``elems``; keys are equal iff the power sums are, and a weight counts the
-    ordered tuples of its entry.
+    cols: Sequence[list[np.ndarray]], radices: Sequence[int]
+) -> list[np.ndarray]:
+    """One key per entry of each half's power-sum columns, in their dtype,
+    popping the columns as they are packed; keys are equal iff the power sums
+    are.
 
     The degree-j sum shifted by radices[j-1] // 2 is a mixed-radix digit.  When
     the next digit would overflow an int64 key, the keys so far are renumbered
@@ -162,12 +160,11 @@ def _packed_keys(
     radices[-1].  ``object`` keys are never renumbered: renumbering costs more
     than the big-integer key it saves.
     """
-    built = [_power_sum_columns(elems, half, len(radices)) for half in halves]
-    cols = [half_cols for half_cols, _ in built]
-    keys = [np.zeros(half_cols[0].size, dtype=elems.dtype) for half_cols in cols]
+    dtype = cols[0][0].dtype
+    keys = [np.zeros(half_cols[0].size, dtype=dtype) for half_cols in cols]
     span = 1  # every key lies in [0, span)
     for radix in reversed(radices):
-        if elems.dtype == np.int64 and not fits_int64(span * radix):
+        if dtype == np.int64 and not fits_int64(span * radix):
             distinct = np.unique(np.concatenate(keys))
             keys = [np.searchsorted(distinct, key) for key in keys]
             span = distinct.size
@@ -176,19 +173,13 @@ def _packed_keys(
             key += col.pop()
             key += radix // 2
         span *= radix
-    # a half of distinct coefficients builds ordered tuples, each of weight 1
-    weights = [functools.reduce(np.multiply.outer, w).ravel()
-               if any(m > 1 for _, m in half) else None
-               for half, (_, w) in zip(halves, built)]
-    return keys, weights
+    return keys
 
 
 def _weighted_counts(
-    keys: np.ndarray, weights: np.ndarray | None
+    keys: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of the weights of each."""
-    if weights is None:
-        return np.unique(keys, return_counts=True)
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -212,10 +203,10 @@ def _join_count(
     while they grow, stay below h * |A|^h (h the half's length), so they join
     the key bound in the dtype decision; the count, at most |A|^s, is one
     ``np.dot`` when it fits int64.  Byte estimate ``what`` per multiset entry
-    built: the degree columns and the key, sized by ``entry_bytes``, and the
-    key's 8-byte sorted copy; in a half that repeats a coefficient also the
-    weight, the 8-byte sort order and the weights' sorted copy.  ``object``
-    keys are not renumbered and reach the radix product.
+    built: the degree columns, the key and the weight, sized by
+    ``entry_bytes``, and 8 bytes each for the sort order, the keys' sorted
+    copy and the weights' sorted copy.  ``object`` keys are not renumbered and
+    reach the radix product.
     """
     n = len(elems)
     lengths = [sum(m for _, m in half) for half in halves]
@@ -226,12 +217,13 @@ def _join_count(
     key_bound = min(product, entries * radices[-1])
     orderings = max(lengths) * n ** max(lengths)
     dtype = np.dtype(np.int64 if fits_int64(max(key_bound, orderings)) else object)
-    per_entry = degree * entry_bytes(dtype, radices[-1]) + entry_bytes(dtype, product) + 8
-    weighted = entry_bytes(dtype, orderings) + 16
-    budget.check_bytes(sum(
-        _multisets(n, half) * (per_entry + weighted * any(m > 1 for _, m in half))
-        for half in halves), what)
-    keys, weights = _packed_keys(np.asarray(elems, dtype=dtype), halves, radices)
+    per_entry = (degree * entry_bytes(dtype, radices[-1]) + entry_bytes(dtype, product)
+                 + entry_bytes(dtype, orderings) + 24)
+    budget.check_bytes(entries * per_entry, what)
+    arr = np.asarray(elems, dtype=dtype)
+    built = [_power_sum_columns(arr, half, degree) for half in halves]
+    keys = _packed_keys([cols for cols, _ in built], radices)
+    weights = [functools.reduce(np.multiply.outer, w).ravel() for _, w in built]
     # pop, so that each key array is freed as soon as it is counted
     counts = [_weighted_counts(keys.pop(0), weights.pop(0)) for _ in halves]
     if len(counts) == 1:

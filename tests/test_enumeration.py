@@ -284,9 +284,9 @@ class TestEngineChoice:
         packed = []
         real = enumeration._packed_keys
 
-        def spy(elems, halves, radices):
-            packed.append(len(halves))
-            return real(elems, halves, radices)
+        def spy(cols, radices):
+            packed.append(len(cols))
+            return real(cols, radices)
 
         monkeypatch.setattr(enumeration, "_packed_keys", spy)
         sys = validate_system(1, tuple(range(1, 11)) + tuple(range(-10, 0)))
@@ -310,10 +310,10 @@ def half_keys(monkeypatch):
     sizes = []
     real = enumeration._packed_keys
 
-    def spy(elems, halves, radices):
-        keys, weights = real(elems, halves, radices)
+    def spy(cols, radices):
+        keys = real(cols, radices)
         sizes.append([key.size for key in keys])
-        return keys, weights
+        return keys
 
     monkeypatch.setattr(enumeration, "_packed_keys", spy)
     return sizes
