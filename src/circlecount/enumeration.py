@@ -17,13 +17,14 @@ lexicographic order.  Power sums are symmetric, so the join asks it for one
 multiset per group of equal coefficients, prod_g C(|A|+m_g-1, m_g) entries
 per half, each weighted by its orderings; it packs each entry's degree-1..k
 sums into one key by mixed radix, sums the weights of equal keys and matches
-the halves with ``np.intersect1d``.  When the right half's coefficients negate
-the left half's up to order, as in every Vinogradov system, the count is the
-sum of squared key multiplicities over one half; ``vinogradov_moment`` is this
-same join.  Counts are exact integers everywhere: the shared helper
-``budget.fits_int64`` picks the dtype, int64 when every value a path forms
-fits and ``object`` (Python big integers) otherwise, and both dtypes run the
-same numpy code, never wrapping around.
+the halves with ``np.intersect1d``.  ``system.split_halves`` decides the
+halves, as for the congruence DP; when the system is L and -L up to order, as
+every Vinogradov system is, one half stands for both and the count is the sum
+of its squared key multiplicities; ``vinogradov_moment`` is this same join.
+Counts are exact integers everywhere: the shared helper ``budget.fits_int64``
+picks the dtype, int64 when every value a path forms fits and ``object``
+(Python big integers) otherwise, and both dtypes run the same numpy code,
+never wrapping around.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
 from .errors import BadParamsError
-from .system import DiagonalSystem, mirrored, value_classes_zero_sum
+from .system import DiagonalSystem, split_halves, value_classes_zero_sum
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
@@ -66,7 +67,7 @@ class SolutionTally:
 
 def _power_sum_columns(
     elems: np.ndarray, groups: Sequence[tuple[int, int]], degree: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Power sums over one multiset per group (c, m) of m variables of
     coefficient c, in the dtype of ``elems``.
 
@@ -76,7 +77,8 @@ def _power_sum_columns(
     grow by the new length over the last run's.  Column j-1 holds the degree-j
     sum, one entry per choice of a multiset in each group, groups in
     lexicographic order, so groups of one give the ordered grid.  Returns the
-    columns and each group's orderings.
+    columns and, in the same order, each entry's orderings, the product of
+    its multisets' orderings; on the ordered grid they are a view of one 1.
     """
     n = elems.size
     powers = [elems**j for j in range(1, degree + 1)]
@@ -98,7 +100,9 @@ def _power_sum_columns(
         group_cols.append(cols)
         group_weights.append(weight)
     cols = [functools.reduce(np.add.outer, col).ravel() for col in zip(*group_cols)]
-    return cols, group_weights
+    if all(m == 1 for _, m in groups):  # every entry is one ordered tuple
+        return cols, np.broadcast_to(np.ones(1, dtype=elems.dtype), cols[0].shape)
+    return cols, functools.reduce(np.multiply.outer, group_weights).ravel()
 
 
 def _solutions(
@@ -124,7 +128,7 @@ def _solutions(
         f"{what} grid",
     )
     lead, *rest = system.coefficients
-    cols, _ = _power_sum_columns(arr, [(c, 1) for c in rest], k)
+    cols = _power_sum_columns(arr, [(c, 1) for c in rest], k)[0]
     for x in elems:
         mask = cols[0] == -lead * x
         for j, col in enumerate(cols[1:], 2):
@@ -134,12 +138,10 @@ def _solutions(
             yield (x, *tail)
 
 
-def _join_halves(left: Sequence[int], right: Sequence[int]) -> list[list]:
-    """The halves the join builds, ``left`` alone when ``right`` negates it up
-    to order, else ``left`` and ``-right``, as (coefficient, multiplicity)
+def _join_halves(coeffs: Sequence[int]) -> list[list]:
+    """The halves of ``system.split_halves`` as (coefficient, multiplicity)
     groups in order of first appearance."""
-    halves = (left,) if mirrored(left, right) else (left, tuple(-c for c in right))
-    return [[(c, half.count(c)) for c in dict.fromkeys(half)] for half in halves]
+    return [[(c, h.count(c)) for c in dict.fromkeys(h)] for h in split_halves(coeffs)]
 
 
 def _multisets(n: int, groups: Sequence[tuple[int, int]]) -> int:
@@ -193,16 +195,16 @@ def _join_count(
     budget: Budget,
     what: str,
 ) -> int:
-    """Number of (x, y) in A^len(left) x A^len(right) whose power sums
-    sum_i left_i x_i^j + sum_i right_i y_i^j vanish for j = 1..degree, given
-    the ``halves`` of ``_join_halves(left, right)``.
+    """Number of pairs (x, y), one tuple of A per half of ``halves`` (from
+    ``_join_halves``), whose power sums agree for j = 1..degree; one half
+    stands for both when there is only one.
 
-    A key's multiplicity is the summed orderings of its multisets; keys of x
-    under ``left`` meet keys of y under ``-right``, and one half alone sums
-    squared multiplicities.  Weights, and their products with the next length
-    while they grow, stay below h * |A|^h (h the half's length), so they join
-    the key bound in the dtype decision; the count, at most |A|^s, is one
-    ``np.dot`` when it fits int64.  Byte estimate ``what`` per multiset entry
+    A key's multiplicity is the summed orderings of its multisets, and the
+    count is sum_v left(v) * right(v) over the keys v of both halves, or
+    sum_v left(v)^2 over one half.  Weights, and their products with the next
+    length while they grow, stay below h * |A|^h (h the half's length), so
+    they join the key bound in the dtype decision; the count, at most |A|^s,
+    is one ``np.dot`` when it fits int64.  Byte estimate ``what`` per multiset entry
     built: the degree columns, the key and the weight, sized by
     ``entry_bytes``, and 8 bytes each for the sort order, the keys' sorted
     copy and the weights' sorted copy.  ``object`` keys are not renumbered and
@@ -223,16 +225,13 @@ def _join_count(
     arr = np.asarray(elems, dtype=dtype)
     built = [_power_sum_columns(arr, half, degree) for half in halves]
     keys = _packed_keys([cols for cols, _ in built], radices)
-    weights = [functools.reduce(np.multiply.outer, w).ravel() for _, w in built]
-    # pop, so that each key array is freed as soon as it is counted
-    counts = [_weighted_counts(keys.pop(0), weights.pop(0)) for _ in halves]
-    if len(counts) == 1:
-        lmult = rmult = counts[0][1]
-    else:
-        (lkeys, lmult), (rkeys, rmult) = counts
+    # pop, so that each key and weight array is freed as soon as it is counted
+    counts = [_weighted_counts(keys.pop(0), built.pop(0)[1]) for _ in halves]
+    (lkeys, lmult), (rkeys, rmult) = counts[0], counts[-1]
+    if len(counts) == 2:
         _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
         lmult, rmult = lmult[li], rmult[ri]
-    # one half stands for both when mirrored, so s = lengths[0] + lengths[-1]
+    # one half stands for both, so s = lengths[0] + lengths[-1]
     if fits_int64(n ** (lengths[0] + lengths[-1])):
         return int(np.dot(lmult, rmult))
     return sum(map(operator.mul, lmult.tolist(), rmult.tolist()))
@@ -319,8 +318,8 @@ def count_solutions(
             total += 1
             trivial += value_classes_zero_sum(system, tup)
         return SolutionTally(total, trivial, total - trivial)
-    elems, k, half = window.elements(), system.degree, (system.arity + 1) // 2
-    halves = _join_halves(system.coefficients[:half], system.coefficients[half:])
+    elems, k = window.elements(), system.degree
+    halves = _join_halves(system.coefficients)
     budget.check_ops(sum(_multisets(len(elems), g) for g in halves) * k, "mitm count")
     triv = trivial_count(system, window.cardinality, budget)
     total = _join_count(elems, halves, k, budget, "mitm keys") if elems else 0
@@ -352,7 +351,7 @@ def vinogradov_moment(
     """
     if t < 1 or k < 1 or n < 1:
         raise BadParamsError("need n, k, t >= 1")
-    halves = _join_halves((1,) * t, (-1,) * t)
+    halves = _join_halves((1,) * t + (-1,) * t)
     budget.check_ops(_multisets(n, halves[0]) * k, "vinogradov moment")
     elems = tuple(range(1, n + 1))
     return _join_count(elems, halves, k, budget, "vinogradov keys")

@@ -14,12 +14,13 @@ each other:
   counts f(p^e) in one table for all its terms; no count outlives its call.
 
 The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
-so it is the product of the counts at q's prime-power factors, each from one
-numpy dynamic program: its first min(k, stages) stages are one bincount of
-the power-sum vectors of all tuples, and dense np.roll stages run the rest.
-When the coefficients are L and -L up to order (``system.mirrored``), the DP
-runs its stages over L alone and reads out the sum of squared counts.  Cells
-are int64 or, when m^s does not fit at the DP's modulus m, Python big
+so it is the product of the counts at q's prime-power factors.  Each is
+read out from the halves of ``system.split_halves``, as the MITM join counts:
+one numpy dynamic program per half counts its tuples by residue vector of
+power sums, its first min(k, stages) stages one bincount of the power-sum
+vectors of all tuples and dense np.roll stages the rest, and M(m) is
+sum_v left(v) * right(v), or sum_v c(v)^2 when one half stands for both.
+Cells are int64 or, when m^s does not fit at the DP's modulus m, Python big
 integers; ``budget.fits_int64`` picks the dtype and nothing else differs.
 ``multiplicativity_check`` takes S(qr) as the literal divisor sum over direct
 DP counts at each divisor of qr, so it stays a real check of both product
@@ -49,7 +50,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expsums import _CHUNK, _pow2_at_least, complete_sums, pairwise_sum
-from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, mirrored
+from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, split_halves
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,13 @@ def congruence_count(
     M is multiplicative (Chinese remainder theorem), so M(q) is the product
     of one DP count per prime-power factor p^e of q.  The DP runs over the
     residue vector of partial power sums: state space (Z/p^e)^k, one stage
-    per coefficient.  At most p^(ej) vectors exist after j <= k stages, so
-    the first min(k, stages) are one bincount of those vectors and each later
-    stage is dense, p^e shifted copies of the state.  When the coefficients are
-    L and -L up to order, the stages run over L alone and the count is
-    sum_v c(v)^2, c(v) the number of x with L-values v.  Cells are int64
-    while p^(es) fits and Python big integers (an ``object`` array) beyond,
-    on the same code.
+    per coefficient of a half of ``system.split_halves``.  At most p^(ej)
+    vectors exist after j <= k stages, so the first min(k, stages) are one
+    bincount of those vectors and each later stage is dense, p^e shifted
+    copies of the state.  The count is sum_v left(v) * right(v) over each
+    half's tuple counts by power sums v, or sum_v c(v)^2 over the one half of
+    an L and -L system.  Cells are int64 while p^(es) fits and Python big
+    integers (an ``object`` array) beyond, on the same code.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
@@ -86,38 +87,37 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     """Product of the DP counts M(m) over ``moduli``, refused before any DP
     runs; a single composite modulus is the direct count that
     ``multiplicativity_check`` needs."""
-    k = system.degree
-    s = system.arity
-    left = tuple(c for c in system.coefficients if c > 0)
-    squares = mirrored(left, [c for c in system.coefficients if c < 0])
-    stages = left if squares else system.coefficients
-    # every DP cell and the sum of squares count tuples of (Z/m)^s
+    k, s = system.degree, system.arity
+    halves = split_halves(system.coefficients)
+    # the read-out sums products of two cells into a count of (Z/m)^s tuples
     dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
-    head = min(k, len(stages))
-    ops = sum(head * k * m**head + (len(stages) - head) * m ** (k + 1) for m in moduli)
+    heads = [min(k, len(half)) for half in halves]
+    ops = sum(head * k * m**head + (len(half) - head) * m ** (k + 1)
+              for m in moduli for half, head in zip(halves, heads))
     budget.check_ops(ops, "congruence count")
     # held at once by the scatter: the m^head power-sum vectors, their flat
-    # indices, the bincount and its cells; by a dense stage: the counts, the
-    # next stage (a Python integer per cell of each on the object path) and
-    # np.roll's copy, or the counts and their squares in the read-out; and
-    # np.roll's index 2-tuples and k-tuples in free lists, 2000 tuples each
-    budget.check_bytes(
-        max(
-            max(8 * (k + 1) * m**head + (8 + cell) * m**k,
-                m**k * max(2 * cell + 8, cell + squares * entry_bytes(d, m**s)))
-            for m, d in zip(moduli, dtypes)
-            for cell in [entry_bytes(d, m ** len(stages))]
-        ) + 2000 * (96 + 8 * k),
-        "congruence DP states",
-    )
+    # indices, the bincount and its cells (each at most m^|half|); by a dense
+    # stage: the counts, the next stage and np.roll's copy; by the second
+    # half, also the first half's counts; by the read-out, each half's counts
+    # and their products; and np.roll's index 2-tuples and k-tuples in free
+    # lists, 2000 tuples each
+    peaks = []
+    for m, d in zip(moduli, dtypes):
+        cells = [entry_bytes(d, m ** len(half)) for half in halves]
+        built = [max(8 * (k + 1) * m**head + (8 + cell) * m**k, (2 * cell + 8) * m**k)
+                 for head, cell in zip(heads, cells)]
+        peaks += [built[0], cells[0] * m**k * (len(halves) - 1) + built[-1],
+                  (sum(cells) + entry_bytes(d, m**s)) * m**k]
+    budget.check_bytes(max(peaks) + 2000 * (96 + 8 * k), "congruence DP states")
     return math.prod(
-        _congruence_dp(stages, k, m, d, squares) for m, d in zip(moduli, dtypes)
+        int((counts[0] * counts[-1]).sum())
+        for m, d in zip(moduli, dtypes)
+        for counts in [[_congruence_dp(half, k, m, d) for half in halves]]
     )
 
 
-def _congruence_dp(
-    stages: tuple[int, ...], k: int, q: int, dtype, squares: bool
-) -> int:
+def _congruence_dp(stages: tuple[int, ...], k: int, q: int, dtype) -> np.ndarray:
+    """The (Z/q)^k array whose cell v counts x with v_j = sum_i stages_i x_i^j."""
     head = min(k, len(stages))
     vecs = np.zeros(k, dtype=np.int64)
     for lam in stages[:head]:
@@ -133,9 +133,7 @@ def _congruence_dp(
             shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
             nxt += np.roll(counts, shifts, axis=axes)
         counts = nxt
-    if squares:
-        return int((counts * counts).sum())
-    return int(counts[(0,) * k])
+    return counts
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

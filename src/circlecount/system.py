@@ -126,12 +126,15 @@ def value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
     return all(total == 0 for total in class_sums.values())
 
 
-def mirrored(left: Sequence[int], right: Sequence[int]) -> bool:
-    """True iff ``right`` negates ``left`` up to order.  A system on the
-    coefficients left + right then counts pairs of tuples with equal
-    ``left``-values, so the MITM join and the congruence DP each run over
-    ``left`` alone and sum squared counts."""
-    return sorted(left) == sorted(-c for c in right)
+def split_halves(coefficients: Sequence[int]) -> list[tuple[int, ...]]:
+    """The halves both exact engines count pairs of tuples over, one per half,
+    with equal power sums: the positives L alone when the negatives are -L up
+    to order, else the first ceil(s/2) coefficients and the negated rest."""
+    left = tuple(c for c in coefficients if c > 0)
+    if sorted(left) == sorted(-c for c in coefficients if c < 0):
+        return [left]
+    half = (len(coefficients) + 1) // 2
+    return [tuple(coefficients[:half]), tuple(-c for c in coefficients[half:])]
 
 
 def is_nonsingular(system: DiagonalSystem, x: Sequence[int]) -> bool:

@@ -7,8 +7,12 @@ conftest generators up to k = 3, mirrored (L and -L) and not:
 
 * the product of prime-power counts (CRT) against one direct DP at q
   (``local._dp_product`` at the single modulus q);
-* the half DP (stages over L, sum of squared counts) against the full-stage
-  DP over all s coefficients, at prime powers;
+* the one-half read-out of an L and -L system (stages over L, sum of squared
+  counts) against the two-half read-out (sum of products of the counts of the
+  first ceil(s/2) coefficients and of the negated rest), forced by patching
+  ``local.split_halves``, at prime powers;
+* every shuffle of an L and -L system against its sorted form: the same DP
+  stages up to order and the same counts;
 * every DP against ``brute_force_congruence_count`` wherever q^s <= 10^5 on
   quad6 and cubic8, and on the draws for q = 2, 3, ... while the brute-force
   tuples total at most 3 * 10^4 per system;
@@ -19,8 +23,9 @@ conftest generators up to k = 3, mirrored (L and -L) and not:
 * the exact series terms against the floating-point direct route
   ``series_term_direct`` at k = 3, on cubic8 and the degree-3 draws;
 * the DP itself, whose first min(k, stages) stages are one bincount scatter,
-  against ``_literal_dp``, the stage-by-stage np.roll recursion, at every
-  prime power up to 60 (30 for cubic8 on big integers) and on edge stages.
+  against ``_literal_dp``, the stage-by-stage np.roll recursion, on the
+  halves of every system at every prime power up to 60 (30 for cubic8 on big
+  integers) and on edge stages.
 """
 
 from __future__ import annotations
@@ -49,8 +54,15 @@ CUBIC8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
 
 
 def is_mirrored(system) -> bool:
-    # independent of system.mirrored, which the paths under test call
+    # independent of system.split_halves, which the paths under test call
     return sorted(system.coefficients) == sorted(-c for c in system.coefficients)
+
+
+def positional_halves(coefficients) -> list[tuple[int, ...]]:
+    # the halves of a system that is not L and -L: the first ceil(s/2)
+    # coefficients and the negation of the rest
+    half = (len(coefficients) + 1) // 2
+    return [tuple(coefficients[:half]), tuple(-c for c in coefficients[half:])]
 
 
 def random_asymmetric_system(rnd: random.Random, s: int, k: int):
@@ -121,27 +133,53 @@ def test_crt_product_equals_direct_dp(dtype):
                 assert crt == local._dp_product(system, [q], Budget()), (system, q)
 
 
-@DTYPES
-def test_half_dp_equals_full_stage_dp(dtype, monkeypatch):
-    read_outs = []
+@pytest.fixture
+def dp_stages(monkeypatch):
+    """Record the stages of every DP run."""
+    runs = []
 
-    def spy(stages, k, q, cells, squares):
-        read_outs.append(squares)
-        return _DP(stages, k, q, cells, squares)
+    def spy(stages, k, q, cells):
+        runs.append(stages)
+        return _DP(stages, k, q, cells)
 
     monkeypatch.setattr(local, "_congruence_dp", spy)
+    return runs
+
+
+@DTYPES
+def test_one_half_dp_equals_two_half_dp(dtype, dp_stages, monkeypatch):
     for system in [QUAD6, CUBIC8] + MIRRORED:
         qs = moduli(system, dtype, prime_powers=True)
+        positives = tuple(c for c in system.coefficients if c > 0)
         with dp_dtype(dtype):
-            half = [congruence_count(system, q).count for q in qs]
-        assert set(read_outs) == {True}
-        del read_outs[:]
+            one = [congruence_count(system, q).count for q in qs]
+        assert dp_stages == [positives] * len(qs)
+        del dp_stages[:]
         with dp_dtype(dtype), monkeypatch.context() as mp:
-            mp.setattr(local, "mirrored", lambda left, right: False)
-            full = [congruence_count(system, q).count for q in qs]
-        assert set(read_outs) == {False}
-        del read_outs[:]
-        assert half == full, system
+            mp.setattr(local, "split_halves", positional_halves)
+            two = [congruence_count(system, q).count for q in qs]
+        assert dp_stages == positional_halves(system.coefficients) * len(qs)
+        del dp_stages[:]
+        assert one == two, system
+
+
+def test_shuffled_mirrored_systems_run_their_sorted_form_stages(dp_stages):
+    rnd = random.Random(20261020)
+    for system in [validate_system(2, (1, -1) * 3)] + MIRRORED:
+        k, coeffs = system.degree, list(system.coefficients)
+        qs = [q for q in range(2, 28) if len(_factorize(q)) == 1 and small(system, q)]
+        expected = [congruence_count(validate_system(k, sorted(coeffs)), q).count
+                    for q in qs]
+        [stages] = set(dp_stages)
+        assert len(dp_stages) == len(qs)
+        assert sorted(stages) == sorted(c for c in coeffs if c > 0)
+        for _ in range(4):
+            rnd.shuffle(coeffs)
+            del dp_stages[:]
+            counts = [congruence_count(validate_system(k, coeffs), q).count for q in qs]
+            assert counts == expected, coeffs
+            assert [sorted(run) for run in dp_stages] == [sorted(stages)] * len(qs)
+        del dp_stages[:]
 
 
 def test_dp_equals_brute_force():
@@ -200,7 +238,7 @@ def test_series_term_equals_direct_route_at_degree_three():
             assert abs(direct - exact) <= 1e-9 * (1 + abs(exact)), (system, q)
 
 
-def _literal_dp(stages, k: int, q: int, dtype, squares: bool) -> int:
+def _literal_dp(stages, k: int, q: int, dtype) -> np.ndarray:
     """The DP one stage at a time from the zero vector: each stage, the first
     included, sums q rolls of the whole (Z/q)^k array, by lam x^j mod q for
     each residue x."""
@@ -213,17 +251,15 @@ def _literal_dp(stages, k: int, q: int, dtype, squares: bool) -> int:
             shifts = tuple(lam * pow(x, j, q) % q for j in range(1, k + 1))
             nxt += np.roll(counts, shifts, axis=axes)
         counts = nxt
-    if squares:
-        return int((counts * counts).sum())
-    return int(counts[(0,) * k])
+    return counts
 
 
-def dp_runs(system):
-    """(stages, squares) of the DPs a system can run: all coefficients with
-    the zero read-out and, when they are L and -L, L with the squared counts."""
-    runs = [(system.coefficients, False)]
+def dp_runs(system) -> set[tuple[int, ...]]:
+    """The stages of the DPs a system can run: its positional halves and, when
+    it is L and -L, L."""
+    runs = set(positional_halves(system.coefficients))
     if is_mirrored(system):
-        runs.append((tuple(c for c in system.coefficients if c > 0), True))
+        runs.add(tuple(c for c in system.coefficients if c > 0))
     return runs
 
 
@@ -233,11 +269,10 @@ def test_dp_equals_literal_stage_by_stage_dp(dtype):
         k = system.degree
         qs = moduli(system, dtype, prime_powers=True)
         assert qs
-        for stages, squares in dp_runs(system):
+        for stages in dp_runs(system):
             for q in qs:
-                if squares or small(system, q):  # cubic8's 8 stages: q <= 26
-                    assert _DP(stages, k, q, dtype, squares) == _literal_dp(
-                        stages, k, q, dtype, squares), (system, stages, q)
+                assert _DP(stages, k, q, dtype).tolist() == _literal_dp(
+                    stages, k, q, dtype).tolist(), (system, stages, q)
 
 
 # head = min(k, stages) below, equal to and above k; a coefficient 0 mod 2;
@@ -252,6 +287,5 @@ EDGE_STAGES = [
 @pytest.mark.parametrize("stages,k", EDGE_STAGES)
 def test_dp_edge_stages_equal_literal_dp(dtype, stages, k):
     for q in range(1, 13 if k < 3 else 9):
-        for squares in (False, True):
-            assert _DP(stages, k, q, dtype, squares) == _literal_dp(
-                stages, k, q, dtype, squares), q
+        assert _DP(stages, k, q, dtype).tolist() == _literal_dp(
+            stages, k, q, dtype).tolist(), q

@@ -6,13 +6,17 @@ the tuple grid) on seeded draws from the conftest generators:
 
 * systems with k = 1, 2, 3 and s <= 6, from ``random_system`` (kept only when
   the coefficients are not L and -L) and from ``random_mirrored_system``, so
-  that the MITM join runs both its two-half and its one-half forms, and it
-  must build one half exactly when its right half negates its left half up
-  to order;
+  that the MITM join runs both its two-half and its one-half forms; it must
+  build the one half L, the positive coefficients, exactly when the system
+  is L and -L up to order, also when its first and last halves do not negate
+  each other, and else the first ceil(s/2) coefficients and the negation of
+  the rest;
 * more ``random_system`` draws that are not L and -L but repeat a coefficient
   within a half, so that the join's two halves carry multiset weights; each
   half must pack prod_g C(|A|+m_g-1, m_g) keys, m_g the multiplicities of
   its distinct coefficients;
+* seeded shuffles of L and -L systems, which must count the same distinct
+  keys with the same multiplicities as their sorted forms;
 * ``random_window`` windows with |A|^s <= 2 * 10^4;
 * int64 arrays, and ``object`` arrays of Python integers forced by patching
   ``enumeration.fits_int64``, the one dtype decision of both engines.
@@ -43,23 +47,22 @@ GRID = 2 * 10**4  # the cap on |A|^s, the brute-force tuples per draw
 
 
 def is_mirrored(system) -> bool:
-    # independent of system.mirrored, which the MITM join calls
+    # independent of system.split_halves, which the MITM join calls
     return sorted(system.coefficients) == sorted(-c for c in system.coefficients)
 
 
-def halves_negate(system) -> bool:
-    # the MITM split, tested apart from system.mirrored, which the join calls
+def positional_halves(system) -> list[tuple[int, ...]]:
+    # the first ceil(s/2) coefficients and the negation of the rest
     half = (system.arity + 1) // 2
-    left, right = system.coefficients[:half], system.coefficients[half:]
-    return sorted(left) == sorted(-c for c in right)
+    return [system.coefficients[:half], tuple(-c for c in system.coefficients[half:])]
 
 
 def join_halves(system) -> list[tuple[int, ...]]:
-    # the halves the join builds, by the same rule as halves_negate
-    half = (system.arity + 1) // 2
-    left, right = system.coefficients[:half], system.coefficients[half:]
-    neg = tuple(-c for c in right)
-    return [left] if halves_negate(system) else [left, neg]
+    # the halves the join builds: the positive coefficients alone when the
+    # system is L and -L, else the positional halves
+    if is_mirrored(system):
+        return [tuple(c for c in system.coefficients if c > 0)]
+    return positional_halves(system)
 
 
 def weighted_halves(system) -> int:
@@ -114,10 +117,11 @@ def test_draws_cover_degrees_and_both_join_forms(cases):
     for degree in (1, 2, 3):
         kinds = {is_mirrored(system) for system, _ in DRAWS if system.degree == degree}
         assert kinds == {False, True}
-    joins = [halves_negate(system) for system, _ in DRAWS]
-    # mirrored draws whose MITM halves do not negate each other as well
-    assert joins.count(True) >= 3
-    assert sum(map(is_mirrored, (system for system, _ in DRAWS))) > joins.count(True)
+    # mirrored draws whose positional halves do not negate each other, which
+    # a positional rule would build as two halves
+    left, right = zip(*(positional_halves(system) for system, _ in DRAWS
+                        if is_mirrored(system)))
+    assert sum(sorted(a) != sorted(b) for a, b in zip(left, right)) >= 3
     weighted = [weighted_halves(system) for system, _ in DRAWS]
     assert sum(w >= 1 for w in weighted) >= 9 and weighted.count(2) >= 3
     assert all(window.cardinality ** system.arity <= GRID for system, window in DRAWS)
@@ -171,3 +175,45 @@ def test_renumbered_multiset_keys(monkeypatch):
         assert (tally.total, tally.trivial) == expected, int64
         # int64 keys whose radices pass int64: renumbered at least once
         assert not int64 or (decisions[0] and not all(decisions))
+
+
+def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
+    # the one half is the positive coefficients in any order, so every shuffle
+    # packs as many keys as its sorted form and counts the same distinct keys
+    # with the same multiplicities; (1, -1, 1, -1, 1, -1) at n = 60 packs the
+    # C(62, 3) = 37,820 multisets of quad6
+    packed, counted = [], []
+    real_keys, real_counts = enumeration._packed_keys, enumeration._weighted_counts
+
+    def keys_spy(cols, radices):
+        keys = real_keys(cols, radices)
+        packed.append([key.size for key in keys])
+        return keys
+
+    def counts_spy(keys, weights):
+        counted.append([a.tolist() for a in real_counts(keys, weights)])
+        return real_counts(keys, weights)
+
+    monkeypatch.setattr(enumeration, "_packed_keys", keys_spy)
+    monkeypatch.setattr(enumeration, "_weighted_counts", counts_spy)
+    rnd = random.Random(20261020)
+    n = 60
+    systems = [validate_system(2, (1, -1) * 3)]
+    systems += [random_mirrored_system(rnd, half, k)
+                for k, half in ((1, 3), (2, 3), (3, 2), (2, 4), (3, 3))]
+    for system in systems:
+        k, coeffs = system.degree, list(system.coefficients)
+        expected = count_solutions(validate_system(k, sorted(coeffs)), SetWindow.full(n))
+        positives = [c for c in coeffs if c > 0]
+        assert packed == [[multisets(positives, n)]]
+        [(keys, mults)] = counted
+        assert sum(mults) == n ** len(positives)  # every ordered tuple once
+        for _ in range(4):
+            rnd.shuffle(coeffs)
+            del packed[:], counted[:]
+            tally = count_solutions(validate_system(k, coeffs), SetWindow.full(n))
+            assert tally == expected, coeffs
+            assert packed == [[multisets(positives, n)]], coeffs
+            assert counted == [[keys, mults]], coeffs
+        del packed[:], counted[:]
+    assert multisets((1, 1, 1), n) == 37_820

@@ -329,10 +329,13 @@ class TestMultisetJoin:
         ((2, 2, 1, -1, -1, -3), 2, 24, [7_200, 7_200], (11_476, 2_232)),
     ], ids=["quad6", "cubic8", "non_mirrored"])
     def test_keys_per_half(self, half_keys, coeffs, k, n, keys, tally):
-        # tallies recorded from an ordered-grid join, which has no weights
+        # tallies recorded from an ordered-grid join, which has no weights;
+        # the positives alone when the negatives negate them, else by position
         half = (len(coeffs) + 1) // 2
         left, right = coeffs[:half], tuple(-c for c in coeffs[half:])
-        halves = (left,) if sorted(left) == sorted(right) else (left, right)
+        positives = tuple(c for c in coeffs if c > 0)
+        mirrored = sorted(positives) == sorted(-c for c in coeffs if c < 0)
+        halves = (positives,) if mirrored else (left, right)
         assert keys == [_expected_half_keys(h, n) for h in halves]
         got = count_solutions(validate_system(k, coeffs), SetWindow.full(n), "mitm")
         assert (got.total, got.trivial) == tally
@@ -593,17 +596,19 @@ class TestInt64Fallbacks:
         # the congruence DP at prime powers, one DP per call, at moduli where
         # the arrays outweigh the free-list term: int64 cells, then object
         # cells past 89^12 > 2^62; these three systems are L and -L, so they
-        # run the half DP with its squared counts
+        # run one half and read out its squared counts
         lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 211, b),
         lambda b: congruence_count(
             validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 41, b),
         lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 89, b),
-        # and the full-stage DP, on systems that are not L and -L: int64 cells
-        # at a modulus where the arrays outweigh the free-list term, then
-        # object cells past 37^12 > 2^62
+        # and the two-half DP, on systems that are not L and -L, the first
+        # half's counts held while the second is built: int64 cells at a
+        # modulus where the arrays outweigh the free-list term, then object
+        # cells past 37^12 > 2^62, then halves of 4 and 3 stages at k = 3
         lambda b: congruence_count(validate_system(2, (2, 1, -1, -1, -1)), 289, b),
         lambda b: congruence_count(
             validate_system(2, (2, 2, 1, 1, 1, 1, -1, -1, -1, -1, -1, -3)), 37, b),
+        lambda b: congruence_count(validate_system(3, (2, 1, 1, -1, -1, -1, -1)), 41, b),
         # the direct series route: its q^k-row arrays, then at k = 1 a modulus
         # where one row block of complete sums outweighs them
         lambda b: series_term_direct(validate_system(2, (1, 1, 1, -1, -1, -1)), 60, b),
@@ -614,7 +619,7 @@ class TestInt64Fallbacks:
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "mitm_cubic_multisets",
          "mitm_non_mirrored_weighted", "naive_int64",
          "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
-         "dp_full_int64", "dp_full_object", "direct_quad6", "direct_cubic8",
+         "dp_full_int64", "dp_full_object", "dp_two_halves_cubic", "direct_quad6", "direct_cubic8",
          "direct_linear_block"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):

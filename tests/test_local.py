@@ -89,18 +89,30 @@ class TestCongruenceCount:
 
     def test_dp_exact_past_int64(self):
         # one linear congruence with a unit coefficient has q^(s-1) solutions;
-        # q^13 passes 2^62 from q = 28 on, and from q = 29 the cells themselves
-        # pass 2^63, where an int64 DP would wrap around; 28 and 40 are one DP
-        # only when counted directly
+        # q^13 passes 2^62 from q = 28 on, and from q = 29 the read-out's sum
+        # of products of the halves' counts passes 2^63, where an int64 DP
+        # would wrap around; 28 and 40 are one DP only when counted directly
         sys = validate_system(1, (1,) * 7 + (-1,) * 5 + (-2,))
         for q in (27, 28, 29, 40):
             assert congruence_count(sys, q).count == q**12
             assert local._dp_product(sys, [q], Budget()) == q**12
-        # L and -L: the half DP's cells stay below q^7, but its sum of squares
+        # L and -L: the one half's cells stay below q^7, but its sum of squares
         # is q^13 and passes 2^63 at the prime 29
         mirrored = validate_system(1, (1,) * 7 + (-1,) * 7)
         for q in (27, 29):
             assert congruence_count(mirrored, q).count == q**13
+
+    def test_ops_estimate_per_half(self):
+        # head * k * m^head + (stages - head) * m^(k+1) per half: the halves
+        # (2, 1, -1) and (1, 1) at m = 53 take 11,236 + 148,877 and 11,236
+        sys = validate_system(2, (2, 1, -1, -1, -1))
+        with pytest.raises(BudgetExceededError, match="estimated 171349 "):
+            congruence_count(sys, 53, Budget(max_ops=171_348))
+        assert congruence_count(sys, 53, Budget(max_ops=171_349)).count == (
+            congruence_count(sys, 53).count)
+        # at m = 997 one DP of all five stages was estimated at 2.98 * 10^9
+        with pytest.raises(BudgetExceededError, match="estimated 998979045 "):
+            congruence_count(sys, 997, Budget(max_ops=998_979_044))
 
     def test_budget_refusal(self, sys_quad4):
         from circlecount.budget import Budget
@@ -179,9 +191,9 @@ class TestMultiplicativity:
         dp_moduli = []
         real = local._congruence_dp
 
-        def spy(stages, k, q, dtype, squares):
+        def spy(stages, k, q, dtype):
             dp_moduli.append(q)
-            return real(stages, k, q, dtype, squares)
+            return real(stages, k, q, dtype)
 
         monkeypatch.setattr(local, "_congruence_dp", spy)
         assert multiplicativity_check(sys_quad4, 4, 15).passed
@@ -256,9 +268,9 @@ class TestTruncatedSeries:
         dp_moduli = []
         real = local._congruence_dp
 
-        def spy(stages, k, q, dtype, squares):
+        def spy(stages, k, q, dtype):
             dp_moduli.append(q)
-            return real(stages, k, q, dtype, squares)
+            return real(stages, k, q, dtype)
 
         monkeypatch.setattr(local, "_congruence_dp", spy)
         prime_powers = [q for q in range(2, 61) if len(_factorize(q)) == 1]

@@ -24,7 +24,7 @@ from circlecount.errors import (
     NotASolutionError,
     ZeroCoefficientError,
 )
-from circlecount.system import jacobian_closed_form_magnitude
+from circlecount.system import jacobian_closed_form_magnitude, split_halves
 
 
 class TestValidateSystem:
@@ -130,6 +130,20 @@ class TestJacobian:
                 if det != 0:
                     nonzero = True
             assert nonzero == is_nonsingular(sys_quad6, x)
+
+
+class TestSplitHalves:
+    def test_mirrored_systems_take_their_positives(self):
+        assert split_halves((1, 1, 1, -1, -1, -1)) == [(1, 1, 1)]
+        assert split_halves((1, -1, 1, -1, 1, -1)) == [(1, 1, 1)]
+        # mirrored by sign, though its first half does not negate its last
+        assert split_halves((1, 1, -1, 2, -1, -2)) == [(1, 1, 2)]
+        assert split_halves((2, -2, 1, -1, -3, 3)) == [(2, 1, 3)]
+
+    def test_other_systems_split_by_position(self):
+        assert split_halves((2, 1, -1, -1, -1)) == [(2, 1, -1), (1, 1)]
+        assert split_halves((2, -1, -1)) == [(2, -1), (1,)]
+        assert split_halves((3, -1, -1, 2, -2, -1)) == [(3, -1, -1), (-2, 2, 1)]
 
 
 class TestClassify:
