@@ -204,8 +204,9 @@ def _join_count(
     sum_v left(v)^2 over one half.  Weights, and their products with the next
     length while they grow, stay below h * |A|^h (h the half's length), so
     they join the key bound in the dtype decision; the count, at most |A|^s,
-    is one ``np.dot`` when it fits int64.  Byte estimate ``what`` per multiset entry
-    built: the degree columns, the key and the weight, sized by
+    is one ``np.dot`` of the matched multiplicities, cast to int64 while
+    |A|^s fits and to ``object`` beyond.  Byte estimate ``what`` per multiset
+    entry built: the degree columns, the key and the weight, sized by
     ``entry_bytes``, and 8 bytes each for the sort order, the keys' sorted
     copy and the weights' sorted copy.  ``object`` keys are not renumbered and
     reach the radix product.
@@ -232,9 +233,8 @@ def _join_count(
         _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
         lmult, rmult = lmult[li], rmult[ri]
     # one half stands for both, so s = lengths[0] + lengths[-1]
-    if fits_int64(n ** (lengths[0] + lengths[-1])):
-        return int(np.dot(lmult, rmult))
-    return sum(map(operator.mul, lmult.tolist(), rmult.tolist()))
+    dtype = np.int64 if fits_int64(n ** (lengths[0] + lengths[-1])) else object
+    return int(np.dot(lmult.astype(dtype, copy=False), rmult.astype(dtype, copy=False)))
 
 
 def _zero_sum_blocks(

@@ -19,9 +19,11 @@ read out from the halves of ``system.split_halves``, as the MITM join counts:
 one numpy dynamic program per half counts its tuples by residue vector of
 power sums, its first min(k, stages) stages one bincount of the power-sum
 vectors of all tuples and dense np.roll stages the rest, and M(m) is
-sum_v left(v) * right(v), or sum_v c(v)^2 when one half stands for both.
-Cells are int64 or, when m^s does not fit at the DP's modulus m, Python big
-integers; ``budget.fits_int64`` picks the dtype and nothing else differs.
+sum_v left(v) * right(v), or sum_v c(v)^2 when one half stands for both: one
+``np.dot`` of the flattened counts, the join's read-out.  Cells are int64 or,
+when m^s does not fit at the DP's modulus m, Python big integers, on which
+``np.dot`` is exact too; ``budget.fits_int64`` picks the dtype and nothing
+else differs.
 ``multiplicativity_check`` takes S(qr) as the literal divisor sum over direct
 DP counts at each divisor of qr, so it stays a real check of both product
 rules.
@@ -72,8 +74,8 @@ def congruence_count(
     bincount of those vectors and each later stage is dense, p^e shifted
     copies of the state.  The count is sum_v left(v) * right(v) over each
     half's tuple counts by power sums v, or sum_v c(v)^2 over the one half of
-    an L and -L system.  Cells are int64 while p^(es) fits and Python big
-    integers (an ``object`` array) beyond, on the same code.
+    an L and -L system, one ``np.dot``.  Cells are int64 while p^(es) fits
+    and Python big integers (an ``object`` array) beyond, on the same code.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
@@ -98,19 +100,18 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     # held at once by the scatter: the m^head power-sum vectors, their flat
     # indices, the bincount and its cells (each at most m^|half|); by a dense
     # stage: the counts, the next stage and np.roll's copy; by the second
-    # half, also the first half's counts; by the read-out, each half's counts
-    # and their products; and np.roll's index 2-tuples and k-tuples in free
-    # lists, 2000 tuples each
+    # half, also the first half's counts; and np.roll's index 2-tuples and
+    # k-tuples in free lists, 2000 tuples each.  The read-out is one np.dot
+    # of the halves' counts, which the second half's phase already holds
     peaks = []
     for m, d in zip(moduli, dtypes):
         cells = [entry_bytes(d, m ** len(half)) for half in halves]
         built = [max(8 * (k + 1) * m**head + (8 + cell) * m**k, (2 * cell + 8) * m**k)
                  for head, cell in zip(heads, cells)]
-        peaks += [built[0], cells[0] * m**k * (len(halves) - 1) + built[-1],
-                  (sum(cells) + entry_bytes(d, m**s)) * m**k]
+        peaks += [built[0], cells[0] * m**k * (len(halves) - 1) + built[-1]]
     budget.check_bytes(max(peaks) + 2000 * (96 + 8 * k), "congruence DP states")
     return math.prod(
-        int((counts[0] * counts[-1]).sum())
+        int(np.dot(counts[0].ravel(), counts[-1].ravel()))
         for m, d in zip(moduli, dtypes)
         for counts in [[_congruence_dp(half, k, m, d) for half in halves]]
     )
@@ -394,6 +395,14 @@ def hensel_lift(
     be nonzero with p-adic valuation v, and the seed to satisfy the
     congruences mod p^(1+2v) (the unique-lift hypothesis).  The returned
     values satisfy the system mod p^t exactly and reduce to the seed mod p.
+
+    Both are checked once, before the Newton loop, and ``jacobian`` checks
+    the index subset.  The free residues of the seed, in [0, p), are then
+    distinct (else the Jacobian vanishes) and the congruences hold mod
+    p^(1+2v), so every Newton step is 0 mod p^(v+1): the free residues stay
+    fixed mod p, the Jacobian's valuation stays v and every Cramer numerator
+    is divisible by p^v.  The loop cap and the final verification are the
+    one fault check.
     """
     system.require_arity(seed)
     if _factorize(p) != [(p, 1)]:
@@ -406,8 +415,6 @@ def hensel_lift(
         if free_indices is not None
         else _pick_free_indices(system, x, p)
     )
-    if len(free) != system.degree or len(set(free)) != system.degree:
-        raise BadParamsError("free_indices must be a k-subset")
     delta = jacobian(system, x, free)
     if delta == 0:
         raise SingularJacobianError(
@@ -427,24 +434,14 @@ def hensel_lift(
         if all(val % target == 0 for val in lvals):
             break
         jmat = jacobian_matrix(system, x, free)
-        det = _det_bareiss(jmat)
-        if det == 0 or _v_p(det, p) != v:
-            raise NoConvergenceError("Jacobian valuation drifted during lifting")
-        inv_unit = pow(det // p**v % work_mod, -1, work_mod)
+        inv_unit = pow(_det_bareiss(jmat) // p**v % work_mod, -1, work_mod)
         # Cramer's rule, exact: J^{-1} L = nums / det, nums_i = det(J, column i := L)
         nums = [
             _det_bareiss([r[:i] + [val] + r[i + 1:] for r, val in zip(jmat, lvals)])
             for i in range(k)
         ]
-        step = []
-        for numv in nums:
-            if numv % p**v != 0:
-                raise NoConvergenceError(
-                    "Newton correction is not p-integral; hypothesis fails in practice"
-                )
-            step.append((numv // p**v) * inv_unit % work_mod)
-        for pos, idx in enumerate(free):
-            x[idx - 1] = (x[idx - 1] - step[pos]) % work_mod
+        for idx, num in zip(free, nums):
+            x[idx - 1] = (x[idx - 1] - num // p**v * inv_unit) % work_mod
     else:
         raise NoConvergenceError("Newton iteration did not reach the target level")
     x = [val % target for val in x]

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from circlecount import cli
+
 CLI = [sys.executable, "-m", "circlecount.cli"]
 
 
@@ -241,6 +243,39 @@ def test_lift(quad6_file):
     )
     assert res["modulus"] == "25"
     assert res["certified"] is True
+
+
+LIFT = ["lift", "-p", "5", "-t", "2", "--seed", "1,0,1,2,3,2"]
+
+
+def test_lift_in_process_prints_the_subprocess_stdout(quad6_file, capsys):
+    for free in ([], ["--free", "1,2"]):
+        args = LIFT + ["--system", quad6_file] + free
+        assert cli.main(args) == 0
+        out, _ = capsys.readouterr()
+        proc = run_cli(*args)
+        assert proc.returncode == 0 and out == proc.stdout
+        assert json.loads(out)["result"]["free_indices"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--free", "1,1"], 3, "error: indices must be a k-subset of 1..6, got (1, 1)"),
+        (["--free", "1"], 3, "error: indices must be a k-subset of 1..6, got (1,)"),
+        (["-p", "4"], 3, "error: 4 is not prime"),
+        (["-t", "0"], 3, "error: target level must be >= 1"),
+        (["--seed", "1,2,3,3,3,3"], 4, "hypothesis violation: seed does not satisfy "
+         "the congruences mod p^1 (u = 1 + 2 v_p(J))"),
+    ],
+    ids=["free_repeated", "free_short", "p_composite", "t_zero", "seed_not_a_solution"],
+)
+def test_lift_in_process_errors(args, code, message, quad6_file, capsys):
+    # a later flag overrides the valid one in LIFT
+    assert cli.main(LIFT + ["--system", quad6_file] + args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == message
 
 
 def test_lift_singular_exit4(quad4_file):

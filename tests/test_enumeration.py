@@ -641,5 +641,38 @@ def test_key_byte_estimate_tracks_traced_peak(count):
     assert peak <= estimate <= 4 * peak
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sys: enumeration.SolutionTally(1, 0, 0),
+         "tally invariant total = trivial + nontrivial broken"),
+        (lambda sys: list(stream_solutions(sys, SetWindow.full(3), "odd")),
+         "unknown filter 'odd'"),
+        (lambda sys: vinogradov_moment(0, 2, 1), "need n, k, t >= 1"),
+        (lambda sys: vinogradov_moment(3, 0, 1), "need n, k, t >= 1"),
+        (lambda sys: vinogradov_moment(3, 2, 0), "need n, k, t >= 1"),
+        (lambda sys: greedy_solution_free(sys, 0), "n must be >= 1"),
+    ],
+    ids=["tally_invariant", "stream_filter", "moment_n0", "moment_k0", "moment_t0",
+         "greedy_n0"],
+)
+def test_input_checks(call, message, sys_quad4):
+    with pytest.raises(BadParamsError) as info:
+        call(sys_quad4)
+    assert str(info.value) == message
+
+
+def test_empty_window_scans_nothing(sys_quad4):
+    window = SetWindow.empty(5)
+    assert count_solutions(sys_quad4, window, "naive") == enumeration.SolutionTally(0, 0, 0)
+    assert list(stream_solutions(sys_quad4, window)) == []
+
+
+def test_tally_json_dict():
+    tally = enumeration.SolutionTally(2**70, 3, 2**70 - 3)
+    assert tally.to_json_dict() == {
+        "total": str(2**70), "trivial": "3", "nontrivial": str(2**70 - 3)}
+
+
 def test_partition_cache_is_bounded():
     assert enumeration._zero_sum_partition_histogram.cache_info().maxsize is not None

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from circlecount import (
 )
 from circlecount.budget import Budget
 from circlecount.errors import (
+    BadIndicesError,
     BadParamsError,
     BudgetExceededError,
     HypothesisViolatedError,
@@ -26,6 +28,7 @@ from circlecount.errors import (
     SingularJacobianError,
 )
 from circlecount.local import _factorize
+from circlecount.system import _det_bareiss, jacobian_matrix
 
 from conftest import brute_force_congruence_count, random_system
 
@@ -402,6 +405,102 @@ class TestHenselLift:
             assert all(v % mod == 0 for v in sys_quad6.equations_at(lift.values))
             assert all((a - b) % p == 0 for a, b in zip(lift.values, seed))
             made += 1
+
+
+def _newton_with_rechecks(system, seed, p, t, free):
+    """The lift by the Newton loop of ``hensel_lift``, with the valuation
+    checks inside the loop that the lifting hypothesis makes redundant as
+    asserts: the Jacobian keeps valuation v and p^v divides every Cramer
+    numerator.  Returns the values and v."""
+    x = [val % p for val in seed]
+    v = local._v_p(jacobian(system, x, free), p)
+    work_mod, target = p ** (t + 2 * v + 2), p**t
+    for _ in range(64):
+        lvals = list(system.equations_at(x))
+        if all(val % target == 0 for val in lvals):
+            break
+        jmat = jacobian_matrix(system, x, free)
+        det = _det_bareiss(jmat)
+        assert det != 0 and local._v_p(det, p) == v
+        nums = [
+            _det_bareiss([r[:i] + [val] + r[i + 1:] for r, val in zip(jmat, lvals)])
+            for i in range(system.degree)
+        ]
+        assert all(num % p**v == 0 for num in nums)
+        inv_unit = pow(det // p**v % work_mod, -1, work_mod)
+        for idx, num in zip(free, nums):
+            x[idx - 1] = (x[idx - 1] - num // p**v * inv_unit) % work_mod
+    else:
+        raise AssertionError("Newton iteration did not reach the target level")
+    return tuple(val % target for val in x), v
+
+
+def test_hypothesis_keeps_every_newton_step_integral():
+    # seeded draws: k <= 3, coefficients in +-{1, 2, 3, 4, 6}, p in {2, 3, 5}, a
+    # free k-subset and a seed in [0, p)^s that meets the hypothesis; every
+    # step then keeps the Jacobian's valuation v and is 0 mod p^(v+1)
+    rnd = random.Random(20)
+    mags = (1, 2, 3, 4, 6)
+    by_v = collections.Counter()
+    for _ in range(600):
+        k = rnd.randint(1, 3)
+        s = rnd.randint(k + 1, 6)
+        coeffs = [rnd.choice(mags) * rnd.choice((1, -1)) for _ in range(s - 1)]
+        if abs(sum(coeffs)) not in mags:
+            continue
+        system = validate_system(k, coeffs + [-sum(coeffs)])
+        p = rnd.choice((2, 3, 5))
+        free = tuple(sorted(rnd.sample(range(1, s + 1), k)))
+        for _ in range(50):
+            seed = [rnd.randrange(p) for _ in range(s)]
+            delta = jacobian(system, seed, free)
+            if delta and all(
+                val % p ** (1 + 2 * local._v_p(delta, p)) == 0
+                for val in system.equations_at(seed)
+            ):
+                break
+        else:
+            continue
+        t = rnd.randint(1, 40)
+        values, v = _newton_with_rechecks(system, seed, p, t, free)
+        lift = hensel_lift(system, seed, p, t, free)
+        assert (lift.values, lift.free_indices, lift.u) == (values, free, 1 + 2 * v)
+        assert all(val % p**t == 0 for val in system.equations_at(values))
+        assert all((a - b) % p ** min(v + 1, t) == 0 for a, b in zip(values, seed))
+        by_v[min(v, 2)] += 1
+    assert by_v[0] >= 80 and by_v[1] >= 30 and by_v[2] >= 10, by_v
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sys: congruence_count(sys, 0), "q must be >= 1"),
+        (lambda sys: series_term_moebius(sys, 0), "q must be >= 1"),
+        (lambda sys: series_term_direct(sys, -1), "q must be >= 1"),
+        (lambda sys: euler_factor(sys, 3, -1), "h_max must be >= 0"),
+        (lambda sys: truncated_singular_series(sys, 0), "cutoff must be >= 1"),
+        (lambda sys: truncated_singular_series(sys, 3, method="direct"),
+         "unknown method 'direct'"),
+        (lambda sys: local._v_p(0, 5), "valuation of zero"),
+        (lambda sys: hensel_lift(sys, (1, 2, 2, 1), 4, 2), "4 is not prime"),
+        (lambda sys: hensel_lift(sys, (1, 2, 2, 1), 5, 0), "target level must be >= 1"),
+    ],
+    ids=["congruence_q0", "moebius_q0", "direct_q_negative", "euler_h_negative",
+         "series_cutoff0", "series_method", "valuation_of_zero", "lift_composite_p",
+         "lift_level0"],
+)
+def test_input_checks(call, message, sys_quad4):
+    with pytest.raises(BadParamsError) as info:
+        call(sys_quad4)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("free", [(1, 1), (2,), (1, 2, 3), (0, 1), (4, 5)])
+def test_lift_free_indices_are_checked_by_jacobian(free, sys_quad4):
+    # not a 2-subset of 1..4: jacobian raises, and hensel_lift has no check of
+    # its own
+    with pytest.raises(BadIndicesError, match=r"indices must be a k-subset of 1\.\.4"):
+        hensel_lift(sys_quad4, (1, 2, 2, 1), 5, 2, free_indices=free)
 
 
 def test_factorize_helper():
