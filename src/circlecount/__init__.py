@@ -21,13 +21,11 @@ from .expsums import (
     eval_E_batch,
     eval_f,
     eval_g,
-    eval_v,
     major_arc_approx_check,
     oscillatory_w,
     sigma_exponent,
 )
 from .gowers import (
-    BalancedFunction,
     UniformityReport,
     balanced_function,
     difference_sum,
@@ -59,19 +57,14 @@ from .mainterm import (
     increment_iteration,
     predicted_count,
     progression_concentration_search,
-    trivial_count_bound,
     uniformity_threshold,
 )
 from .system import (
-    ClassificationReport,
     DiagonalSystem,
-    classify,
-    is_nonsingular,
     is_solution,
     is_trivial,
     jacobian,
     load_system,
-    normalize_real_solution,
     validate_system,
 )
 from .windows import (

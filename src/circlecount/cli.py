@@ -376,13 +376,11 @@ def cmd_gen_set(args, budget):
         if args.start is None or args.step is None:
             raise BadParamsError("progression needs --start and --step")
         window = progression_window(args.n, args.start, args.step)
-    elif args.kind == "greedy_free":
+    else:  # greedy_free, the last of the parser's choices
         if not args.system:
             raise BadParamsError("greedy_free needs --system")
         system = load_system(args.system)
         window = greedy_solution_free(system, args.n, budget)
-    else:
-        raise BadParamsError(f"unknown kind {args.kind!r}")
     sys.stdout.write(format_set(window, form=args.form))
 
 

@@ -15,7 +15,6 @@ q-th roots of unity involve floating point.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -120,11 +119,6 @@ def eval_f(window: SetWindow, alpha: Sequence[float]) -> complex:
     return _exp_sum(window.elements(), [reduce_phase(alpha)])[0]
 
 
-def eval_v(window: SetWindow, alpha: Sequence[float]) -> complex:
-    """v(alpha) = delta_N * g(alpha)."""
-    return (window.cardinality / window.length) * eval_g(window.length, alpha)
-
-
 def eval_E_batch(window: SetWindow, phases: Sequence[Sequence[float]]) -> list[complex]:
     """E(alpha) = sum_{1<=x<=N} (delta_N - 1_A(x)) e(alpha_1 x + ... + alpha_k x^k)
     at each row of the P x k block ``phases``: one weighted phase sum over
@@ -133,12 +127,13 @@ def eval_E_batch(window: SetWindow, phases: Sequence[Sequence[float]]) -> list[c
     in blocks of at most 4096 terms (see ``_exp_sum``), so memory does not
     grow with P."""
     n = window.length
-    weights = np.asarray(balanced_function(window).values, dtype=np.float64) / n
+    weights = np.asarray(balanced_function(window), dtype=np.float64) / n
     return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha) for alpha in phases], weights)
 
 
 def eval_E(window: SetWindow, alpha: Sequence[float]) -> complex:
-    """E(alpha) = v(alpha) - f(alpha), the balanced-function exponential sum."""
+    """E(alpha) = delta_N g(alpha) - f(alpha), the balanced-function
+    exponential sum: one row of ``eval_E_batch``."""
     return eval_E_batch(window, [alpha])[0]
 
 
@@ -162,12 +157,12 @@ def complete_sums(q: int, vecs) -> np.ndarray:
     return out
 
 
-def complete_sum(q: int, a: Sequence[int], lam: int = 1) -> complex:
-    """S(q, lam*a) = sum_{m=1}^q e_q(lam*(a_k m^k + ... + a_1 m)): one row of
-    ``complete_sums``, with lam*a reduced mod q in exact integers."""
+def complete_sum(q: int, a: Sequence[int]) -> complex:
+    """S(q, a) = sum_{m=1}^q e_q(a_k m^k + ... + a_1 m): one row of
+    ``complete_sums``, with a reduced mod q in exact integers."""
     if q < 1:
         raise BadParamsError("q must be >= 1")
-    return complex(complete_sums(q, [[int(lam) * int(aj) % q for aj in a]])[0])
+    return complex(complete_sums(q, [[int(aj) % q for aj in a]])[0])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -182,15 +177,15 @@ def _gl_estimate(n: int, beta: Sequence[float], panels: int) -> complex:
     return _exp_sum(pts, [beta], wts)[0]
 
 
-def oscillatory_w(n: int, beta: Sequence[float], lam: int = 1) -> complex:
-    """w(lam*beta) = integral_0^N e(lam*(beta_k t^k + ... + beta_1 t)) dt.
+def oscillatory_w(n: int, beta: Sequence[float]) -> complex:
+    """w(beta) = integral_0^N e(beta_k t^k + ... + beta_1 t) dt.
 
     Composite Gauss-Legendre with the panel count tied to the total phase
     variation, doubled until two successive estimates agree to 1e-8 relative.
     """
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    b = [float(lam) * float(x) for x in beta]
+    b = [float(x) for x in beta]
     if not all(math.isfinite(x) for x in b):
         raise BadParamsError("beta must be finite")
     if all(x == 0.0 for x in b):
@@ -242,22 +237,6 @@ class ArcLabel:
     beta: tuple[float, ...]
 
 
-def _arc_qmax(n: int, delta: float, k: int, budget: Budget) -> int:
-    """The largest major-arc denominator, max(1, floor(N^delta)), refused
-    before anything is formed when N^delta overflows a float or its qmax * k
-    box tests exceed the ops budget."""
-    if math.isnan(delta):
-        raise BadParamsError("arc exponent must not be nan")
-    try:  # a finite N^delta past the largest float, or an infinite one
-        qmax = max(1, math.floor(float(n) ** delta + 1e-12))
-    except OverflowError:
-        raise BudgetExceededError(
-            f"arc classification: N^delta = {n}^{delta} overflows a float"
-        ) from None
-    budget.check_ops(qmax * k, "arc classification")
-    return qmax
-
-
 def classify_arc(
     alpha: Sequence[float],
     n: int,
@@ -268,8 +247,9 @@ def classify_arc(
     """Return the major-arc label of alpha, or None on the minor arcs.
 
     For each q = 1..floor(N^delta) the nearest numerator vector is the only
-    candidate for the box |q alpha_j - a_j| <= N^(delta - j).  The q * k tests,
-    refused past the ops budget first, run on blocks of _ARC_ROWS rows of
+    candidate for the box |q alpha_j - a_j| <= N^(delta - j).  The q * k tests
+    are refused before anything is formed when N^delta overflows a float or
+    exceeds the ops budget; they run on blocks of _ARC_ROWS rows of
     q alpha in float64, with the products, thresholds and half-to-even
     rounding of a one-q scan, so the first q that passes is the same and
     memory is one block.  A common divisor of (q, a_k, ..., a_1) is divided
@@ -282,7 +262,15 @@ def classify_arc(
     if not all(math.isfinite(float(a)) for a in alpha):
         raise BadParamsError("alpha components must be finite")
     delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
-    qmax = _arc_qmax(n, delta, k, budget)
+    if math.isnan(delta):
+        raise BadParamsError("arc exponent must not be nan")
+    try:  # a finite N^delta past the largest float, or an infinite one
+        qmax = max(1, math.floor(float(n) ** delta + 1e-12))
+    except OverflowError:
+        raise BudgetExceededError(
+            f"arc classification: N^delta = {n}^{delta} overflows a float"
+        ) from None
+    budget.check_ops(qmax * k, "arc classification")
     a_red = reduce_phase(alpha)
     bounds = [float(n) ** (delta - j) + 1e-15 for j in range(1, k + 1)]
     for q0 in range(1, qmax + 1, _ARC_ROWS):
@@ -297,26 +285,6 @@ def classify_arc(
     return None
 
 
-def arc_membership_brute_force(
-    alpha: Sequence[float], n: int, k: int, exponent_override: Optional[float] = None
-) -> bool:
-    """Set-theoretic major-arc membership by enumerating all (q, a) pairs.
-    Only its scan of q is checked against the default ops budget."""
-    delta = float(exponent_override) if exponent_override is not None else delta_exponent(k)
-    qmax = _arc_qmax(n, delta, k, DEFAULT_BUDGET)
-    a_red = reduce_phase(alpha)
-    for q in range(1, qmax + 1):
-        for nums in itertools.product(range(q + 1), repeat=k):
-            if math.gcd(q, *nums) != 1:
-                continue
-            if all(
-                abs(q * aj - aq) <= float(n) ** (delta - j) + 1e-15
-                for j, (aj, aq) in enumerate(zip(a_red, nums), start=1)
-            ):
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class MajorArcApproxReport:
     g_value: complex
@@ -327,18 +295,19 @@ class MajorArcApproxReport:
 
 
 def major_arc_approx_check(
-    n: int, q: int, a: Sequence[int], beta: Sequence[float], lam: int = 1
+    n: int, q: int, a: Sequence[int], beta: Sequence[float]
 ) -> MajorArcApproxReport:
-    """Empirical constant for g(lam alpha) ~ S(q, lam a) w(lam beta) / q.
+    """Empirical constant for g(alpha) ~ S(q, a) w(beta) / q at
+    alpha = a / q + beta.
 
     Returns |g - S w / q| over q (1 + sum |beta_j| N^j); the bound guarantees
     this ratio is O(1), and the report lets experiments record the constant.
     """
     if len(a) != len(beta):
         raise BadParamsError("a and beta must have equal length")
-    approx = complete_sum(q, a, lam) * oscillatory_w(n, beta, lam) / q  # checks q >= 1
+    approx = complete_sum(q, a) * oscillatory_w(n, beta) / q  # checks q >= 1
     alpha = [aj / q + bj for aj, bj in zip(a, beta)]
-    g_val = eval_g(n, [lam * x for x in alpha])
+    g_val = eval_g(n, alpha)
     num = abs(g_val - approx)
     den = q * (1.0 + sum(abs(b) * float(n) ** j for j, b in enumerate(beta, start=1)))
     return MajorArcApproxReport(

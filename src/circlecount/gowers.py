@@ -75,8 +75,8 @@ from .budget import Budget, fits_float64, fits_int64
 from .errors import BadParamsError
 from .expsums import eval_E_batch
 # the balanced function lives in windows, below expsums and this module, and
-# is re-exported from here with its class
-from .windows import BalancedFunction, SetWindow, balanced_function
+# is re-exported from here
+from .windows import SetWindow, balanced_function
 
 # the N^(k+1)-work evaluator gets its own ceiling: N = 4096 at degree 2
 GOWERS_DEFAULT_BUDGET = Budget(max_ops=4096**3)
@@ -130,12 +130,11 @@ def difference_sum(
         raise BadParamsError(f"degree must be >= 1, got {degree}")
     n = window.length
     budget.check_ops(n ** (degree + 1), "difference sum")
-    b = balanced_function(window)
     # values bounded by N^(2^(k-1)) after the product levels, correlate adds
     # a factor N^(2^(k-1)) * N: exact while N^(2^k + 1) fits the dtype
     bound = n ** (2**degree + 1)
     dtype = np.float64 if fits_float64(bound) else np.int64 if fits_int64(bound) else object
-    scaled = _collapse_scaled(b.values, degree, dtype)
+    scaled = _collapse_scaled(balanced_function(window), degree, dtype)
     assert scaled >= 0
     return Fraction(scaled, n ** (2 ** (degree + 1)))
 
@@ -150,10 +149,9 @@ def difference_sum_naive(window: SetWindow, degree: int) -> Fraction:
     if degree < 1:
         raise BadParamsError(f"degree must be >= 1, got {degree}")
     n = window.length
-    b = balanced_function(window)
     off = (degree + 1) * (n - 1)
     pad = np.zeros(n + 2 * off, dtype=np.int64)
-    pad[off : off + n] = b.values
+    pad[off : off + n] = balanced_function(window)
     total = 0
     shifts = range(-(n - 1), n)
     innermost = np.arange(-(n - 1), n)

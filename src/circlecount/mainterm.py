@@ -191,19 +191,6 @@ class BigLogNumber:
         return f"BigLogNumber(sign={self.sign}, log2={mpmath.nstr(self.log2_magnitude, 10)})"
 
 
-def trivial_count_bound(system: DiagonalSystem, cardinality: int):
-    """Upper bound floor(s/2)! * cardinality^(s/2) on the trivial-solution count.
-
-    Returned as a :class:`BigLogNumber`, which keeps the exact integer value
-    whenever s is even and the number is of moderate size.
-    """
-    if cardinality < 0:
-        raise BadParamsError("cardinality must be >= 0")
-    s = system.arity
-    base = BigLogNumber.from_int(cardinality)
-    return BigLogNumber.from_int(math.factorial(s // 2)) * base.power(Fraction(s, 2))
-
-
 @dataclass(frozen=True)
 class ConstantSheet:
     k: int

@@ -1,4 +1,4 @@
-"""Diagonal systems of simultaneous power equations and solution classification.
+"""Diagonal systems of simultaneous power equations and their solutions.
 
 A system of degree ``k`` in ``s`` variables is the family of equations
 
@@ -15,7 +15,6 @@ predicate is decided, not approximated.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -137,37 +136,6 @@ def split_halves(coefficients: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(coefficients[:half]), tuple(-c for c in coefficients[half:])]
 
 
-def is_nonsingular(system: DiagonalSystem, x: Sequence[int]) -> bool:
-    """True iff the tuple takes at least k distinct values.
-
-    For nonzero coefficients this is equivalent to some k x k Jacobian minor
-    being nonzero: each minor factors as k! times a product of coefficients
-    times a Vandermonde product of coordinate differences.
-    """
-    system.require_arity(x)
-    return len(set(x)) >= system.degree
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    is_solution: bool
-    is_trivial: bool
-    is_nonsingular: bool
-    distinct_values: int
-
-
-def classify(system: DiagonalSystem, x: Sequence[int]) -> ClassificationReport:
-    """Full classification of one tuple (solution / trivial / non-singular)."""
-    system.require_arity(x)
-    sol = is_solution(system, x)
-    return ClassificationReport(
-        is_solution=sol,
-        is_trivial=is_trivial(system, x) if sol else False,
-        is_nonsingular=is_nonsingular(system, x),
-        distinct_values=len(set(x)),
-    )
-
-
 def _det_bareiss(m: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     a = [row[:] for row in m]
@@ -220,35 +188,3 @@ def jacobian_matrix(
         [j * system.coefficients[i - 1] * x[i - 1] ** (j - 1) for i in indices]
         for j in range(1, system.degree + 1)
     ]
-
-
-def jacobian_closed_form_magnitude(
-    system: DiagonalSystem, x: Sequence[int], indices: Sequence[int]
-) -> int:
-    """|k!| * |prod lam_{i}| * |prod of pairwise coordinate differences|."""
-    idx = sorted(indices)
-    coeff = 1
-    for i in idx:
-        coeff *= abs(system.coefficients[i - 1])
-    vand = 1
-    for u in range(len(idx)):
-        for v in range(u + 1, len(idx)):
-            vand *= abs(x[idx[u] - 1] - x[idx[v] - 1])
-    return math.factorial(system.degree) * coeff * vand
-
-
-def normalize_real_solution(y: Sequence[float]) -> tuple[float, ...]:
-    """Map a real vector into [1/4, 3/4]^s by eta_i = y_i/(4Y) + 1/2, Y = max|y_i|.
-
-    Translation/dilation invariance means a real solution stays a solution.
-    An all-zero input uses Y = 1 (any positive scale works by invariance).
-    """
-    if len(y) == 0:
-        raise BadParamsError("empty vector")
-    vals = [float(v) for v in y]
-    if not all(math.isfinite(v) for v in vals):
-        raise BadParamsError("vector entries must be finite")
-    big = max(abs(v) for v in vals)
-    if big == 0.0:
-        big = 1.0
-    return tuple(v / (4.0 * big) + 0.5 for v in vals)

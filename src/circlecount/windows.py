@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BadParamsError, ParseError
 
@@ -56,51 +56,29 @@ class SetWindow:
     def density(self) -> Fraction:
         return Fraction(self.cardinality, self.length)
 
-    def contains(self, x: int) -> bool:
-        return 1 <= x <= self.length and bool(self.mask >> (x - 1) & 1)
-
     def bits(self) -> str:
         """Membership of 1..N as N characters '0'/'1', character i-1 for i,
         read from the mask in one pass."""
         return bin(self.mask)[:1:-1].ljust(self.length, "0")
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self.iter_elements())
-
-    def iter_elements(self) -> Iterator[int]:
         # one pass over the binary digits: each element ends a run of zeros
         gaps = bin(self.mask)[:1:-1].split("1")[:-1]
-        return itertools.accumulate(len(gap) + 1 for gap in gaps)
+        return tuple(itertools.accumulate(len(gap) + 1 for gap in gaps))
 
     def add(self, x: int) -> "SetWindow":
         if not 1 <= x <= self.length:
             raise BadParamsError(f"element {x} outside [1, {self.length}]")
         return SetWindow(self.length, self.mask | 1 << (x - 1))
 
-    def indicator(self, x: int) -> int:
-        return 1 if self.contains(x) else 0
 
-
-@dataclass(frozen=True)
-class BalancedFunction:
-    """N-scaled balanced function: values[x-1] = |A_N| - N*A(x) for x in [1,N]."""
-
-    window: SetWindow
-    values: tuple[int, ...]
-
-    def at(self, x: int) -> Fraction:
-        """Unscaled value delta_N - A(x), zero outside [1, N]."""
-        if 1 <= x <= self.window.length:
-            return Fraction(self.values[x - 1], self.window.length)
-        return Fraction(0)
-
-
-def balanced_function(window: SetWindow) -> BalancedFunction:
+def balanced_function(window: SetWindow) -> tuple[int, ...]:
+    """N-scaled balanced function: entry x-1 is |A_N| - N*A(x) for x in [1, N]."""
     card = window.cardinality
     n = window.length
     values = tuple(card - n if bit == "1" else card for bit in window.bits())
     assert sum(values) == 0
-    return BalancedFunction(window, values)
+    return values
 
 
 def parse_set_file(text: str) -> SetWindow:
@@ -159,7 +137,7 @@ def format_set(window: SetWindow, form: str = "list") -> str:
     """Serialize a window in the list or mask file form."""
     if form == "list":
         lines = [f"N {window.length}"]
-        lines.extend(str(x) for x in window.iter_elements())
+        lines.extend(str(x) for x in window.elements())
         return "\n".join(lines) + "\n"
     if form == "mask":
         return f"N {window.length}\nmask {window.mask:x}\n"

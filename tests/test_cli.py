@@ -340,3 +340,44 @@ def test_count_rerun_is_byte_identical(quad6_file):
     b = run_cli("count", "--system", quad6_file, "--n", "7")
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--output", "csv", "validate", "--system", "{quad4}"],
+        ["--output", "csv", "stream", "--system", "{quad4}", "--n", "3"],
+        ["--output", "csv", "series", "--system", "{quad4}", "--qmax", "3"],
+        ["gen-set", "--kind", "squares", "--n", "30"],
+        ["gen-set", "--kind", "squares", "--n", "30", "--form", "mask"],
+        ["--seed", "7", "gen-set", "--kind", "random_density", "--n", "40",
+         "--density", "0.5"],
+        ["gen-set", "--kind", "progression", "--n", "20", "--start", "3", "--step", "4"],
+        ["gen-set", "--kind", "greedy_free", "--n", "20", "--system", "{quad4}"],
+    ],
+    ids=["csv_key_value", "csv_rows", "csv_footer", "squares", "squares_mask",
+         "random_density", "progression", "greedy_free"],
+)
+def test_in_process_stdout_equals_the_subprocess_stdout(args, quad4_file, capsys):
+    args = [a.format(quad4=quad4_file) for a in args]
+    assert cli.main(args) == 0
+    out, _ = capsys.readouterr()
+    proc = run_cli(*args)
+    assert proc.returncode == 0 and out == proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "random_density"], "error: random_density needs --density"),
+        (["--kind", "progression", "--start", "2"],
+         "error: progression needs --start and --step"),
+        (["--kind", "greedy_free"], "error: greedy_free needs --system"),
+    ],
+    ids=["no_density", "no_step", "no_system"],
+)
+def test_gen_set_in_process_errors(args, message, capsys):
+    assert cli.main(["gen-set", "--n", "10"] + args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == message

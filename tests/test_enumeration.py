@@ -22,7 +22,7 @@ from circlecount import (
 )
 from circlecount.budget import INT64_SAFE, Budget
 from circlecount.errors import BadParamsError, BudgetExceededError
-from circlecount.mainterm import BigLogNumber, trivial_count_bound
+from circlecount.mainterm import BigLogNumber
 
 from conftest import (
     brute_force_moment,
@@ -30,6 +30,7 @@ from conftest import (
     random_mirrored_system,
     random_system,
     random_window,
+    trivial_count_bound,
 )
 
 

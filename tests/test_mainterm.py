@@ -356,7 +356,7 @@ def _reference_progression_search(window, min_length):
         for start in range(1, n + 1):
             count = 0
             for length, x in enumerate(range(start, n + 1, step), start=1):
-                count += window.contains(x)
+                count += window.mask >> (x - 1) & 1
                 if length >= min_length:
                     cand = (Fraction(count, length), -step, -start, length)
                     if best is None or cand > best:

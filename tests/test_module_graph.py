@@ -67,3 +67,29 @@ def test_pure_python_modules_import_neither_numpy_nor_mpmath():
             reached |= absolute
             todo.extend(relative)
         assert not reached & {"numpy", "mpmath"}, (name, sorted(seen))
+
+
+def test_every_export_is_used_outside_its_tests():
+    """Each name the package binds is referenced (as a name, an attribute or
+    an import) by another package module, a demo, perfbench or the
+    acceptance tests; a name only its own unit tests call is not API."""
+    root = SRC.parent.parent
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    users = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    users += [*root.glob("demos/*.py"), *root.glob("perfbench/*.py"),
+              root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert sorted(bound - used) == []
