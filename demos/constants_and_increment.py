@@ -59,7 +59,7 @@ print("\n== density increment, D > 1/2 regime ==")
 with mpmath.workprec(int(sheet2.C_exp.log2_magnitude) + 200):
     c_val = mpmath.power(2, sheet2.C_exp.log2_magnitude)
     log2k = mpmath.log(0.55, 2) - c_val * mpmath.log(mpmath.mpf(2) / 5, 2)
-synthetic_k = BigLogNumber(1, log2k)  # engineered so D_0 = 0.55
+synthetic_k = BigLogNumber(log2k)  # engineered so D_0 = 0.55
 trace = increment_iteration(Fraction(2, 5), 50.0, 3, synthetic_k, sheet2.C_exp)
 print(f"  outcome: {trace.outcome} in {trace.iterations_used} steps; "
       f"cumulative ambient exponent {trace.cumulative_exponent:.3f} >= 1/4")

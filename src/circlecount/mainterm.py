@@ -3,10 +3,10 @@
 The constants involved are doubly exponential in k (e.g. the increment
 constant is 2 raised to a power with more than 10^300 binary digits at k = 2),
 so nothing here is ever materialized as a hardware float.  All size
-bookkeeping happens on the log2 scale via :class:`BigLogNumber`, whose
-magnitude field is an mpmath value: mpmath exponents are big integers, so
-even the *logarithm* being astronomically large is representable exactly
-enough (well beyond 30 significant bits of the iterated logarithm).
+bookkeeping happens on the log2 scale via :class:`BigLogNumber`, a positive
+value held as its log2 magnitude, an mpmath value: mpmath exponents are big
+integers, so even the *logarithm* being astronomically large is representable
+exactly enough (well beyond 30 significant bits of the iterated logarithm).
 """
 
 from __future__ import annotations
@@ -48,25 +48,14 @@ def _payload_bits(value: Fraction) -> int:
 
 
 class BigLogNumber:
-    """A real number as sign plus log2 magnitude, with an exact payload
-    while the value stays small enough to materialize.
+    """A positive real as its log2 magnitude, with an exact payload that the
+    constructor drops once its numerator or denominator is longer than
+    ``_EXACT_BIT_LIMIT`` bits."""
 
-    ``level`` reports how the number is best read: 0 when the exact rational
-    payload is present, 1 when only the log2 magnitude is meaningful, and
-    2 when even the log2 magnitude needs its own logarithm to be displayed
-    (doubly exponential values).  The constructor drops a payload whose
-    numerator or denominator is longer than ``_EXACT_BIT_LIMIT`` bits.
-    """
+    __slots__ = ("log2_magnitude", "exact")
 
-    __slots__ = ("sign", "log2_magnitude", "exact")
-
-    def __init__(self, sign: int, log2_magnitude, exact: Optional[Fraction] = None):
-        if sign not in (-1, 0, 1):
-            raise BadParamsError("sign must be -1, 0 or +1")
-        self.sign = sign
-        if sign == 0:
-            self.log2_magnitude = mpmath.mpf(0)
-        elif isinstance(log2_magnitude, mpmath.mpf):
+    def __init__(self, log2_magnitude, exact: Optional[Fraction] = None):
+        if isinstance(log2_magnitude, mpmath.mpf):
             # keep full precision: re-wrapping would round to the ambient prec
             self.log2_magnitude = log2_magnitude
         else:
@@ -77,118 +66,54 @@ class BigLogNumber:
         self.exact = exact
 
     @classmethod
-    def zero(cls) -> "BigLogNumber":
-        return cls(0, 0, Fraction(0))
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "BigLogNumber":
+    def from_fraction(cls, value: int | Fraction) -> "BigLogNumber":
         value = Fraction(value)
-        if value == 0:
-            return cls.zero()
-        sign = 1 if value > 0 else -1
+        if value <= 0:
+            raise BadParamsError(f"BigLogNumber needs a positive value, got {value}")
         with mpmath.workprec(_PREC):
-            mag = _log2(abs(value.numerator)) - _log2(value.denominator)
-        return cls(sign, mag, value)
-
-    @classmethod
-    def from_int(cls, value: int) -> "BigLogNumber":
-        return cls.from_fraction(Fraction(value))
-
-    @property
-    def level(self) -> int:
-        if self.sign == 0 or self.exact is not None:
-            return 0
-        if abs(self.log2_magnitude) < mpmath.mpf(2) ** 48:
-            return 1
-        return 2
-
-    @property
-    def log2_of_abs_log2(self) -> Optional[mpmath.mpf]:
-        """Display helper for level-2 values: log2 |log2 |x||."""
-        if self.sign == 0 or self.log2_magnitude == 0:
-            return None
-        with mpmath.workprec(_PREC):
-            return mpmath.log(abs(self.log2_magnitude), 2)
+            mag = _log2(value.numerator) - _log2(value.denominator)
+        return cls(mag, value)
 
     def __mul__(self, other: "BigLogNumber") -> "BigLogNumber":
-        if not isinstance(other, BigLogNumber):
-            return NotImplemented
-        if self.sign == 0 or other.sign == 0:
-            return BigLogNumber.zero()
         exact = None
         if self.exact is not None and other.exact is not None:
             exact = self.exact * other.exact
         with mpmath.workprec(_PREC):
             mag = self.log2_magnitude + other.log2_magnitude
-        return BigLogNumber(self.sign * other.sign, mag, exact)
+        return BigLogNumber(mag, exact)
 
-    def power(self, exponent) -> "BigLogNumber":
-        """Raise to an integer, Fraction, or float power.  A zero base needs
-        a nonnegative exponent, with 0^0 = 1; a negative base needs an
-        integer exponent."""
-        rational = isinstance(exponent, (int, Fraction))
-        if self.sign == 0:
-            if exponent < 0:
-                raise BadParamsError("zero to a negative power")
-            return BigLogNumber.from_int(1) if exponent == 0 else BigLogNumber.zero()
-        if self.sign < 0 and not isinstance(exponent, int):
-            raise BadParamsError("negative base needs an integer exponent")
+    def power(self, exponent: int) -> "BigLogNumber":
         exact = None
         # a b-bit payload to the e-th power has more than |e|(b - 1) bits, so
         # powers the constructor would drop are never formed
         if (
             self.exact is not None
-            and rational
-            and exponent.denominator == 1
             and abs(exponent) * (_payload_bits(self.exact) - 1) < _EXACT_BIT_LIMIT
         ):
-            exact = self.exact ** int(exponent)
-        if self.sign > 0:
-            sign = 1
-        else:  # negative base: integer exponent guaranteed above
-            sign = -1 if exponent % 2 else 1
+            exact = self.exact**exponent
         with mpmath.workprec(_PREC):
-            mag = self.log2_magnitude * _mpf(exponent)
-        return BigLogNumber(sign, mag, exact)
-
-    def _cmp_key(self):
-        # orders the reals: negative big < negative small < 0 < positive small
-        if self.sign == 0:
-            return (0, mpmath.mpf(0))
-        return (self.sign, self.sign * self.log2_magnitude)
-
-    def __lt__(self, other: "BigLogNumber") -> bool:
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other: "BigLogNumber") -> bool:
-        return not other < self
-
-    def __float__(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.exact is not None:
-            try:
-                return float(self.exact)
-            except OverflowError:
-                pass
-        # float() of an mpf past the float range is +-inf or +-0.0
-        with mpmath.workprec(_PREC):
-            return float(self.sign * mpmath.power(2, self.log2_magnitude))
+            mag = self.log2_magnitude * mpmath.mpf(exponent)
+        return BigLogNumber(mag, exact)
 
     def to_json_dict(self) -> dict:
-        out: dict = {"sign": self.sign, "level": self.level}
-        out["log2_magnitude"] = mpmath.nstr(self.log2_magnitude, 20)
-        lvl2 = self.log2_of_abs_log2
-        if self.level == 2 and lvl2 is not None:
+        """``level`` 0: the exact payload is present; 1: only the log2
+        magnitude is meaningful; 2: even the log2 magnitude needs its own
+        logarithm, ``log2_of_abs_log2``, to be displayed."""
+        mag = self.log2_magnitude
+        if self.exact is not None:
+            level = 0
+        elif abs(mag) < mpmath.mpf(2) ** 48:
+            level = 1
+        else:
+            level = 2
+        out: dict = {"sign": 1, "level": level, "log2_magnitude": mpmath.nstr(mag, 20)}
+        if level == 2:
+            with mpmath.workprec(_PREC):
+                lvl2 = mpmath.log(abs(mag), 2)
             out["log2_of_abs_log2"] = mpmath.nstr(lvl2, 20)
         if self.exact is not None:
             out["exact"] = str(self.exact)
         return out
-
-    def __repr__(self) -> str:
-        if self.exact is not None:
-            return f"BigLogNumber({self.exact})"
-        return f"BigLogNumber(sign={self.sign}, log2={mpmath.nstr(self.log2_magnitude, 10)})"
 
 
 @dataclass(frozen=True)
@@ -225,16 +150,16 @@ def constants(
     s0 = 2 * k * br + 10 * k * k + 6
     sigma = sigma_exponent(k)
     gamma_log2 = 2 ** (k + 8) + k + 1
-    gamma = BigLogNumber.from_int(2).power(gamma_log2)
+    gamma = BigLogNumber.from_fraction(2).power(gamma_log2)
     c_exp = BigLogNumber.from_fraction(Fraction(1, 2)).power(2 ** (k + 9))
     with mpmath.workprec(_PREC):
-        big_c = BigLogNumber(1, _log2(s0 + 2) + gamma_log2)
+        big_c = BigLogNumber(_log2(s0 + 2) + gamma_log2)
         k_const = None
         if cs_value is not None:
             if cs_value <= 0:
                 raise BadParamsError("CS value must be positive")
             k_const = BigLogNumber(
-                1, mpmath.power(2, mpmath.mpf(gamma_log2)) * _log2(_mpf(cs_value) / 4)
+                mpmath.power(2, mpmath.mpf(gamma_log2)) * _log2(_mpf(cs_value) / 4)
             )
     notes = (
         "natural logarithms",

@@ -2,8 +2,7 @@
 
 The oracles here deliberately avoid the library's optimized paths: plain
 nested loops and exact integer arithmetic only, so they stay valid reference
-points for the fast implementations; the trivial-count bound, a closed form
-on the log scale, is the one exception.  The opt-in ``--line-trace`` option
+points for the fast implementations.  The opt-in ``--line-trace`` option
 registers the plugin of ``line_trace.py``.
 """
 
@@ -12,12 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from circlecount import DiagonalSystem, SetWindow, validate_system
-from circlecount.mainterm import BigLogNumber
 from line_trace import LineTrace
 
 
@@ -75,12 +72,12 @@ def brute_force_congruence_count(system: DiagonalSystem, q: int) -> int:
     return count
 
 
-def trivial_count_bound(system: DiagonalSystem, cardinality: int) -> BigLogNumber:
-    """Upper bound floor(s/2)! * cardinality^(s/2) on the trivial-solution
-    count, exact whenever s is even and the number is of moderate size."""
+def trivial_count_bound(system: DiagonalSystem, cardinality: int) -> int:
+    """The square floor(s/2)!^2 * cardinality^s of the upper bound
+    floor(s/2)! * cardinality^(s/2) on the trivial-solution count, so that
+    odd s needs no square root."""
     s = system.arity
-    base = BigLogNumber.from_int(cardinality)
-    return BigLogNumber.from_int(math.factorial(s // 2)) * base.power(Fraction(s, 2))
+    return math.factorial(s // 2) ** 2 * cardinality**s
 
 
 def random_system(rnd: random.Random, s: int, k: int) -> DiagonalSystem:

@@ -227,7 +227,7 @@ def test_criterion_10_constants_sheet():
         log2k = mpmath.log(0.55, 2) - c_val * mpmath.log(
             mpmath.mpf(2) / 5, 2
         )
-    k_const = BigLogNumber(1, log2k)  # makes D_0 = 0.55 > 1/2 at delta0
+    k_const = BigLogNumber(log2k)  # makes D_0 = 0.55 > 1/2 at delta0
     trace = increment_iteration(delta0, 50.0, 3, k_const, c_exp)
     assert trace.outcome == "density_reached_one"
     assert trace.iterations_used <= 2

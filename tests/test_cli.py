@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -293,6 +294,53 @@ def test_constants():
     assert res2["K_const"]["log2_magnitude"] == "0.0"
 
 
+INCREMENT_TINY_D = ["increment", "--delta", "1/2", "--loglogn", "100", "--y", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["constants", "--k", "2"],
+         "6263b5f4c41fb2dbd46ae535105391f44222b9d81e6cf3ceb3785e5147ea0fdb"),
+        (["constants", "--k", "2", "--cs", "4"],
+         "3527a4edc6a9e937c1415ab2457c8ac63af216785edb9064ed264afb8109f025"),
+        (["constants", "--k", "2", "--cs", "0.5"],
+         "d7eb307f059799faa51632897e6dd37de753dc7f9873b131a7330a92bb7805eb"),
+        (["constants", "--k", "2", "--bracket", "trunc"],
+         "6ddec6e125048395d2747f823287a2d47484d438b56227e4246fc71cc79bd552"),
+        (["constants", "--k", "3"],
+         "d3d1ff17f3975660f94d20388d2589ac5e532f10acc3ffc74db248fc824400a3"),
+        (["constants", "--k", "3", "--cs", "4"],
+         "2a36f397d618d3a17dcef34f87d267bb9169e8f8ffab54132791f0f64ee3c50c"),
+        (["constants", "--k", "3", "--cs", "0.5"],
+         "2bb4a9f7664b6da1211827d9475fd035862acf1a15b9641f6d82b1149ff22465"),
+        (["constants", "--k", "3", "--bracket", "trunc"],
+         "903cf6c576dd3c5ee8e5dbdd867ac330ad61e73b2d5fd2f5878869b2cadc6732"),
+        (["constants", "--k", "4"],
+         "10a29ac96e3f09fff1d62cf07d711ef76f24893ef827895c422e19e7e4c239a0"),
+        (["constants", "--k", "4", "--cs", "4"],
+         "0d3c7de0532c5dc4da84de789bd0c1af288a8afa62261c70a682662a3f9c1523"),
+        (["constants", "--k", "4", "--cs", "0.5"],
+         "8af29bb4c1d6cc468a27d8d7bb83c31e1218a94289a8594f372dadccc5191643"),
+        (["constants", "--k", "4", "--bracket", "trunc"],
+         "7427061d831966f5159c6dab021905057c000ed3c793aa4abbba7ebac87bbaa5"),
+        (INCREMENT_TINY_D + ["--k", "2"],
+         "8521b1a3cd542cd0baa052b09df6be4a85af42ee6cfdcb45fdd9b282ea5775e7"),
+        (INCREMENT_TINY_D + ["--k", "3"],
+         "5512cea73f553dfb8c4b1477ba912293db5ab10b0347df2ffd0c4abff18175b6"),
+    ],
+    ids=["k2", "k2_cs4", "k2_cs0.5", "k2_trunc", "k3", "k3_cs4", "k3_cs0.5",
+         "k3_trunc", "k4", "k4_cs4", "k4_cs0.5", "k4_trunc", "increment_k2",
+         "increment_k3"],
+)
+def test_constant_sheet_stdout_is_pinned(args, digest, capsys):
+    # sha256 of the whole envelope: every field of gamma, C, c and K_const,
+    # including the level-2 log2_of_abs_log2 of K_const at --cs 0.5
+    assert cli.main(args) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_increment():
     res = result_of(
         run_cli(
@@ -354,12 +402,27 @@ def test_count_rerun_is_byte_identical(quad6_file):
          "--density", "0.5"],
         ["gen-set", "--kind", "progression", "--n", "20", "--start", "3", "--step", "4"],
         ["gen-set", "--kind", "greedy_free", "--n", "20", "--system", "{quad4}"],
+        ["gowers", "--set", "{full16}", "--degree", "2", "--naive-check"],
+        ["local", "--system", "{quad4}", "--q", "12"],
+        ["local", "--system", "{quad4}", "--prime", "3", "--hmax", "2"],
+        ["arcs", "--n", "1000000", "--k", "2", "--alpha", "0,0"],
+        ["arcs", "--n", "1000000", "--k", "2", "--alpha", "0.4142135,0.1415926"],
+        ["expsum", "f", "--alpha", "0.25,0.125", "--set", "{full16}"],
+        ["expsum", "g", "--alpha", "0.25,0.125", "--n", "16"],
+        ["expsum", "E", "--alpha", "0.25,0.125", "--n", "16"],
+        ["count", "--system", "{quad4}", "--n", "6"],
+        ["moment", "--n", "12", "--k", "2", "--t", "2"],
+        ["concentrate", "--set", "{full16}", "--min-len", "5"],
+        ["predict", "--system", "{quad4}", "--n", "32", "--qmax", "20"],
     ],
     ids=["csv_key_value", "csv_rows", "csv_footer", "squares", "squares_mask",
-         "random_density", "progression", "greedy_free"],
+         "random_density", "progression", "greedy_free", "gowers_naive_check",
+         "local_q", "local_prime", "arcs_member", "arcs_minor", "expsum_f",
+         "expsum_g", "expsum_E", "count", "moment", "concentrate", "predict"],
 )
-def test_in_process_stdout_equals_the_subprocess_stdout(args, quad4_file, capsys):
-    args = [a.format(quad4=quad4_file) for a in args]
+def test_in_process_stdout_equals_the_subprocess_stdout(args, quad4_file, full16_file,
+                                                        capsys):
+    args = [a.format(quad4=quad4_file, full16=full16_file) for a in args]
     assert cli.main(args) == 0
     out, _ = capsys.readouterr()
     proc = run_cli(*args)

@@ -30,76 +30,60 @@ from circlecount.errors import (
 from circlecount.mainterm import BigLogNumber, Progression
 
 
+TWO = mpmath.mpf(2)
+
+
 class TestBigLogNumber:
     def test_exact_roundtrip(self):
-        x = BigLogNumber.from_int(18)
-        assert float(x) == 18.0
-        assert x.level == 0
+        x = BigLogNumber.from_fraction(18)
+        assert x.exact == 18
+        assert x.to_json_dict()["level"] == 0
         assert x.to_json_dict()["exact"] == "18"
 
     def test_multiplication(self):
-        a = BigLogNumber.from_int(6)
+        a = BigLogNumber.from_fraction(6)
         b = BigLogNumber.from_fraction(Fraction(3, 2))
-        assert float(a * b) == 9.0
-
-    def test_power_fractional(self):
-        x = BigLogNumber.from_int(9).power(Fraction(1, 2))
-        assert float(x) == pytest.approx(3.0)
+        product = a * b
+        assert product.exact == 9
+        assert product.log2_magnitude == pytest.approx(math.log2(9))
+        # without a payload on either side only the log2 magnitudes add
+        bare = BigLogNumber(5000) * a
+        assert bare.exact is None
+        assert bare.log2_magnitude == pytest.approx(5000 + math.log2(6))
 
     def test_negative_sign_rules(self):
-        m = BigLogNumber.from_int(-2)
-        assert float(m.power(3)) == -8.0
-        assert float(m.power(2)) == 4.0
-        with pytest.raises(BadParamsError):
-            m.power(Fraction(1, 2))
-        with pytest.raises(BadParamsError):
-            BigLogNumber(2, 1)
-
-    def test_comparisons(self):
-        vals = [
-            BigLogNumber.from_int(-5),
-            BigLogNumber.from_int(-1),
-            BigLogNumber.zero(),
-            BigLogNumber.from_fraction(Fraction(1, 3)),
-            BigLogNumber.from_int(7),
-        ]
-        for a, b in zip(vals, vals[1:]):
-            assert a < b
+        # the value is positive by construction: zero and negatives are refused
+        for value in (0, -2, Fraction(-1, 2)):
+            with pytest.raises(BadParamsError, match="positive"):
+                BigLogNumber.from_fraction(value)
 
     def test_doubly_exponential_level(self):
-        huge = BigLogNumber(1, mpmath.mpf(2) ** 200)
-        assert huge.level == 2
-        assert float(huge.log2_of_abs_log2) == pytest.approx(200.0)
-
-    def test_tiny_value_floats_to_zero(self):
-        tiny = BigLogNumber(1, -mpmath.mpf(2) ** 40)
-        assert float(tiny) == 0.0
-        assert tiny.sign == 1
+        huge = BigLogNumber(mpmath.mpf(2) ** 200).to_json_dict()
+        assert huge["level"] == 2
+        assert huge["log2_of_abs_log2"] == "200.0"
 
     def test_exact_payload_boundary(self):
         # the exact payload is kept up to 4096-bit numerators and denominators
         def assert_kept(x, value):
-            assert x.level == 0
+            assert x.to_json_dict()["level"] == 0
             assert x.to_json_dict()["exact"] == str(value)
 
         def assert_dropped(x):
-            assert x.level == 1
+            assert x.to_json_dict()["level"] == 1
             assert "exact" not in x.to_json_dict()
 
-        assert_kept(BigLogNumber.from_int(2**4095), 2**4095)
-        assert_dropped(BigLogNumber.from_int(2**4096))
+        assert_kept(BigLogNumber.from_fraction(2**4095), 2**4095)
+        assert_dropped(BigLogNumber.from_fraction(2**4096))
         assert_kept(BigLogNumber.from_fraction(Fraction(1, 2**4095)),
                     Fraction(1, 2**4095))
         assert_dropped(BigLogNumber.from_fraction(Fraction(1, 2**4096)))
-        half = BigLogNumber.from_int(2**2048)
-        assert_kept(half * BigLogNumber.from_int(2**2047), 2**4095)
+        half = BigLogNumber.from_fraction(2**2048)
+        assert_kept(half * BigLogNumber.from_fraction(2**2047), 2**4095)
         assert_dropped(half * half)
         # (2^64 - 1)^64 has exactly 4096 bits
-        base = BigLogNumber.from_int(2**64 - 1)
-        for exponent in (64, Fraction(64, 1)):
-            assert_kept(base.power(exponent), (2**64 - 1) ** 64)
-        for exponent in (65, Fraction(65, 1)):
-            assert_dropped(base.power(exponent))
+        base = BigLogNumber.from_fraction(2**64 - 1)
+        assert_kept(base.power(64), (2**64 - 1) ** 64)
+        assert_dropped(base.power(65))
 
     def test_power_agrees_with_constructor(self):
         # x^e keeps its payload exactly when the constructor keeps x^e itself
@@ -108,49 +92,35 @@ class TestBigLogNumber:
             (2, 4095, 0),
             (2, 4096, 1),
             (Fraction(2, 3), 2100, 0),
+            (Fraction(2, 3), -2100, 0),
+            (2, -4096, 1),
         ]:
-            powered = BigLogNumber.from_fraction(Fraction(base)).power(exponent)
+            powered = BigLogNumber.from_fraction(base).power(exponent)
             direct = BigLogNumber.from_fraction(Fraction(base) ** exponent)
-            assert powered.level == direct.level == level
+            levels = {x.to_json_dict()["level"] for x in (powered, direct)}
+            assert levels == {level}
             assert powered.exact == direct.exact
 
     def test_zero_power(self):
-        # 0^0 is the exact 1, as for int and Fraction; any positive exponent
-        # gives zero, and a negative one raises
-        zero = BigLogNumber.zero()
-        for exponent in (0, Fraction(0), 0.0):
-            one = zero.power(exponent)
-            assert (one.sign, one.exact, float(one)) == (1, 1, 1.0)
-        for exponent in (1, 3, Fraction(1, 2), 0.5):
-            assert zero.power(exponent).to_json_dict() == zero.to_json_dict()
-        for exponent in (-1, Fraction(-1, 2), -0.5):
-            with pytest.raises(BadParamsError, match="negative"):
-                zero.power(exponent)
+        # x^0 is the exact 1 while x has a payload, else log2 magnitude 0
+        one = BigLogNumber.from_fraction(Fraction(2, 3)).power(0)
+        assert (one.exact, one.log2_magnitude) == (1, 0)
+        bare = BigLogNumber(5000).power(0)
+        assert (bare.exact, bare.log2_magnitude) == (None, 0)
 
     @pytest.mark.parametrize(
         "make, expected",
         [
-            (lambda: BigLogNumber.from_fraction(Fraction(0)).to_json_dict(),
-             {"sign": 0, "level": 0, "log2_magnitude": "0.0", "exact": "0"}),
-            (lambda: BigLogNumber(-1, 3).to_json_dict(),
-             {"sign": -1, "level": 1, "log2_magnitude": "3.0"}),
-            (lambda: float(BigLogNumber.zero()), 0.0),
-            (lambda: float(BigLogNumber.from_int(2**2000)), math.inf),
-            (lambda: float(BigLogNumber(1, 2**20)), math.inf),
-            (lambda: float(BigLogNumber(-1, 2**20)), -math.inf),
-            (lambda: str(float(BigLogNumber(1, -(2**20)))), "0.0"),
-            (lambda: str(float(BigLogNumber(-1, -(2**20)))), "-0.0"),
-            (lambda: (BigLogNumber.zero() * BigLogNumber.from_int(5)).to_json_dict(),
-             BigLogNumber.zero().to_json_dict()),
-            (lambda: BigLogNumber.from_int(2).__mul__(3), NotImplemented),
-            (lambda: BigLogNumber.from_int(2) <= BigLogNumber.from_int(2), True),
-            (lambda: BigLogNumber.from_int(3) <= BigLogNumber.from_int(2), False),
-            (lambda: repr(BigLogNumber.from_fraction(Fraction(-3, 4))),
-             "BigLogNumber(-3/4)"),
-            (lambda: repr(BigLogNumber(1, 5000)), "BigLogNumber(sign=1, log2=5000.0)"),
-            (lambda: BigLogNumber.zero().log2_of_abs_log2, None),
-            (lambda: BigLogNumber(1, mpmath.mpf(2) ** 200).to_json_dict()["log2_of_abs_log2"],
+            (lambda: BigLogNumber(0).to_json_dict(),
+             {"sign": 1, "level": 1, "log2_magnitude": "0.0"}),
+            (lambda: BigLogNumber(-3).to_json_dict(),
+             {"sign": 1, "level": 1, "log2_magnitude": "-3.0"}),
+            # a tiny value is doubly exponential too, read through |log2 x|
+            (lambda: BigLogNumber(-TWO**200).to_json_dict()["log2_of_abs_log2"],
              "200.0"),
+            (lambda: BigLogNumber(TWO**48 - 1).to_json_dict().get("log2_of_abs_log2"),
+             None),
+            (lambda: BigLogNumber(TWO**48).to_json_dict()["level"], 2),
         ],
     )
     def test_edge_branches(self, make, expected):
@@ -199,9 +169,9 @@ class TestConstants:
 
 class TestUniformityThreshold:
     def test_delta_one_returns_k(self):
-        k_const = BigLogNumber.from_int(5)
+        k_const = BigLogNumber.from_fraction(5)
         th = uniformity_threshold(2, 42, k_const, 1)
-        assert float(th) == pytest.approx(5.0)
+        assert th.exact == 5
 
     def test_exponent_arithmetic(self):
         k_const = constants(2, cs_value=4.0).K_const  # log2 K = 0
@@ -209,9 +179,9 @@ class TestUniformityThreshold:
         assert th.log2_magnitude == -352  # 2^3 * 44
 
     def test_monotone_in_delta(self):
-        k_const = BigLogNumber.from_int(3)
+        k_const = BigLogNumber.from_fraction(3)
         ths = [
-            uniformity_threshold(2, 42, k_const, d)
+            uniformity_threshold(2, 42, k_const, d).log2_magnitude
             for d in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1)
         ]
         for a, b in zip(ths, ths[1:]):
@@ -303,7 +273,7 @@ class TestIncrementIteration:
             log2k = mpmath.log(d_target, 2) - c_val * mpmath.log(
                 mpmath.mpf(delta0.numerator) / delta0.denominator, 2
             )
-        return BigLogNumber(1, log2k)
+        return BigLogNumber(log2k)
 
     def test_density_one_immediate(self):
         sheet = constants(2, cs_value=4.0)

@@ -159,22 +159,23 @@ class TestSplitHalves:
 
 
 class TestTrivialCountBound:
+    # the oracle is the square of floor(s/2)! * cardinality^(s/2)
     def test_small_values(self, sys_quad4):
-        assert float(trivial_count_bound(sys_quad4, 3)) == 18.0
+        assert trivial_count_bound(sys_quad4, 3) == 18**2
 
     def test_two_variables(self):
         sys = validate_system(1, (1, -1))
-        assert float(trivial_count_bound(sys, 10)) == 10.0
+        assert trivial_count_bound(sys, 10) == 10**2
 
     def test_six_variables(self, sys_quad6):
-        assert float(trivial_count_bound(sys_quad6, 100)) == 6e6
+        assert trivial_count_bound(sys_quad6, 100) == (6 * 10**6) ** 2
 
-    def test_huge_cardinality_stays_on_log_scale(self, sys_quad6):
-        bound = trivial_count_bound(sys_quad6, 10**40)
-        assert bound.sign == 1
-        assert float(bound.log2_magnitude) == pytest.approx(
-            3 * 40 * 3.321928 + 2.585, rel=1e-3
-        )
+    def test_huge_cardinality_is_exact(self, sys_quad6):
+        assert trivial_count_bound(sys_quad6, 10**40) == (6 * 10**120) ** 2
+
+    def test_odd_arity_needs_no_square_root(self, sys_lin3):
+        # 1! * 3^(3/2) squared
+        assert trivial_count_bound(sys_lin3, 3) == 27
 
 
 class TestInvariances:
