@@ -7,8 +7,10 @@ Two counting engines share one contract:
   stream cannot classify tuples.  ``auto`` is this join at every arity: a DP
   on the multiplicities of the distinct coefficients gives that formula with
   no arity cap;
-* ``naive`` scans the full grid A^s and classifies every solution tuple; it
-  serves ``naive`` counts and streams.
+* ``naive`` scans the full grid A^s and classifies its solutions a block of
+  tuples at a time, by their equality tensor times the coefficients; it
+  serves ``naive`` counts and streams, and uses neither keys nor
+  multiplicities, so it stays the oracle of the join and of the partition DP.
 
 One builder forms the power sums of both.  The scan asks it for the ordered
 grid A^(s-1) of the trailing variables and, for each leading value in
@@ -39,7 +41,7 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget, entry_bytes, fits_int64
 from .errors import BadParamsError
-from .system import DiagonalSystem, split_halves, value_classes_zero_sum
+from .system import DiagonalSystem, split_halves
 from .windows import SetWindow
 
 Method = Literal["naive", "mitm", "auto"]
@@ -107,14 +109,20 @@ def _power_sum_columns(
 
 def _solutions(
     system: DiagonalSystem, elems: tuple[int, ...], budget: Budget, what: str
-) -> Iterator[tuple[int, ...]]:
-    """Solutions in A^s in lexicographic order, after the budget checks ``what``.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Solutions in A^s in lexicographic order, after the budget checks ``what``,
+    as blocks of rows, each with the mask of its trivial rows.
 
     The k power-sum columns of the trailing s-1 variables are built once over
     A^(s-1); for each leading value x, ascending, the solutions starting with
-    x are the tuples whose degree-j sum is -lam_1 x^j for every j.  Byte
+    x are the tuples whose degree-j sum is -lam_1 x^j for every j.  A row is
+    trivial iff sum_j lam_j [x_j = x_i] = 0 at every position i: the equality
+    tensor of the block times lam, both in the grid's dtype.  A block holds at most
+    |A|^(s-1) / (9 s^2) rows, so its tensor and the tensor's cast to that
+    dtype, 9 bytes per pair of positions, fit in one byte per grid cell.  Byte
     estimate over A^(s-1): k + 1 columns (the k built and the partial one
-    being built, or the matches' indices during the scan) and two masks.
+    being built, or the matches' indices and the blocks during the scan) and
+    two masks.
     """
     s, k = system.arity, system.degree
     budget.check_ops(max(len(elems), 1) ** s * k, what)
@@ -122,20 +130,22 @@ def _solutions(
         return
     bound = sum(abs(c) for c in system.coefficients) * elems[-1] ** k
     arr = np.asarray(elems, dtype=np.int64 if fits_int64(bound) else object)
-    shape = (arr.size,) * (s - 1)
-    budget.check_bytes(
-        math.prod(shape) * ((k + 1) * entry_bytes(arr.dtype, bound) + 2),
-        f"{what} grid",
-    )
+    grid = arr.size ** (s - 1)
+    budget.check_bytes(grid * ((k + 1) * entry_bytes(arr.dtype, bound) + 2), f"{what} grid")
     lead, *rest = system.coefficients
+    lam = np.asarray(system.coefficients, dtype=arr.dtype)
+    rows = max(grid // (9 * s * s), 1)
     cols = _power_sum_columns(arr, [(c, 1) for c in rest], k)[0]
-    for x in elems:
+    for i, x in enumerate(elems):
         mask = cols[0] == -lead * x
         for j, col in enumerate(cols[1:], 2):
             mask &= col == -lead * x**j
-        idx = np.unravel_index(np.flatnonzero(mask), shape)
-        for tail in zip(*(arr[i].tolist() for i in idx)):
-            yield (x, *tail)
+        found = np.flatnonzero(mask)
+        for start in range(0, found.size, rows):
+            flat = found[start:start + rows] + i * grid
+            block = arr[np.stack(np.unravel_index(flat, (arr.size,) * s), axis=1)]
+            sums = (block[:, :, None] == block[:, None, :]) @ lam
+            yield block, (sums == 0).all(axis=1)
 
 
 def _join_halves(coeffs: Sequence[int]) -> list[list]:
@@ -308,15 +318,16 @@ def count_solutions(
 
     ``mitm`` and ``auto`` join the power-sum keys of the two variable halves
     and take the trivial count from the partition formula, checking both
-    estimates before any key is built; ``naive`` classifies each tuple.
+    estimates before any key is built; ``naive`` sums the scan's triviality
+    masks.
     """
     if method not in ("naive", "mitm", "auto"):
         raise BadParamsError(f"unknown method {method!r}")
     if method == "naive":
         total = trivial = 0
-        for tup in _solutions(system, window.elements(), budget, "naive count"):
-            total += 1
-            trivial += value_classes_zero_sum(system, tup)
+        for _, mask in _solutions(system, window.elements(), budget, "naive count"):
+            total += mask.size
+            trivial += int(np.count_nonzero(mask))
         return SolutionTally(total, trivial, total - trivial)
     elems, k = window.elements(), system.degree
     halves = _join_halves(system.coefficients)
@@ -335,9 +346,8 @@ def stream_solutions(
     """Yield solutions in lexicographic tuple order, optionally nontrivial only."""
     if which not in ("all", "nontrivial"):
         raise BadParamsError(f"unknown filter {which!r}")
-    for tup in _solutions(system, window.elements(), budget, "stream"):
-        if which == "all" or not value_classes_zero_sum(system, tup):
-            yield tup
+    for block, trivial in _solutions(system, window.elements(), budget, "stream"):
+        yield from map(tuple, (block if which == "all" else block[~trivial]).tolist())
 
 
 def vinogradov_moment(

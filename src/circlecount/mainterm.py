@@ -372,7 +372,7 @@ def increment_iteration(
     delta0,
     loglog_n0: float,
     y: int,
-    k_const: BigLogNumber,
+    k_const: Optional[BigLogNumber],
     c_exp: BigLogNumber,
 ) -> IncrementTrace:
     """Iterate the density-increment recurrences on the (iterated-)log scale.
@@ -388,6 +388,8 @@ def increment_iteration(
         raise BadParamsError("delta0 must be in (0, 1]")
     if y < 3:
         raise BadParamsError("Y must be >= 3")
+    if k_const is None:  # the sheet was built without a CS value
+        raise BadParamsError("K needs a CS value")
     # D_r = K delta^C adds an O(1) log to terms of size ~C, so the working
     # precision must cover C's full magnitude for the moderate-D regime
     prec = _PREC

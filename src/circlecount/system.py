@@ -109,16 +109,12 @@ def is_trivial(system: DiagonalSystem, x: Sequence[int]) -> bool:
     partitions with variables constant on blocks: the value classes of such a
     tuple are unions of zero-sum blocks, and conversely the value classes
     themselves form a qualifying partition.  Raises if x is not a solution.
+    This is the per-tuple definition; the naive count and the stream decide
+    the same thing for a block of solutions at once.
     """
     system.require_arity(x)
     if not is_solution(system, x):
         raise NotASolutionError(f"{tuple(x)} does not solve the system")
-    return value_classes_zero_sum(system, x)
-
-
-def value_classes_zero_sum(system: DiagonalSystem, x: Sequence[int]) -> bool:
-    """True iff the coefficients of each value class of x sum to zero; on a
-    solution this is triviality, and the counting engines call it per tuple."""
     class_sums: dict[int, int] = {}
     for c, v in zip(system.coefficients, x):
         class_sums[v] = class_sums.get(v, 0) + c

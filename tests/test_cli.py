@@ -7,6 +7,7 @@ import time
 import pytest
 
 from circlecount import cli
+from circlecount.errors import ToleranceNotMetError
 
 CLI = [sys.executable, "-m", "circlecount.cli"]
 
@@ -444,3 +445,49 @@ def test_gen_set_in_process_errors(args, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[0] == message
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["arcs", "--n", "100", "--k", "2", "--alpha", "inf,0.5"], 3,
+         "error: cannot parse 'inf': inf is not finite"),
+        (["arcs", "--n", "100", "--k", "2", "--alpha", "abc,0.5"], 3,
+         "error: cannot parse 'abc': could not convert string to float: 'abc'"),
+        (["expsum", "f", "--alpha", "0.1"], 3, "error: provide --set FILE or --n N"),
+        (["expsum", "g", "--alpha", "0.1"], 3, "error: expsum g needs --n"),
+        (["local", "--system", "{quad4}"], 3, "error: local needs --q or --prime"),
+        (["--budget", "10", "count", "--system", "{quad4}", "--n", "5"], 2,
+         "budget refused: mitm count: estimated 30 elementary operations exceeds "
+         "budget of 10"),
+        (["count", "--n", "3"], 3, "usage: circlecount count [-h] --system SYSTEM "
+         "[--set SET] [--n N]"),
+    ],
+    ids=["non_finite_float", "malformed_float", "no_window", "expsum_g_no_n",
+         "local_no_modulus", "budget_refusal", "usage_error"],
+)
+def test_in_process_errors(args, code, message, quad4_file, capsys):
+    # the first line of stderr names the error; stdout stays empty
+    assert cli.main([a.format(quad4=quad4_file) for a in args]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == message
+
+
+def test_in_process_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.startswith("usage: circlecount")
+
+
+def test_other_library_errors_exit_1(monkeypatch, capsys):
+    # a CircleCountError that is neither a validation, a budget nor a
+    # hypothesis error: the handler's error stands in for one
+    def fail(n, alpha):
+        raise ToleranceNotMetError("tolerance not met")
+
+    monkeypatch.setattr(cli, "eval_g", fail)
+    assert cli.main(["expsum", "g", "--n", "9", "--alpha", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == "error: tolerance not met"

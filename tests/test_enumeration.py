@@ -204,6 +204,58 @@ class TestStreamSolutions:
         assert len(out) == count_solutions(sys_quad4, SetWindow.full(4)).total
 
 
+@pytest.mark.parametrize(
+    "k, coeffs, extra",
+    [(2, (1, 1, 1, -1, -1, -1), SetWindow.full(7)),
+     # holds the nontrivial {1, 5, 8, 12} against {2, 3, 10, 11}
+     (3, (1,) * 4 + (-1,) * 4, SetWindow.from_elements(12, (1, 2, 3, 5, 8, 10, 11, 12))),
+     (1, (2, 1, -1, -1, -1), None), (2, (3, -1, -1, 2, -2, -1), None),
+     (1, (10**19, -(10**19), 1, -1), None), (1, (10**19, -(10**19), 2, -1, -1), None)],
+    ids=["quad6", "cubic8", "lin5", "quad6_mixed", "object", "object_nontrivial"],
+)
+def test_block_triviality_is_the_per_tuple_definition(k, coeffs, extra):
+    """The scan's triviality mask equals ``is_trivial`` on every solution of
+    seeded windows, and of a window with nontrivial solutions where those have
+    none, and the stream and the naive count read the same blocks."""
+    sys = validate_system(k, coeffs)
+    rnd = random.Random(31)
+    windows = [random_window(rnd, rnd.randint(3, 16), 200_000, sys.arity)
+               for _ in range(6)]
+    if extra is not None:
+        windows.append(extra)
+    for w in windows:
+        blocks = list(enumeration._solutions(sys, w.elements(), Budget(), "stream"))
+        assert all(block.dtype == (object if coeffs[0] > INT64_SAFE else np.int64)
+                   for block, _ in blocks)
+        rows = [tuple(row) for block, _ in blocks for row in block.tolist()]
+        trivial = [bool(t) for _, mask in blocks for t in mask]
+        assert trivial == [is_trivial(sys, row) for row in rows]
+        everything = list(stream_solutions(sys, w, "all"))
+        assert everything == rows
+        assert all(a < b for a, b in zip(everything, everything[1:]))
+        assert all(type(v) is int for row in everything for v in row)
+        assert list(stream_solutions(sys, w, "nontrivial")) == [
+            row for row, triv in zip(rows, trivial) if not triv]
+        tally = count_solutions(sys, w, "naive")
+        assert (tally.total, tally.trivial) == (len(rows), sum(trivial))
+
+
+def test_matches_of_one_leading_value_span_several_blocks():
+    # k = 1, (1^4, (-1)^4) over [1, 5]: blocks of 5^7 // (9 * 8^2) = 135 rows,
+    # against 7,140 to 8,135 solutions for each leading value
+    sys = validate_system(1, (1,) * 4 + (-1,) * 4)
+    w = SetWindow.full(5)
+    blocks = list(enumeration._solutions(sys, w.elements(), Budget(), "naive count"))
+    leads = [block[0, 0] for block, _ in blocks]
+    assert max(map(leads.count, set(leads))) > 1
+    assert all(len(block) <= 135 for block, _ in blocks)
+    rows = [tuple(row) for block, _ in blocks for row in block.tolist()]
+    assert [bool(t) for _, mask in blocks for t in mask] == [
+        is_trivial(sys, row) for row in rows]
+    assert rows == list(stream_solutions(sys, w)) == sorted(set(rows))
+    assert (len(rows), sum(is_trivial(sys, row) for row in rows)) == brute_force_tally(sys, w)
+
+
 class TestVinogradovMoment:
     def test_degree_one_forces_equality(self):
         for k in range(1, 5):
@@ -588,6 +640,10 @@ class TestInt64Fallbacks:
                                   SetWindow.full(60), "mitm", b),
         lambda b: count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
                                   SetWindow.full(13), "naive", b),
+        # 616,227 solutions, 201,643 to 212,941 for each leading value: the
+        # scan classifies them in slices
+        lambda b: count_solutions(validate_system(1, (1,) * 7 + (-1,) * 7),
+                                  SetWindow.full(3), "naive", b),
         # above 2^62 from here: object scan and object keys
         lambda b: count_solutions(validate_system(5, (1, 1, 1, -1, -1, -1)),
                                   BIG_WINDOW, "naive", b),
@@ -617,7 +673,7 @@ class TestInt64Fallbacks:
         lambda b: series_term_direct(validate_system(1, (2, -1, -1)), 1000, b),
     ],
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "mitm_cubic_multisets",
-         "mitm_non_mirrored_weighted", "naive_int64",
+         "mitm_non_mirrored_weighted", "naive_int64", "naive_dense_matches",
          "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
          "dp_full_int64", "dp_full_object", "dp_two_halves_cubic", "direct_quad6", "direct_cubic8",
          "direct_linear_block"],

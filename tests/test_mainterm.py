@@ -314,6 +314,13 @@ class TestIncrementIteration:
         with pytest.raises(BadParamsError):
             increment_iteration(Fraction(1, 2), 10.0, 2, sheet.K_const, sheet.C_exp)
 
+    def test_k_without_a_cs_value_is_refused(self):
+        sheet = constants(2)
+        assert sheet.K_const is None
+        with pytest.raises(BadParamsError) as info:
+            increment_iteration(0.5, 100.0, 3, sheet.K_const, sheet.C_exp)
+        assert str(info.value) == "K needs a CS value"
+
 
 def _reference_progression_search(window, min_length):
     """Independent reference: the literal triple loop over step, start and
