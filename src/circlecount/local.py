@@ -14,19 +14,22 @@ each other:
   counts f(p^e) in one table for all its terms; no count outlives its call.
 
 The congruence count M(q) is multiplicative in q (Chinese remainder theorem),
-so it is the product of the counts at q's prime-power factors.  Each is
-read out from the halves of ``system.split_halves``, as the MITM join counts:
-one numpy dynamic program per half counts its tuples by residue vector of
-power sums, its first min(k, stages) stages one bincount of the power-sum
-vectors of all tuples and dense np.roll stages the rest, and M(m) is
-sum_v left(v) * right(v), or sum_v c(v)^2 when one half stands for both: one
-``np.dot`` of the flattened counts, the join's read-out.  Cells are int64 or,
-when m^s does not fit at the DP's modulus m, Python big integers, on which
+so it is the product of the counts at q's prime-power factors.  Each is read
+out through the system's translation and dilation symmetry from the halves
+of ``system.split_halves``, as the MITM join counts: fixing the first
+variable of the first half at 0 and the first of the last half at each
+divisor g of the modulus m, M(m) = m sum_{g|m} phi(m/g) N(g).  One numpy
+dynamic program per half, less its first variable, counts its tuples by
+residue vector of power sums, its first min(k, stages) stages one bincount
+of the power-sum vectors of all tuples and dense np.roll stages the rest;
+an L and -L system runs one.  Each N(g) is one ``np.dot`` of the flattened
+counts against a shifted copy, the join's read-out.  Cells are int64 or,
+when m^s does not fit at the modulus m, Python big integers, on which
 ``np.dot`` is exact too; ``budget.fits_int64`` picks the dtype and nothing
 else differs.
-``multiplicativity_check`` takes S(qr) as the literal divisor sum over direct
-DP counts at each divisor of qr, so it stays a real check of both product
-rules.
+``multiplicativity_check`` takes S(qr) as the literal divisor sum over
+direct counts at each divisor of qr, so it stays a real check of both
+product rules; the symmetry touches neither.
 
 ``_factorize`` is the one trial-division loop: it gives the Moebius route its
 prime powers and ``euler_factor`` and ``hensel_lift`` their primality test.
@@ -67,15 +70,25 @@ def congruence_count(
     """Exact number of solutions mod q of all k congruences, x in (Z/q)^s.
 
     M is multiplicative (Chinese remainder theorem), so M(q) is the product
-    of one DP count per prime-power factor p^e of q.  The DP runs over the
-    residue vector of partial power sums: state space (Z/p^e)^k, one stage
-    per coefficient of a half of ``system.split_halves``.  At most p^(ej)
-    vectors exist after j <= k stages, so the first min(k, stages) are one
-    bincount of those vectors and each later stage is dense, p^e shifted
-    copies of the state.  The count is sum_v left(v) * right(v) over each
-    half's tuple counts by power sums v, or sum_v c(v)^2 over the one half of
-    an L and -L system, one ``np.dot``.  Cells are int64 while p^(es) fits
-    and Python big integers (an ``object`` array) beyond, on the same code.
+    of one count per prime-power factor m = p^e of q.  Each count uses the
+    system's symmetry.  Sum lam = 0 and each equation is homogeneous, so the
+    solutions mod m are invariant under x -> u x + c (1, ..., 1) for any c
+    and any unit u mod m.  Translation acts freely, and exactly one point of
+    each orbit has x_a = 0, where a is the first variable of the first half
+    of ``system.split_halves``: M(m) = m N_0.  The units fix x_a = 0 and
+    carry x_b, b the first variable of the last half, through the phi(m/g)
+    residues with gcd(x_b, m) = g, so M(m) = m sum_{g|m} phi(m/g) N(g), N(g)
+    counting the solutions with x_a = 0 and x_b = g (x_b = 0 when g = m).
+
+    N(g) = sum_v left'(v) right'(v - lam_b (g, g^2, ..., g^k)) is one
+    ``np.dot`` of one half's tuple counts by power-sum vector v against a
+    shifted copy of the other's, each half counted without its first
+    variable by a DP over (Z/m)^k; an L and -L system runs one DP, over L
+    less its first coefficient.  At most m^j vectors exist after j <= k
+    stages, so a DP's first min(k, stages) stages are one bincount of those
+    vectors, and each later stage is dense, m shifted copies of the state.
+    Cells are int64 while m^s fits and Python big integers (an ``object``
+    array) beyond, on the same code.
     """
     if q < 1:
         raise BadParamsError("q must be >= 1")
@@ -86,35 +99,60 @@ def congruence_count(
 
 
 def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> int:
-    """Product of the DP counts M(m) over ``moduli``, refused before any DP
+    """Product of the counts M(m) over ``moduli``, refused before any DP
     runs; a single composite modulus is the direct count that
     ``multiplicativity_check`` needs."""
     k, s = system.degree, system.arity
     halves = split_halves(system.coefficients)
+    rests = [half[1:] for half in halves]  # x_a = 0 and x_b = g fix each first
+    lam_b = halves[-1][0]
     # the read-out sums products of two cells into a count of (Z/m)^s tuples
     dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
-    heads = [min(k, len(half)) for half in halves]
-    ops = sum(head * k * m**head + (len(half) - head) * m ** (k + 1)
-              for m in moduli for half, head in zip(halves, heads))
-    budget.check_ops(ops, "congruence count")
-    # held at once by the scatter: the m^head power-sum vectors, their flat
-    # indices, the bincount and its cells (each at most m^|half|); by a dense
-    # stage: the counts, the next stage and np.roll's copy; by the second
-    # half, also the first half's counts; and np.roll's index 2-tuples and
-    # k-tuples in free lists, 2000 tuples each.  The read-out is one np.dot
-    # of the halves' counts, which the second half's phase already holds
+    heads = [min(k, len(rest)) for rest in rests]
+    orbits = [_orbits(m) for m in moduli]
+    ops = sum(head * k * m**head + (len(rest) - head) * m ** (k + 1)
+              for m in moduli for rest, head in zip(rests, heads))
+    budget.check_ops(ops + sum(len(o) * m**k for m, o in zip(moduli, orbits)),
+                     "congruence count")
+    # held at once by a scatter: the m^head power-sum vectors, their flat
+    # indices, the bincount and, on object cells, its copy (cells at most
+    # m^head); by a dense stage, if any: the counts, the next stage (cells at
+    # most m^|rest|) and np.roll's copy; by the second half, also the first
+    # half's counts; by a read-out, both halves' counts and np.roll's copy;
+    # and np.roll's index 2-tuples and k-tuples in free lists, 2000 each
     peaks = []
     for m, d in zip(moduli, dtypes):
-        cells = [entry_bytes(d, m ** len(half)) for half in halves]
-        built = [max(8 * (k + 1) * m**head + (8 + cell) * m**k, (2 * cell + 8) * m**k)
-                 for head, cell in zip(heads, cells)]
-        peaks += [built[0], cells[0] * m**k * (len(halves) - 1) + built[-1]]
+        cells = [entry_bytes(d, m ** len(rest)) for rest in rests]
+        built = [max(8 * (k + 1) * m**head + 8 * m**k
+                     + (entry_bytes(d, m**head) * m**k if d is object else 0),
+                     (2 * cell + 8) * m**k if len(rest) > head else 0)
+                 for rest, head, cell in zip(rests, heads, cells)]
+        peaks += [built[0], cells[0] * m**k * (len(halves) - 1) + built[-1],
+                  (sum(cells) + 8) * m**k]
     budget.check_bytes(max(peaks) + 2000 * (96 + 8 * k), "congruence DP states")
-    return math.prod(
-        int(np.dot(counts[0].ravel(), counts[-1].ravel()))
-        for m, d in zip(moduli, dtypes)
-        for counts in [[_congruence_dp(half, k, m, d) for half in halves]]
-    )
+    axes = tuple(range(k))
+    total = 1
+    for m, d, orbit in zip(moduli, dtypes, orbits):
+        counts = [_congruence_dp(rest, k, m, d) for rest in rests]
+        left, right = counts[0], counts[-1]
+        n = 0
+        for g, phi in orbit:  # N(g): x_b = g shifts the last half's sums
+            shifts = [lam_b * pow(g, j, m) % m for j in range(1, k + 1)]
+            n += phi * int(np.dot(left.ravel(),
+                                  np.roll(right, shifts, axis=axes).ravel()))
+        total *= m * n
+    return total
+
+
+def _orbits(m: int) -> list[tuple[int, int]]:
+    """(g, phi(m/g)) for each divisor g of m: the units mod m carry g through
+    the phi(m/g) residues x with gcd(x, m) = g."""
+    orbits = [(1, 1)]
+    for p, e in _factorize(m):
+        powers = [(p**f, p ** (e - f) - p ** (e - f - 1)) for f in range(e)]
+        orbits = [(g * pg, phi * pphi)
+                  for g, phi in orbits for pg, pphi in powers + [(p**e, 1)]]
+    return orbits
 
 
 def _congruence_dp(stages: tuple[int, ...], k: int, q: int, dtype) -> np.ndarray:
@@ -233,10 +271,13 @@ def multiplicativity_check(
     """Verify S(qr) = S(q) S(r) for coprime q, r (exact values, float residual).
 
     S(q) and S(r) come from ``series_term_moebius``.  S(qr) is the literal
-    divisor sum sum_{d|qr} mu(qr/d) d^(k-s) M(d), each M(d) from one direct
-    DP at the modulus d itself, so the check runs neither through the
+    divisor sum sum_{d|qr} mu(qr/d) d^(k-s) M(d), each M(d) counted directly
+    at the modulus d itself, so the check runs neither through the
     prime-power product rule of the series terms nor through the CRT product
-    of the congruence counts that it checks.
+    of the congruence counts that it checks.  The direct count reads M(d)
+    through the system's symmetry at d, as ``congruence_count`` does at each
+    prime power; the symmetry holds at every modulus and touches neither
+    product rule.
     """
     if math.gcd(q, r) != 1:
         raise NotCoprimeError(f"gcd({q}, {r}) != 1")

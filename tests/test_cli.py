@@ -342,6 +342,55 @@ def test_constant_sheet_stdout_is_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+DP_SYSTEMS = {
+    "quad6.json": '{"k": 2, "lambda": [1, 1, 1, -1, -1, -1]}',
+    "cubic8.json": '{"k": 3, "lambda": [1, 1, 1, 1, -1, -1, -1, -1]}',
+    "odd5.json": '{"k": 2, "lambda": [2, 1, -1, -1, -1]}',
+}
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["local", "--system", "quad6.json", "--q", "360"],
+         "a6bdb5ad840a4dde5c8dadfbb0c5c7a9fc5ea817f61bcd04b59d895d2ea609d3"),
+        (["local", "--system", "quad6.json", "--prime", "2", "--hmax", "5"],
+         "5134c3fc81f90771b2c3726443b45ff66f3a6690c88db1fdba29e0777fb2db98"),
+        (["series", "--system", "quad6.json", "--qmax", "60"],
+         "30487fb67b88a48b48d7bc95c1d9f4e00ebaaf9cd3a0a255ea08961032d12a66"),
+        (["predict", "--system", "quad6.json", "--n", "1000"],
+         "0ce8ce9fc109ec2e2c1aaff6b7168df4c2e094a50cb51ceb039c66288db9584e"),
+        (["local", "--system", "cubic8.json", "--q", "360"],
+         "eea22d116d6644b2d95409cce77bf47e0e025956bdafc9270f712286abc68984"),
+        (["local", "--system", "cubic8.json", "--prime", "2", "--hmax", "5"],
+         "e76b08465a6890f01c72fd3f25d73eb32ada5d8a2e6fe31d0ed4fe9d5f9b2f3e"),
+        (["series", "--system", "cubic8.json", "--qmax", "60"],
+         "bde6a6a0533edd4582103766f343a835bd1d4156727055c0c2b8f1fe99474ebe"),
+        (["predict", "--system", "cubic8.json", "--n", "1000"],
+         "b88d18c8c0cfee8640f00b104f906b877b0b08308a31066541e7d45304a9b4d8"),
+        (["local", "--system", "odd5.json", "--q", "360"],
+         "1979456d606b098e54e8448eb6d5f7110993ddb8d43415896395c19efac9b5bc"),
+        (["local", "--system", "odd5.json", "--prime", "2", "--hmax", "5"],
+         "2efcd40871879c4e48c393569dbcd5d27c31f74ac53520f410a87320f0bf2d8a"),
+        (["series", "--system", "odd5.json", "--qmax", "60"],
+         "42e34b00cb7679fcc60baa63b7e6a2c5dcbb470f0c666ef64d760713459bd26c"),
+    ],
+    ids=["quad6_local_q", "quad6_local_prime", "quad6_series", "quad6_predict",
+         "cubic8_local_q", "cubic8_local_prime", "cubic8_series", "cubic8_predict",
+         "odd5_local_q", "odd5_local_prime", "odd5_series"],
+)
+def test_dp_command_stdout_is_pinned(args, digest, tmp_path, monkeypatch, capsys):
+    # sha256 of the whole envelope of each command that reads congruence
+    # counts, recorded before the counts used the system's symmetry; the
+    # system path is relative, so the envelope's config names it alike
+    monkeypatch.chdir(tmp_path)
+    for name, text in DP_SYSTEMS.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(args) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_increment():
     res = result_of(
         run_cli(

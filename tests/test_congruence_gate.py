@@ -5,27 +5,33 @@ that does not run through it, on int64 and on big-integer cells (forced by
 patching ``local.fits_int64``), for quad6, cubic8 and seeded draws from the
 conftest generators up to k = 3, mirrored (L and -L) and not:
 
-* the product of prime-power counts (CRT) against one direct DP at q
+* every count against an oracle with no symmetry: sum_v left(v) right(v)
+  over ``_literal_dp`` of each full positional half (the first ceil(s/2)
+  coefficients and the negated rest), at every q up to a size the suite
+  affords, composite q and q with p <= k among them, and on (1, -1), whose
+  halves lose their only variable to the symmetry;
+* the product of prime-power counts (CRT) against one direct count at q
   (``local._dp_product`` at the single modulus q);
-* the one-half read-out of an L and -L system (stages over L, sum of squared
-  counts) against the two-half read-out (sum of products of the counts of the
-  first ceil(s/2) coefficients and of the negated rest), forced by patching
-  ``local.split_halves``, at prime powers;
-* every shuffle of an L and -L system against its sorted form: the same DP
-  stages up to order and the same counts;
-* every DP against ``brute_force_congruence_count`` wherever q^s <= 10^5 on
-  quad6 and cubic8, and on the draws for q = 2, 3, ... while the brute-force
-  tuples total at most 3 * 10^4 per system;
+* the one-half read-out of an L and -L system (one DP over L less its first
+  coefficient) against the two-half read-out over the positional halves,
+  forced by patching ``local.split_halves``, at prime powers, with a spy
+  asserting one stage fewer per half and one read-out per divisor of q;
+* every shuffle of an L and -L system against its sorted form: the same
+  counts, from a DP over L less the first positive coefficient;
+* every count against ``brute_force_congruence_count`` wherever q^s <= 10^5
+  on quad6 and cubic8, and on the draws for q = 2, 3, ... while the
+  brute-force tuples total at most 3 * 10^4 per system;
 * the product rule of ``series_term_moebius`` against the literal divisor
-  sum sum_{d|q} mu(q/d) d^(k-s) M(d), built here from one direct DP at each
-  divisor and a trial-division mu, for q <= 60 on quad6 and cubic8 and as far
-  as ``small`` allows on the draws;
+  sum sum_{d|q} mu(q/d) d^(k-s) M(d), built here from one direct count at
+  each divisor and a trial-division mu, for q <= 60 on quad6 and cubic8 and
+  as far as ``small`` allows on the draws;
 * the exact series terms against the floating-point direct route
   ``series_term_direct`` at k = 3, on cubic8 and the degree-3 draws;
 * the DP itself, whose first min(k, stages) stages are one bincount scatter,
   against ``_literal_dp``, the stage-by-stage np.roll recursion, on the
-  halves of every system at every prime power up to 60 (30 for cubic8 on big
-  integers) and on edge stages.
+  halves of every system and on each half less its first coefficient, at
+  every prime power up to 60 (30 for cubic8 on big integers), and on edge
+  stages.
 """
 
 from __future__ import annotations
@@ -122,6 +128,30 @@ def test_draws_cover_both_kinds():
         assert {sys.degree for sys in draws} == {1, 2, 3}
 
 
+# (1, -1): the symmetry fixes each half's only variable, so every DP is empty
+EMPTY_RESTS = [validate_system(k, (1, -1)) for k in (1, 2, 3)]
+
+
+def literal_count(system, q: int) -> int:
+    """M(q) with no symmetry: sum_v left(v) right(v) over ``_literal_dp`` of
+    each full positional half, summed in Python integers."""
+    left, right = (_literal_dp(half, system.degree, q, np.int64).ravel().tolist()
+                   for half in positional_halves(system.coefficients))
+    return sum(a * b for a, b in zip(left, right))
+
+
+@DTYPES
+def test_count_equals_no_symmetry_oracle(dtype):
+    for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED + EMPTY_RESTS:
+        # every q the oracle affords: prime powers, composites and p <= k
+        qs = [q for q in range(2, 61) if small(system, q)]
+        assert qs[:2] == [2, 3] and len(qs) >= 10
+        with dp_dtype(dtype):
+            for q in qs:
+                assert congruence_count(system, q).count == literal_count(system, q), (
+                    system, q)
+
+
 @DTYPES
 def test_crt_product_equals_direct_dp(dtype):
     for system in [QUAD6, CUBIC8] + ASYMMETRIC + MIRRORED:
@@ -146,20 +176,45 @@ def dp_stages(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def read_outs(monkeypatch):
+    """Count the read-outs, one ``np.dot`` each."""
+    calls = []
+    real = np.dot
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "dot", spy)
+    return calls
+
+
+def divisor_count(q: int) -> int:
+    return sum(q % d == 0 for d in range(1, q + 1))
+
+
+def rests(halves) -> list[tuple[int, ...]]:
+    # x_a = 0 and x_b = g fix the first variable of each half
+    return [half[1:] for half in halves]
+
+
 @DTYPES
-def test_one_half_dp_equals_two_half_dp(dtype, dp_stages, monkeypatch):
+def test_one_half_dp_equals_two_half_dp(dtype, dp_stages, read_outs, monkeypatch):
     for system in [QUAD6, CUBIC8] + MIRRORED:
         qs = moduli(system, dtype, prime_powers=True)
         positives = tuple(c for c in system.coefficients if c > 0)
         with dp_dtype(dtype):
             one = [congruence_count(system, q).count for q in qs]
-        assert dp_stages == [positives] * len(qs)
-        del dp_stages[:]
+        assert dp_stages == [positives[1:]] * len(qs)
+        assert len(read_outs) == sum(map(divisor_count, qs))
+        del dp_stages[:], read_outs[:]
         with dp_dtype(dtype), monkeypatch.context() as mp:
             mp.setattr(local, "split_halves", positional_halves)
             two = [congruence_count(system, q).count for q in qs]
-        assert dp_stages == positional_halves(system.coefficients) * len(qs)
-        del dp_stages[:]
+        assert dp_stages == rests(positional_halves(system.coefficients)) * len(qs)
+        assert len(read_outs) == sum(map(divisor_count, qs))
+        del dp_stages[:], read_outs[:]
         assert one == two, system
 
 
@@ -170,15 +225,16 @@ def test_shuffled_mirrored_systems_run_their_sorted_form_stages(dp_stages):
         qs = [q for q in range(2, 28) if len(_factorize(q)) == 1 and small(system, q)]
         expected = [congruence_count(validate_system(k, sorted(coeffs)), q).count
                     for q in qs]
-        [stages] = set(dp_stages)
-        assert len(dp_stages) == len(qs)
-        assert sorted(stages) == sorted(c for c in coeffs if c > 0)
+        positives = sorted(c for c in coeffs if c > 0)
+        assert dp_stages == [tuple(positives[1:])] * len(qs)
         for _ in range(4):
             rnd.shuffle(coeffs)
             del dp_stages[:]
             counts = [congruence_count(validate_system(k, coeffs), q).count for q in qs]
             assert counts == expected, coeffs
-            assert [sorted(run) for run in dp_stages] == [sorted(stages)] * len(qs)
+            # L less the first positive coefficient of the shuffled order
+            first = next(c for c in coeffs if c > 0)
+            assert [sorted(run + (first,)) for run in dp_stages] == [positives] * len(qs)
         del dp_stages[:]
 
 
@@ -255,12 +311,13 @@ def _literal_dp(stages, k: int, q: int, dtype) -> np.ndarray:
 
 
 def dp_runs(system) -> set[tuple[int, ...]]:
-    """The stages of the DPs a system can run: its positional halves and, when
-    it is L and -L, L."""
+    """The stages of the DPs a system can run, and its halves: its positional
+    halves and, when it is L and -L, L, each in full and less its first
+    coefficient."""
     runs = set(positional_halves(system.coefficients))
     if is_mirrored(system):
         runs.add(tuple(c for c in system.coefficients if c > 0))
-    return runs
+    return runs | set(rests(runs))
 
 
 @DTYPES

@@ -12,6 +12,7 @@ from circlecount import (
     congruence_count,
     count_solutions,
     enumeration,
+    local,
     greedy_solution_free,
     is_trivial,
     series_term_direct,
@@ -624,6 +625,15 @@ class TestInt64Fallbacks:
             monkeypatch.setattr(enumeration, "fits_int64", real)
 
 
+def on_object_cells(count):
+    """``count`` with every congruence DP on ``object`` cells."""
+    def run(budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local, "fits_int64", lambda bound: False)
+            return count(budget)
+    return run
+
+
 @pytest.mark.parametrize(
     "count",
     [
@@ -649,22 +659,32 @@ class TestInt64Fallbacks:
                                   BIG_WINDOW, "naive", b),
         lambda b: count_solutions(validate_system(5, (2, 1, -1, -1, -1)),
                                   BIG_WINDOW, "mitm", b),
-        # the congruence DP at prime powers, one DP per call, at moduli where
-        # the arrays outweigh the free-list term: int64 cells, then object
-        # cells past 89^12 > 2^62; these three systems are L and -L, so they
-        # run one half and read out its squared counts
+        # the congruence count at prime powers, one modulus per call; the
+        # symmetry fixes the first variable of each half, so each DP runs its
+        # half less that variable.  These three systems are L and -L, so they
+        # run one DP: int64 cells, then object cells past 89^12 > 2^62
         lambda b: congruence_count(validate_system(2, (1, 1, 1, -1, -1, -1)), 211, b),
         lambda b: congruence_count(
             validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1)), 41, b),
         lambda b: congruence_count(validate_system(2, (1,) * 6 + (-1,) * 6), 89, b),
-        # and the two-half DP, on systems that are not L and -L, the first
-        # half's counts held while the second is built: int64 cells at a
-        # modulus where the arrays outweigh the free-list term, then object
-        # cells past 37^12 > 2^62, then halves of 4 and 3 stages at k = 3
+        # and two DPs, on systems that are not L and -L, the first half's
+        # counts held while the second is built: int64 cells at a modulus
+        # where the arrays outweigh the free-list term, then object cells past
+        # 37^12 > 2^62, then halves of 4 and 3 stages at k = 3
         lambda b: congruence_count(validate_system(2, (2, 1, -1, -1, -1)), 289, b),
         lambda b: congruence_count(
             validate_system(2, (2, 2, 1, 1, 1, 1, -1, -1, -1, -1, -1, -3)), 37, b),
         lambda b: congruence_count(validate_system(3, (2, 1, 1, -1, -1, -1, -1)), 41, b),
+        # the phases each of these sets the peak in: the second half's scatter
+        # beside the first half's counts; the read-out of two halves and of
+        # one half at k = 3, whose rests of 2 stages scatter into m^2 cells of
+        # m^3; and a scatter's object copy beside its int64 bincount (k = 4,
+        # cells forced to object)
+        lambda b: congruence_count(validate_system(2, (2, 2, 1, -1, -1, -3)), 211, b),
+        lambda b: congruence_count(validate_system(3, (3, 1, -1, -1, -1, -1)), 61, b),
+        lambda b: congruence_count(validate_system(3, (1, 1, 1, -1, -1, -1)), 61, b),
+        on_object_cells(lambda b: congruence_count(
+            validate_system(4, (1,) * 5 + (-1,) * 5), 19, b)),
         # the direct series route: its q^k-row arrays, then at k = 1 a modulus
         # where one row block of complete sums outweighs them
         lambda b: series_term_direct(validate_system(2, (1, 1, 1, -1, -1, -1)), 60, b),
@@ -675,8 +695,9 @@ class TestInt64Fallbacks:
     ids=["mitm_symmetric", "mitm_odd_asymmetric", "moment", "mitm_cubic_multisets",
          "mitm_non_mirrored_weighted", "naive_int64", "naive_dense_matches",
          "naive_object", "mitm_object", "dp_int64", "dp_cubic_int64", "dp_object",
-         "dp_full_int64", "dp_full_object", "dp_two_halves_cubic", "direct_quad6", "direct_cubic8",
-         "direct_linear_block"],
+         "dp_full_int64", "dp_full_object", "dp_two_halves_cubic", "dp_held_int64",
+         "dp_read_out_int64", "dp_read_out_one_half", "dp_scatter_object",
+         "direct_quad6", "direct_cubic8", "direct_linear_block"],
 )
 def test_key_byte_estimate_tracks_traced_peak(count):
     estimates = []

@@ -17,7 +17,7 @@ from circlecount import (
     weyl_chain_check,
 )
 from circlecount.budget import FLOAT64_EXACT, INT64_SAFE, Budget, fits_float64, fits_int64
-from circlecount.errors import BudgetExceededError
+from circlecount.errors import BadParamsError, BudgetExceededError
 
 
 class TestBalancedFunction:
@@ -32,6 +32,13 @@ class TestBalancedFunction:
 
 
 class TestDifferenceSum:
+    @pytest.mark.parametrize("fn", [difference_sum, difference_sum_naive],
+                             ids=["collapse", "naive"])
+    def test_degree_below_one_refused(self, fn):
+        with pytest.raises(BadParamsError) as info:
+            fn(SetWindow.full(6), 0)
+        assert str(info.value) == "degree must be >= 1, got 0"
+
     def test_full_interval_zero(self):
         for k in (1, 2):
             assert difference_sum(SetWindow.full(6), k) == 0

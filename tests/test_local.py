@@ -106,16 +106,19 @@ class TestCongruenceCount:
             assert congruence_count(mirrored, q).count == q**13
 
     def test_ops_estimate_per_half(self):
-        # head * k * m^head + (stages - head) * m^(k+1) per half: the halves
-        # (2, 1, -1) and (1, 1) at m = 53 take 11,236 + 148,877 and 11,236
+        # head * k * m^head + (stages - head) * m^(k+1) per half less its first
+        # coefficient, and m^k per divisor of m for the read-outs: the halves
+        # (2, 1, -1) and (1, 1) run (1, -1) and (1,), at m = 53 taking 11,236
+        # and 106, and the read-outs at g = 1 and 53 take 2 * 2,809
         sys = validate_system(2, (2, 1, -1, -1, -1))
-        with pytest.raises(BudgetExceededError, match="estimated 171349 "):
-            congruence_count(sys, 53, Budget(max_ops=171_348))
-        assert congruence_count(sys, 53, Budget(max_ops=171_349)).count == (
+        with pytest.raises(BudgetExceededError, match="estimated 16960 "):
+            congruence_count(sys, 53, Budget(max_ops=16_959))
+        assert congruence_count(sys, 53, Budget(max_ops=16_960)).count == (
             congruence_count(sys, 53).count)
-        # at m = 997 one DP of all five stages was estimated at 2.98 * 10^9
-        with pytest.raises(BudgetExceededError, match="estimated 998979045 "):
-            congruence_count(sys, 997, Budget(max_ops=998_979_044))
+        # at m = 997 one DP of all five stages was estimated at 2.98 * 10^9,
+        # the two halves' five stages at 998,979,045
+        with pytest.raises(BudgetExceededError, match="estimated 5966048 "):
+            congruence_count(sys, 997, Budget(max_ops=5_966_047))
 
     def test_budget_refusal(self, sys_quad4):
         from circlecount.budget import Budget

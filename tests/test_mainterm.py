@@ -213,6 +213,10 @@ class TestRealSolutionSearch:
         sys = validate_system(2, (1, 1, -2))
         assert find_nonsingular_real_solution(sys) is None
 
+    def test_fewer_variables_than_degree(self):
+        # no point of R^2 has three distinct coordinates
+        assert find_nonsingular_real_solution(validate_system(3, (1, -1))) is None
+
     def test_diverging_starts_do_not_warn(self):
         # some of the 64 starts diverge until their powers overflow to inf
         sys = validate_system(4, (1, 3, -2, -2, 3, -2, 2, 1, 3, -7))
@@ -320,6 +324,30 @@ class TestIncrementIteration:
         with pytest.raises(BadParamsError) as info:
             increment_iteration(0.5, 100.0, 3, sheet.K_const, sheet.C_exp)
         assert str(info.value) == "K needs a CS value"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: constants(2, bracket="round"), "unknown bracket convention 'round'"),
+        (lambda: constants(2, cs_value=0.0), "CS value must be positive"),
+        (lambda: uniformity_threshold(2, 10, constants(2, cs_value=4.0).K_const, 0),
+         "delta must be in (0, 1]"),
+        (lambda: estimate_singular_integral_constant(validate_system(2, (1, 1, -1, -1)),
+                                                     "median"),
+         "unknown method 'median'"),
+        (lambda: progression_concentration_search(SetWindow.full(5), 0),
+         "need 1 <= min_length <= N"),
+        (lambda: progression_concentration_search(SetWindow.full(5), 6),
+         "need 1 <= min_length <= N"),
+    ],
+    ids=["bracket", "cs_value", "threshold_delta", "c_method", "min_length_0",
+         "min_length_above_n"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(BadParamsError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _reference_progression_search(window, min_length):
