@@ -9,7 +9,7 @@ reproducible regardless of the machine the code runs on.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -41,8 +41,7 @@ def entry_bytes(dtype, bound: int) -> int:
     return 8 + sys.getsizeof(bound) if dtype == object else 8
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Cost ceiling for one operation: elementary ops and key-storage bytes."""
 
     max_ops: int = DEFAULT_MAX_OPS

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,7 +164,20 @@ def complete_sum(q: int, a: Sequence[int]) -> complex:
     return complex(complete_sums(q, [[int(aj) % q for aj in a]])[0])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# np.polynomial.legendre.leggauss(12) bit for bit, written out so that no
+# import of this module loads numpy.polynomial
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 
 
 def _gl_estimate(n: int, beta: Sequence[float], panels: int) -> complex:
@@ -223,8 +235,7 @@ def delta_exponent(k: int) -> float:
     return k * sigma_exponent(k)
 
 
-@dataclass(frozen=True)
-class ArcLabel:
+class ArcLabel(NamedTuple):
     """Rational center of a major arc: numerators ascending by degree.
 
     ``numerators`` are stored reduced into [0, q); ``beta`` is the offset to
@@ -285,8 +296,7 @@ def classify_arc(
     return None
 
 
-@dataclass(frozen=True)
-class MajorArcApproxReport:
+class MajorArcApproxReport(NamedTuple):
     g_value: complex
     approx_value: complex
     numerator: float

@@ -65,9 +65,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,8 +81,7 @@ from .windows import SetWindow, balanced_function
 GOWERS_DEFAULT_BUDGET = Budget(max_ops=4096**3)
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     degree: int
     difference_sum: Fraction
     parameter: Fraction
@@ -182,8 +180,7 @@ def uniformity_parameter(
     )
 
 
-@dataclass(frozen=True)
-class WeylChainReport:
+class WeylChainReport(NamedTuple):
     degree: int
     parameter: Fraction
     samples: int

@@ -40,9 +40,8 @@ Jacobian matrix that ``system.jacobian_matrix`` builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ from .expsums import _CHUNK, _pow2_at_least, complete_sums, pairwise_sum
 from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, split_halves
 
 
-@dataclass(frozen=True)
-class CongruenceCount:
+class CongruenceCount(NamedTuple):
     modulus: int
     count: int
 
@@ -94,22 +92,26 @@ def congruence_count(
         raise BadParamsError("q must be >= 1")
     if q == 1:
         return CongruenceCount(1, 1)
-    moduli = [p**e for p, e in _factorize(q)]
-    return CongruenceCount(q, _dp_product(system, moduli, budget))
+    return CongruenceCount(q, _dp_product(system, [[pe] for pe in _factorize(q)], budget))
 
 
-def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> int:
-    """Product of the counts M(m) over ``moduli``, refused before any DP
+def _dp_product(
+    system: DiagonalSystem, factored: list[list[tuple[int, int]]], budget: Budget
+) -> int:
+    """Product of the counts M(m) over the moduli m whose factorizations,
+    as ``_factorize`` gives them, are ``factored``, refused before any DP
     runs; a single composite modulus is the direct count that
-    ``multiplicativity_check`` needs."""
+    ``multiplicativity_check`` needs.  The caller's factorizations give the
+    divisors too, so no modulus is factorized twice."""
     k, s = system.degree, system.arity
+    moduli = [math.prod(p**e for p, e in factors) for factors in factored]
     halves = split_halves(system.coefficients)
     rests = [half[1:] for half in halves]  # x_a = 0 and x_b = g fix each first
     lam_b = halves[-1][0]
     # the read-out sums products of two cells into a count of (Z/m)^s tuples
     dtypes = [np.int64 if fits_int64(m**s) else object for m in moduli]
     heads = [min(k, len(rest)) for rest in rests]
-    orbits = [_orbits(m) for m in moduli]
+    orbits = [_orbits(factors) for factors in factored]
     ops = sum(head * k * m**head + (len(rest) - head) * m ** (k + 1)
               for m in moduli for rest, head in zip(rests, heads))
     budget.check_ops(ops + sum(len(o) * m**k for m, o in zip(moduli, orbits)),
@@ -144,11 +146,12 @@ def _dp_product(system: DiagonalSystem, moduli: list[int], budget: Budget) -> in
     return total
 
 
-def _orbits(m: int) -> list[tuple[int, int]]:
-    """(g, phi(m/g)) for each divisor g of m: the units mod m carry g through
-    the phi(m/g) residues x with gcd(x, m) = g."""
+def _orbits(factors: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(g, phi(m/g)) for each divisor g of m, the product of the prime powers
+    p^e of ``factors``: the units mod m carry g through the phi(m/g) residues
+    x with gcd(x, m) = g."""
     orbits = [(1, 1)]
-    for p, e in _factorize(m):
+    for p, e in factors:
         powers = [(p**f, p ** (e - f) - p ** (e - f - 1)) for f in range(e)]
         orbits = [(g * pg, phi * pphi)
                   for g, phi in orbits for pg, pphi in powers + [(p**e, 1)]]
@@ -254,8 +257,7 @@ def series_term_direct(
     return pairwise_sum(prod[mask]) / float(q) ** s
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(NamedTuple):
     q: int
     r: int
     s_q: Fraction
@@ -288,15 +290,14 @@ def multiplicativity_check(
     for d in [j for j in range(1, n + 1) if n % j == 0]:
         t = _factorize(n // d)
         if all(e == 1 for _, e in t):  # mu(n/d) = (-1)^len(t), else 0
-            m = _dp_product(system, [d], budget)
+            m = _dp_product(system, [_factorize(d)], budget)
             s_qr += (-1) ** len(t) * m * Fraction(d) ** (system.degree - system.arity)
     residual = abs(float(s_qr - s_q * s_r))
     tol = 1e-9 * (1.0 + abs(float(s_q * s_r)))
     return MultiplicativityReport(q, r, s_q, s_r, s_qr, residual, residual <= tol)
 
 
-@dataclass(frozen=True)
-class EulerFactorReport:
+class EulerFactorReport(NamedTuple):
     prime: int
     h_max: int
     series_terms: tuple[Fraction, ...]  # S(p^0), ..., S(p^h_max)
@@ -333,8 +334,7 @@ def euler_factor(
     )
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(NamedTuple):
     q: int
     value: Fraction
     method: str
@@ -342,8 +342,7 @@ class SeriesTerm:
     tail_reference: float  # q^(-9k) comparison curve, reported only
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(NamedTuple):
     cutoff: int
     partial_sum: Fraction
     terms: tuple[SeriesTerm, ...]
@@ -379,8 +378,7 @@ def truncated_singular_series(
     return SeriesTruncation(cutoff=cutoff, partial_sum=total, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class PadicLift:
+class PadicLift(NamedTuple):
     prime: int
     level: int
     values: tuple[int, ...]

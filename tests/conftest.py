@@ -109,6 +109,53 @@ def random_window(rnd: random.Random, n: int, max_grid: int, s: int) -> SetWindo
             return w
 
 
+# acceptance criterion 11's commands, one per subcommand; "{name}" stands for
+# the path of an input file that ``criterion_11_commands`` writes
+CRITERION_11 = [
+    ["validate", "--system", "{quad4}"],
+    ["count", "--system", "{quad4}", "--n", "6"],
+    ["stream", "--system", "{quad6}", "--n", "7", "--filter", "nontrivial"],
+    ["moment", "--n", "12", "--k", "2", "--t", "2"],
+    ["gowers", "--set", "{full16}", "--degree", "2"],
+    ["expsum", "E", "--alpha", "0.25,0.125", "--set", "{evens}"],
+    ["arcs", "--n", "100000", "--k", "2", "--alpha", "0.5,0.25",
+     "--arc-exponent", "0.4"],
+    ["--output", "csv", "series", "--system", "{quad4}", "--qmax", "8"],
+    ["local", "--system", "{quad4}", "--prime", "3", "--hmax", "2"],
+    ["lift", "--system", "{quad6}", "-p", "5", "-t", "3", "--seed", "1,0,1,2,3,2"],
+    ["constants", "--k", "2", "--cs", "4"],
+    ["predict", "--system", "{quad4}", "--n", "32", "--qmax", "20"],
+    ["increment", "--delta", "1/2", "--loglogn", "50", "--y", "3", "--k", "2"],
+    ["concentrate", "--set", "{evens}", "--min-len", "5"],
+    ["--seed", "11", "gen-set", "--kind", "random_density", "--n", "64",
+     "--density", "0.5"],
+]
+
+
+def subcommand(cmd: list[str]) -> str:
+    """The subcommand of a CLI argument list, past its global options, each
+    of which takes one value."""
+    i = 0
+    while cmd[i].startswith("-"):
+        i += 2
+    return cmd[i]
+
+
+def criterion_11_commands(root) -> list[list[str]]:
+    """``CRITERION_11`` with its input files written under ``root``."""
+    files = {
+        "quad4.json": '{"k": 2, "lambda": [1, 1, -1, -1]}',
+        "quad6.json": '{"k": 2, "lambda": [1, 1, 1, -1, -1, -1]}',
+        "full16.txt": "N 16\n" + "\n".join(map(str, range(1, 17))) + "\n",
+        "evens.txt": "N 20\n" + "\n".join(map(str, range(2, 21, 2))) + "\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        (root / name).write_text(text)
+        paths[name.split(".")[0]] = root / name
+    return [[arg.format(**paths) for arg in cmd] for cmd in CRITERION_11]
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--line-trace", action="store_true",

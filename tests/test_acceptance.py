@@ -45,7 +45,7 @@ from circlecount.expsums import closed_form_w_linear
 from circlecount.mainterm import BigLogNumber
 import mpmath
 
-from conftest import random_system, random_window
+from conftest import criterion_11_commands, random_system, random_window
 
 SYS_QUAD4 = validate_system(2, (1, 1, -1, -1))
 SYS_LIN3 = validate_system(1, (2, -1, -1))
@@ -237,36 +237,7 @@ def test_criterion_10_constants_sheet():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    quad4 = tmp_path / "quad4.json"
-    quad4.write_text('{"k": 2, "lambda": [1, 1, -1, -1]}')
-    quad6 = tmp_path / "quad6.json"
-    quad6.write_text('{"k": 2, "lambda": [1, 1, 1, -1, -1, -1]}')
-    full16 = tmp_path / "full16.txt"
-    full16.write_text("N 16\n" + "\n".join(map(str, range(1, 17))) + "\n")
-    evens = tmp_path / "evens.txt"
-    evens.write_text("N 20\n" + "\n".join(map(str, range(2, 21, 2))) + "\n")
-    commands = [
-        ["validate", "--system", str(quad4)],
-        ["count", "--system", str(quad4), "--n", "6"],
-        ["stream", "--system", str(quad6), "--n", "7", "--filter", "nontrivial"],
-        ["moment", "--n", "12", "--k", "2", "--t", "2"],
-        ["gowers", "--set", str(full16), "--degree", "2"],
-        ["expsum", "E", "--alpha", "0.25,0.125", "--set", str(evens)],
-        ["arcs", "--n", "100000", "--k", "2", "--alpha", "0.5,0.25",
-         "--arc-exponent", "0.4"],
-        ["--output", "csv", "series", "--system", str(quad4), "--qmax", "8"],
-        ["local", "--system", str(quad4), "--prime", "3", "--hmax", "2"],
-        ["lift", "--system", str(quad6), "-p", "5", "-t", "3",
-         "--seed", "1,0,1,2,3,2"],
-        ["constants", "--k", "2", "--cs", "4"],
-        ["predict", "--system", str(quad4), "--n", "32", "--qmax", "20"],
-        ["increment", "--delta", "1/2", "--loglogn", "50", "--y", "3",
-         "--k", "2"],
-        ["concentrate", "--set", str(evens), "--min-len", "5"],
-        ["--seed", "11", "gen-set", "--kind", "random_density", "--n", "64",
-         "--density", "0.5"],
-    ]
-    for cmd in commands:
+    for cmd in criterion_11_commands(tmp_path):
         outs = []
         for _ in range(2):
             proc = subprocess.run(

@@ -160,7 +160,7 @@ def test_crt_product_equals_direct_dp(dtype):
         with dp_dtype(dtype):
             for q in qs:
                 crt = congruence_count(system, q).count
-                assert crt == local._dp_product(system, [q], Budget()), (system, q)
+                assert crt == local._dp_product(system, [_factorize(q)], Budget()), (system, q)
 
 
 @pytest.fixture
@@ -268,7 +268,7 @@ def moebius(n: int) -> int:
 def literal_series_term(system, q: int) -> Fraction:
     """sum_{d|q} mu(q/d) d^(k-s) M(d), each M(d) from one direct DP at d."""
     return sum(
-        (moebius(q // d) * local._dp_product(system, [d], Budget())
+        (moebius(q // d) * local._dp_product(system, [_factorize(d)], Budget())
          * Fraction(d) ** (system.degree - system.arity)
          for d in range(1, q + 1) if q % d == 0 and moebius(q // d)),
         Fraction(0),

@@ -24,7 +24,7 @@ from circlecount import (
     weyl_chain_check,
 )
 from circlecount.budget import Budget
-from circlecount.errors import BadParamsError, BudgetExceededError
+from circlecount.errors import BadDegreeError, BadParamsError, BudgetExceededError
 from circlecount.expsums import (
     _ARC_ROWS,
     TWO_PI,
@@ -342,6 +342,12 @@ class TestOscillatoryW:
             got = oscillatory_w(n, beta)
             assert abs(got - oracle) <= 1e-6 * n
 
+    def test_table_is_leggauss_12_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        for table, expected in ((expsums._GL_NODES, nodes), (expsums._GL_WEIGHTS, weights)):
+            assert table.dtype == expected.dtype and table.shape == expected.shape
+            assert table.tobytes() == expected.tobytes()
+
 
 class TestArcs:
     def test_exact_rational_center(self):
@@ -500,3 +506,26 @@ class TestMajorArcApprox:
     def test_with_offset(self):
         rep = major_arc_approx_check(200, 2, (1, 1), (1e-4, 1e-6))
         assert math.isfinite(rep.ratio) and rep.ratio >= 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: eval_g(0, (0.5,)), BadParamsError, "n must be >= 1"),
+        (lambda: complete_sum(0, (1,)), BadParamsError, "q must be >= 1"),
+        (lambda: oscillatory_w(0, (0.5,)), BadParamsError, "n must be >= 1"),
+        (lambda: oscillatory_w(10, (0.5, math.inf)), BadParamsError, "beta must be finite"),
+        (lambda: sigma_exponent(1), BadDegreeError, "sigma exponent needs k >= 2"),
+        (lambda: classify_arc((0.5,), 1, 1), BadParamsError, "n must be >= 2"),
+        (lambda: classify_arc((0.5,), 100, 2), BadParamsError,
+         "alpha must have 2 components"),
+        (lambda: major_arc_approx_check(100, 3, (1, 2), (0.0,)), BadParamsError,
+         "a and beta must have equal length"),
+    ],
+    ids=["g_n0", "complete_q0", "w_n0", "w_beta_infinite", "sigma_k1", "arcs_n1",
+         "arcs_alpha_length", "approx_lengths"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -61,7 +61,7 @@ class TestCongruenceCount:
             for r in range(2, 61 // q):
                 if math.gcd(q, r) == 1:
                     assert (
-                        local._dp_product(sys_quad4, [q * r], Budget())
+                        local._dp_product(sys_quad4, [_factorize(q * r)], Budget())
                         == congruence_count(sys_quad4, q).count
                         * congruence_count(sys_quad4, r).count
                     )
@@ -98,7 +98,7 @@ class TestCongruenceCount:
         sys = validate_system(1, (1,) * 7 + (-1,) * 5 + (-2,))
         for q in (27, 28, 29, 40):
             assert congruence_count(sys, q).count == q**12
-            assert local._dp_product(sys, [q], Budget()) == q**12
+            assert local._dp_product(sys, [_factorize(q)], Budget()) == q**12
         # L and -L: the one half's cells stay below q^7, but its sum of squares
         # is q^13 and passes 2^63 at the prime 29
         mirrored = validate_system(1, (1,) * 7 + (-1,) * 7)
@@ -129,6 +129,23 @@ class TestCongruenceCount:
             congruence_count(sys_quad4, 97, tiny)
         with pytest.raises(BudgetExceededError):
             series_term_direct(sys_quad4, 97, tiny)
+
+    def test_modulus_is_factorized_once(self, sys_quad6, monkeypatch):
+        # the refusal of a prime near 10^12 costs one trial division to 10^6,
+        # the divisors of the symmetry read-out coming from the same one
+        calls = []
+        real = local._factorize
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(local, "_factorize", spy)
+        q = 1_000_000_000_039
+        with pytest.raises(BudgetExceededError, match="^congruence count: estimated "
+                           "6000000000468000000009126 elementary operations"):
+            congruence_count(sys_quad6, q)
+        assert calls == [q]
 
 
 class TestSeriesTerms:
