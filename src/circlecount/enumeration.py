@@ -12,14 +12,18 @@ Two counting engines share one contract:
   serves ``naive`` counts and streams, and uses neither keys nor
   multiplicities, so it stays the oracle of the join and of the partition DP.
 
-One builder forms the power sums of both.  The scan asks it for the ordered
-grid A^(s-1) of the trailing variables and, for each leading value in
-ascending order, masks the tuples that cancel it, so solutions come out in
-lexicographic order.  Power sums are symmetric, so the join asks it for one
-multiset per group of equal coefficients, prod_g C(|A|+m_g-1, m_g) entries
-per half, each weighted by its orderings; it packs each entry's degree-1..k
-sums into one key by mixed radix, sums the weights of equal keys and matches
-the halves with ``np.intersect1d``.  ``system.split_halves`` decides the
+One builder forms the power sums of both.  The scan asks it for one column
+per degree over the ordered grid A^(s-1) of the trailing variables and, for
+each leading value in ascending order, narrows the tuples that cancel it
+degree by degree, so solutions come out in lexicographic order.  Power sums
+are symmetric, so the join asks it for one multiset per group of equal
+coefficients, prod_g C(|A|+m_g-1, m_g) entries per half, each weighted by its
+orderings.  A mixed-radix key of the degree-1..k sums is linear in them, so
+the builder forms it directly, each element adding its weighted powers, in
+one column per chunk of degrees whose keys fit int64: most often one, and
+always one on ``object`` keys.  The join sorts each key with its weight in
+the low bits once, sums the weights of equal keys and matches the halves
+with ``np.intersect1d``.  ``system.split_halves`` decides the
 halves, as for the congruence DP; when the system is L and -L up to order, as
 every Vinogradov system is, one half stands for both and the count is the sum
 of its squared key multiplicities; ``vinogradov_moment`` is this same join.
@@ -68,25 +72,29 @@ class SolutionTally:
 
 
 def _power_sum_columns(
-    elems: np.ndarray, groups: Sequence[tuple[int, int]], degree: int
+    elems: np.ndarray,
+    groups: Sequence[tuple[int, int]],
+    chunks: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Power sums over one multiset per group (c, m) of m variables of
-    coefficient c, in the dtype of ``elems``.
+    """Columns of weighted power sums over one multiset per group (c, m) of m
+    variables of coefficient c, in the dtype of ``elems``: column i holds
+    sum_j place_j * (degree-j sum) over the pairs (j, place_j) of chunks[i].
+    The sum is linear, so each element adds c * sum_j place_j * x^j to it.
 
     A group's multisets are the sorted index tuples i_1 <= ... <= i_m, built
     one index at a time in lexicographic order: a tuple ending at l extends by
     each index from l up, and its orderings m!/prod r! (r the run lengths)
-    grow by the new length over the last run's.  Column j-1 holds the degree-j
-    sum, one entry per choice of a multiset in each group, groups in
-    lexicographic order, so groups of one give the ordered grid.  Returns the
-    columns and, in the same order, each entry's orderings, the product of
-    its multisets' orderings; on the ordered grid they are a view of one 1.
+    grow by the new length over the last run's.  Each column has one entry
+    per choice of a multiset in each group, groups in lexicographic order, so
+    groups of one give the ordered grid.  Returns the columns and, in the same
+    order, each entry's orderings, the product of its multisets' orderings; on
+    the ordered grid they are a view of one 1.
     """
     n = elems.size
-    powers = [elems**j for j in range(1, degree + 1)]
+    polys = [sum(place * elems**j for j, place in chunk) for chunk in chunks]
     group_cols, group_weights = [], []
     for c, m in groups:
-        terms = [c * pw for pw in powers]
+        terms = [c * poly for poly in polys]
         cols, last = terms, np.arange(n)
         weight, run = np.ones(n, dtype=elems.dtype), np.ones(n, dtype=np.int64)
         for size in range(2, m + 1):
@@ -115,7 +123,8 @@ def _solutions(
 
     The k power-sum columns of the trailing s-1 variables are built once over
     A^(s-1); for each leading value x, ascending, the solutions starting with
-    x are the tuples whose degree-j sum is -lam_1 x^j for every j.  A row is
+    x are the tuples whose degree-1 sum is -lam_1 x, narrowed degree by degree
+    to those whose degree-j sum is -lam_1 x^j.  A row is
     trivial iff sum_j lam_j [x_j = x_i] = 0 at every position i: the equality
     tensor of the block times lam, both in the grid's dtype.  A block holds at most
     |A|^(s-1) / (9 s^2) rows, so its tensor and the tensor's cast to that
@@ -135,12 +144,12 @@ def _solutions(
     lead, *rest = system.coefficients
     lam = np.asarray(system.coefficients, dtype=arr.dtype)
     rows = max(grid // (9 * s * s), 1)
-    cols = _power_sum_columns(arr, [(c, 1) for c in rest], k)[0]
+    degrees = [[(j, 1)] for j in range(1, k + 1)]  # one column per degree
+    cols = _power_sum_columns(arr, [(c, 1) for c in rest], degrees)[0]
     for i, x in enumerate(elems):
-        mask = cols[0] == -lead * x
+        found = np.flatnonzero(cols[0] == -lead * x)
         for j, col in enumerate(cols[1:], 2):
-            mask &= col == -lead * x**j
-        found = np.flatnonzero(mask)
+            found = found[col[found] == -lead * x**j]
         for start in range(0, found.size, rows):
             flat = found[start:start + rows] + i * grid
             block = arr[np.stack(np.unravel_index(flat, (arr.size,) * s), axis=1)]
@@ -159,43 +168,80 @@ def _multisets(n: int, groups: Sequence[tuple[int, int]]) -> int:
     return math.prod(math.comb(n + m - 1, m) for _, m in groups)
 
 
-def _packed_keys(
-    cols: Sequence[list[np.ndarray]], radices: Sequence[int]
-) -> list[np.ndarray]:
-    """One key per entry of each half's power-sum columns, in their dtype,
-    popping the columns as they are packed; keys are equal iff the power sums
-    are.
+def _orderings(n: int, m: int) -> int:
+    """The most orderings of one multiset of m indices out of n: the
+    multinomial of the most even split, m! when n >= m."""
+    q, r = divmod(m, n)
+    return math.factorial(m) // (math.factorial(q + 1) ** r * math.factorial(q) ** (n - r))
 
-    The degree-j sum shifted by radices[j-1] // 2 is a mixed-radix digit.  When
-    the next digit would overflow an int64 key, the keys so far are renumbered
-    densely across the halves first, so keys stay below (number of keys) *
-    radices[-1].  ``object`` keys are never renumbered: renumbering costs more
-    than the big-integer key it saves.
+
+def _digit_chunks(
+    radices: Sequence[int], entries: int, bits: int, int64: bool
+) -> list[tuple[list[tuple[int, int]], int, int]]:
+    """The degrees k down to 1 in chunks, most significant first, each packed
+    into one mixed-radix digit with its lowest degree least significant: per
+    chunk, its pairs (degree, place), its radix (the product of its degrees'
+    radices) and its shift (the sum of place * (radix // 2)).
+
+    ``object`` keys are one chunk.  An int64 chunk grows while its keys times
+    2^bits stay below 2^62: keys lie below the first chunk's radix, and below
+    ``entries`` times a later chunk's radix once renumbered before it.
     """
-    dtype = cols[0][0].dtype
-    keys = [np.zeros(half_cols[0].size, dtype=dtype) for half_cols in cols]
-    span = 1  # every key lies in [0, span)
-    for radix in reversed(radices):
-        if dtype == np.int64 and not fits_int64(span * radix):
-            distinct = np.unique(np.concatenate(keys))
-            keys = [np.searchsorted(distinct, key) for key in keys]
-            span = distinct.size
-        for key, col in zip(keys, cols):
+    runs, span = [[]], 1
+    for j in range(len(radices), 0, -1):
+        if runs[-1] and int64 and not fits_int64(span * radices[j - 1] << bits):
+            runs.append([])
+            span = entries
+        runs[-1].append(j)
+        span *= radices[j - 1]
+    chunks = []
+    for run in runs:
+        pairs, place, shift = [], 1, 0
+        for j in reversed(run):
+            pairs.append((j, place))
+            shift += place * (radices[j - 1] // 2)
+            place *= radices[j - 1]
+        chunks.append((pairs, place, shift))
+    return chunks
+
+
+def _packed_keys(
+    cols: Sequence[list[np.ndarray]], radices: Sequence[int], shifts: Sequence[int]
+) -> list[np.ndarray]:
+    """One key per entry of each half's chunk columns, in their dtype, popping
+    the columns as they are packed; keys are equal iff the power sums are.
+
+    A chunk column plus its shift is a mixed-radix digit in [0, radix), most
+    significant first.  Before each digit after the first, the keys so far
+    are renumbered densely across the halves, so keys stay below (number of
+    keys) * radix; ``_digit_chunks`` plans the chunks so that this fits int64.
+    """
+    keys = [half_cols.pop(0) for half_cols in cols]
+    for key in keys:
+        key += shifts[0]
+    for radix, shift in zip(radices[1:], shifts[1:]):
+        distinct = np.unique(np.concatenate(keys))
+        keys = [np.searchsorted(distinct, key) for key in keys]
+        for key, half_cols in zip(keys, cols):
             key *= radix
-            key += col.pop()
-            key += radix // 2
-        span *= radix
+            key += half_cols.pop(0)
+            key += shift
     return keys
 
 
 def _weighted_counts(
-    keys: np.ndarray, weights: np.ndarray
+    keys: np.ndarray, weights: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of the weights of each."""
-    order = np.argsort(keys)
-    keys = keys[order]
+    """The distinct keys, ascending, and the sum of the weights of each, every
+    weight below 2^bits: one sort of keys * 2^bits + weights orders the pairs
+    by key, and the shifts give keys and weights back."""
+    packed = keys << bits
+    packed += weights
+    packed.sort()
+    keys = packed >> bits
+    packed &= (1 << bits) - 1  # the weights, in key order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(weights[order], starts)
+    return keys[starts], np.add.reduceat(packed, starts)
 
 
 def _join_count(
@@ -211,33 +257,37 @@ def _join_count(
 
     A key's multiplicity is the summed orderings of its multisets, and the
     count is sum_v left(v) * right(v) over the keys v of both halves, or
-    sum_v left(v)^2 over one half.  Weights, and their products with the next
-    length while they grow, stay below h * |A|^h (h the half's length), so
-    they join the key bound in the dtype decision; the count, at most |A|^s,
-    is one ``np.dot`` of the matched multiplicities, cast to int64 while
-    |A|^s fits and to ``object`` beyond.  Byte estimate ``what`` per multiset
-    entry built: the degree columns, the key and the weight, sized by
-    ``entry_bytes``, and 8 bytes each for the sort order, the keys' sorted
-    copy and the weights' sorted copy.  ``object`` keys are not renumbered and
-    reach the radix product.
+    sum_v left(v)^2 over one half.  Each half builds its keys directly, one
+    column per chunk of ``_digit_chunks``, and counts them with one sort of
+    key * 2^bits + weight, 2^bits the power of two above the most orderings
+    of an entry.  The dtype decision takes the key bound times 2^bits and the
+    summed weights of a key, at most |A|^h (h the half's length); weights
+    times the next length, while they grow, stay below the first.  The count,
+    at most |A|^s, is one ``np.dot`` of the matched multiplicities, cast to
+    int64 while |A|^s fits and to ``object`` beyond.  Byte estimate ``what``
+    per entry built: the chunk columns and the weight, and five arrays of the
+    count: the packed keys, the keys shifted back out, and the starts (8
+    bytes), keys and summed weights of the distinct keys, sized by
+    ``entry_bytes``.
     """
     n = len(elems)
     lengths = [sum(m for _, m in half) for half in halves]
     spread = max(sum(abs(c) * m for c, m in half) for half in halves)
     radices = [2 * spread * elems[-1] ** j + 1 for j in range(1, degree + 1)]
     entries = sum(_multisets(n, half) for half in halves)
-    product = math.prod(radices)
-    key_bound = min(product, entries * radices[-1])
-    orderings = max(lengths) * n ** max(lengths)
-    dtype = np.dtype(np.int64 if fits_int64(max(key_bound, orderings)) else object)
-    per_entry = (degree * entry_bytes(dtype, radices[-1]) + entry_bytes(dtype, product)
-                 + entry_bytes(dtype, orderings) + 24)
+    bits = max(math.prod(_orderings(n, m) for _, m in half) for half in halves).bit_length()
+    packed = min(math.prod(radices), entries * radices[-1]) << bits  # sorted keys' bound
+    int64 = fits_int64(max(packed, n ** max(lengths)))
+    dtype = np.dtype(np.int64 if int64 else object)
+    chunks, products, shifts = zip(*_digit_chunks(radices, entries, bits, int64))
+    per_entry = (len(chunks) * entry_bytes(dtype, max(products))
+                 + entry_bytes(dtype, 1 << bits) + 4 * entry_bytes(dtype, packed) + 8)
     budget.check_bytes(entries * per_entry, what)
     arr = np.asarray(elems, dtype=dtype)
-    built = [_power_sum_columns(arr, half, degree) for half in halves]
-    keys = _packed_keys([cols for cols, _ in built], radices)
+    built = [_power_sum_columns(arr, half, chunks) for half in halves]
+    keys = _packed_keys([cols for cols, _ in built], products, shifts)
     # pop, so that each key and weight array is freed as soon as it is counted
-    counts = [_weighted_counts(keys.pop(0), built.pop(0)[1]) for _ in halves]
+    counts = [_weighted_counts(keys.pop(0), built.pop(0)[1], bits) for _ in halves]
     (lkeys, lmult), (rkeys, rmult) = counts[0], counts[-1]
     if len(counts) == 2:
         _, li, ri = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)

@@ -57,8 +57,6 @@ def _pow2_at_least(m: int) -> int:
 def pairwise_sum(terms: np.ndarray) -> complex:
     """Tree summation with fixed bracketing (padding with exact zeros)."""
     a = np.asarray(terms, dtype=np.complex128)
-    if a.size == 0:
-        return 0j
     return complex(_tree_sums(a[None, :], _pow2_at_least(a.size))[0])
 
 
@@ -214,13 +212,6 @@ def oscillatory_w(n: int, beta: Sequence[float]) -> complex:
     raise ToleranceNotMetError(
         f"quadrature did not converge after 20 doublings (variation {variation:.3g})"
     )
-
-
-def closed_form_w_linear(n: int, b: float) -> complex:
-    """k = 1 oracle: integral_0^N e(b t) dt = (e(bN) - 1) / (2 pi i b)."""
-    if b == 0.0:
-        return complex(n)
-    return (cmath.exp(TWO_PI * 1j * b * n) - 1.0) / (TWO_PI * 1j * b)
 
 
 def sigma_exponent(k: int) -> float:

@@ -8,6 +8,7 @@ registers the plugin of ``line_trace.py``.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -78,6 +79,13 @@ def trivial_count_bound(system: DiagonalSystem, cardinality: int) -> int:
     odd s needs no square root."""
     s = system.arity
     return math.factorial(s // 2) ** 2 * cardinality**s
+
+
+def closed_form_w_linear(n: int, b: float) -> complex:
+    """k = 1 oracle of w: integral_0^N e(b t) dt = (e(bN) - 1) / (2 pi i b)."""
+    if b == 0.0:
+        return complex(n)
+    return (cmath.exp(2j * math.pi * b * n) - 1.0) / (2j * math.pi * b)
 
 
 def random_system(rnd: random.Random, s: int, k: int) -> DiagonalSystem:

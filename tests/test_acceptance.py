@@ -41,11 +41,15 @@ from circlecount import (
     vinogradov_moment,
 )
 from circlecount.errors import SingularJacobianError
-from circlecount.expsums import closed_form_w_linear
 from circlecount.mainterm import BigLogNumber
 import mpmath
 
-from conftest import criterion_11_commands, random_system, random_window
+from conftest import (
+    closed_form_w_linear,
+    criterion_11_commands,
+    random_system,
+    random_window,
+)
 
 SYS_QUAD4 = validate_system(2, (1, 1, -1, -1))
 SYS_LIN3 = validate_system(1, (2, -1, -1))

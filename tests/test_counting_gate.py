@@ -140,8 +140,8 @@ def test_naive_equals_mitm_equals_brute_force(int64, cases, monkeypatch):
     keys_built = []
     real_keys = enumeration._packed_keys
 
-    def spy(cols, radices):
-        keys = real_keys(cols, radices)
+    def spy(cols, radices, shifts):
+        keys = real_keys(cols, radices, shifts)
         keys_built.append([key.size for key in keys])
         return keys
 
@@ -185,14 +185,14 @@ def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
     packed, counted = [], []
     real_keys, real_counts = enumeration._packed_keys, enumeration._weighted_counts
 
-    def keys_spy(cols, radices):
-        keys = real_keys(cols, radices)
+    def keys_spy(cols, radices, shifts):
+        keys = real_keys(cols, radices, shifts)
         packed.append([key.size for key in keys])
         return keys
 
-    def counts_spy(keys, weights):
-        counted.append([a.tolist() for a in real_counts(keys, weights)])
-        return real_counts(keys, weights)
+    def counts_spy(keys, weights, bits):
+        counted.append([a.tolist() for a in real_counts(keys, weights, bits)])
+        return real_counts(keys, weights, bits)
 
     monkeypatch.setattr(enumeration, "_packed_keys", keys_spy)
     monkeypatch.setattr(enumeration, "_weighted_counts", counts_spy)

@@ -337,9 +337,9 @@ class TestEngineChoice:
         packed = []
         real = enumeration._packed_keys
 
-        def spy(cols, radices):
+        def spy(cols, radices, shifts):
             packed.append(len(cols))
-            return real(cols, radices)
+            return real(cols, radices, shifts)
 
         monkeypatch.setattr(enumeration, "_packed_keys", spy)
         sys = validate_system(1, tuple(range(1, 11)) + tuple(range(-10, 0)))
@@ -363,13 +363,28 @@ def half_keys(monkeypatch):
     sizes = []
     real = enumeration._packed_keys
 
-    def spy(cols, radices):
-        keys = real(cols, radices)
+    def spy(cols, radices, shifts):
+        keys = real(cols, radices, shifts)
         sizes.append([key.size for key in keys])
         return keys
 
     monkeypatch.setattr(enumeration, "_packed_keys", spy)
     return sizes
+
+
+@pytest.fixture
+def built_columns(monkeypatch):
+    """Record the number of columns the builder hands over per call."""
+    counts = []
+    real = enumeration._power_sum_columns
+
+    def spy(elems, groups, chunks):
+        cols, weights = real(elems, groups, chunks)
+        counts.append(len(cols))
+        return cols, weights
+
+    monkeypatch.setattr(enumeration, "_power_sum_columns", spy)
+    return counts
 
 
 class TestMultisetJoin:
@@ -396,6 +411,19 @@ class TestMultisetJoin:
         # fewer than the n^half ordered tuples per half: 5.7, 19.8 and 1.9 times
         assert all(n**half > size for size in keys)
 
+    def test_one_packed_column_per_half(self, built_columns):
+        # work gate: quad6 at n = 100 and cubic8 at n = 30 pack every degree
+        # into one int64 chunk, so the builder hands over the packed keys
+        # themselves and nothing is folded or renumbered; a fall back to one
+        # column per degree fails here whatever the host speed
+        quad6 = count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
+                                SetWindow.full(100), "mitm")
+        assert quad6.total == vinogradov_moment(100, 2, 3) == 10_022_752
+        cubic8 = count_solutions(validate_system(3, (1,) * 4 + (-1,) * 4),
+                                 SetWindow.full(30), "mitm")
+        assert cubic8.total == 17_856_234
+        assert built_columns == [1, 1, 1]
+
     def test_moment_keys(self, half_keys):
         assert vinogradov_moment(100, 2, 3) == 10_022_752
         assert half_keys == [[math.comb(102, 3)]] == [[171_700]]
@@ -406,8 +434,8 @@ class TestMultisetJoin:
         grids = []
         real = enumeration._power_sum_columns
 
-        def spy(elems, groups, degree):
-            cols, weights = real(elems, groups, degree)
+        def spy(elems, groups, chunks):
+            cols, weights = real(elems, groups, chunks)
             grids.append((list(groups), cols[0].size))
             return cols, weights
 
@@ -547,9 +575,9 @@ def column_dtypes(monkeypatch):
     dtypes = []
     real = enumeration._power_sum_columns
 
-    def spy(elems, coeffs, degree):
+    def spy(elems, groups, chunks):
         dtypes.append(elems.dtype)
-        return real(elems, coeffs, degree)
+        return real(elems, groups, chunks)
 
     monkeypatch.setattr(enumeration, "_power_sum_columns", spy)
     return dtypes
@@ -564,9 +592,9 @@ class TestInt64Fallbacks:
         assert _every_counting_path() == expected
         assert set(column_dtypes) == {np.dtype(object)}
 
-    def test_renumbered_keys(self, int64_decisions):
+    def test_renumbered_keys(self, int64_decisions, built_columns):
         # radix products far above int64 over few keys: the keys are
-        # renumbered between digits and the join stays on int64
+        # renumbered between chunks of digits and the join stays on int64
         sys = validate_system(4, (1, 2, -3, 1, -1))
         w = SetWindow.from_elements(60, (1, 2, 7, 20, 33, 60))
         assert count_solutions(sys, w, "mitm").total == brute_force_tally(sys, w)[0]
@@ -574,6 +602,8 @@ class TestInt64Fallbacks:
         del int64_decisions[:]
         assert vinogradov_moment(12, 5, 2) == brute_force_moment(12, 5, 2)
         assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
+        # two halves, then the moment's one half, each in two chunks or more
+        assert len(built_columns) == 3 and min(built_columns) >= 2
 
     def test_key_bound_at_int64_limit(self, int64_decisions, column_dtypes):
         # over {1, 2, top} the join's key bound grows with top; the largest top
@@ -623,6 +653,38 @@ class TestInt64Fallbacks:
             assert count_solutions(sys, w, "naive") == tally
             assert column_dtypes[-1] == np.dtype(other)
             monkeypatch.setattr(enumeration, "fits_int64", real)
+
+
+def _weighted_counts_by_argsort(keys, weights):
+    """The distinct keys and their summed weights through an indirect sort:
+    the keys and the weights gathered in key order, then summed per run of
+    equal keys."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights[order], starts)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_weighted_counts_equal_the_argsort_reference(dtype):
+    # one sort of key * 2^bits + weight; keys up to the int64 limit over
+    # 2^bits, or to 2^100 on object keys, few distinct ones in some draws so
+    # that runs of equal keys are long, and the ordered grid's view of one 1
+    rnd = random.Random(26)
+    for _ in range(60):
+        size, bits = rnd.randint(1, 400), rnd.randint(1, 20)
+        top = rnd.choice([3, size, INT64_SAFE >> bits if dtype is np.int64 else 2**100])
+        keys = np.array([rnd.randrange(top) for _ in range(size)], dtype=dtype)
+        if bits == 1:
+            weights = np.broadcast_to(np.ones(1, dtype=dtype), keys.shape)
+        else:
+            weights = np.array([rnd.randrange(1, 2**bits) for _ in range(size)], dtype=dtype)
+        before = keys.tolist(), weights.tolist()
+        got = enumeration._weighted_counts(keys, weights, bits)
+        want = _weighted_counts_by_argsort(keys, weights)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert all(a.dtype == dtype for a in got)
+        assert (keys.tolist(), weights.tolist()) == before  # inputs left as they were
 
 
 def on_object_cells(count):

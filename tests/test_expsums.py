@@ -29,11 +29,12 @@ from circlecount.expsums import (
     _ARC_ROWS,
     TWO_PI,
     ArcLabel,
-    closed_form_w_linear,
     complete_sums,
     reduce_phase,
 )
 from circlecount.gowers import uniformity_parameter
+
+from conftest import closed_form_w_linear
 
 
 class TestEvalG:
@@ -222,6 +223,14 @@ class TestBatchedSums:
                 assert _hex(eval_g(n, alpha)) == _hex(_literal_exp_sum(xs, red))
                 assert _hex(eval_f(w, alpha)) == _hex(_literal_exp_sum(w.elements(), red))
                 assert _hex(eval_E(w, alpha)) == _hex(_literal_E(w, alpha))
+
+    def test_empty_rows_sum_to_exact_zero(self):
+        # the padded tree of an empty row is one exact zero, so pairwise_sum
+        # of an empty array is 0j with no branch of its own
+        for width in (1, 2, 8):
+            got = expsums._tree_sums(np.zeros((3, 0), dtype=np.complex128), width)
+            assert got.tolist() == [0j] * 3
+        assert expsums.pairwise_sum(np.array([])) == 0j
 
     def test_E_batch_is_one_weighted_pass(self, monkeypatch):
         # one phase sum over 1..N with the balanced weights, not g and f
