@@ -7,9 +7,8 @@ of the solution count against exact enumeration, and traces the
 density-increment iteration in its two regimes.
 """
 
+import math
 from fractions import Fraction
-
-import mpmath
 
 from circlecount import (
     SetWindow,
@@ -24,7 +23,7 @@ from circlecount import (
     uniformity_threshold,
     validate_system,
 )
-from circlecount.mainterm import BigLogNumber
+from circlecount.mainterm import IncrementConstant
 
 print("== constant sheet for small degrees ==")
 for k in (2, 3, 4):
@@ -33,8 +32,9 @@ for k in (2, 3, 4):
           f"log2 gamma={float(sheet.gamma.log2_magnitude):.0f}  "
           f"log2 c={float(sheet.c_exp.log2_magnitude):.0f}")
 sheet2 = constants(2, cs_value=4.0)
+threshold = uniformity_threshold(2, 42, sheet2.K_const.as_big_log(), Fraction(1, 2))
 print(f"  threshold at k=2, s0=42, delta=1/2: log2 = "
-      f"{float(uniformity_threshold(2, 42, sheet2.K_const, Fraction(1, 2)).log2_magnitude):.0f}")
+      f"{float(threshold.log2_magnitude):.0f}")
 
 print("\n== main-term prediction vs exact counts (8 variables, degree 2) ==")
 system = validate_system(2, (1, 1, 1, 1, -1, -1, -1, -1))
@@ -51,16 +51,17 @@ for n in (8, 16, 32):
           f"ratio = {exact / pred:.3f}")
 
 print("\n== density increment, tiny-D regime (faithful constants) ==")
-trace = increment_iteration(Fraction(1, 2), 100.0, 3, sheet2.K_const, sheet2.C_exp)
+trace = increment_iteration(Fraction(1, 2), 100.0, 3, sheet2.K_const, sheet2.s0)
 print(f"  outcome: {trace.outcome} after {trace.iterations_used} step(s); "
       f"the ambient loglog collapses because D ~ 2^(-10^309)")
 
 print("\n== density increment, D > 1/2 regime ==")
-with mpmath.workprec(int(sheet2.C_exp.log2_magnitude) + 200):
-    c_val = mpmath.power(2, sheet2.C_exp.log2_magnitude)
-    log2k = mpmath.log(0.55, 2) - c_val * mpmath.log(mpmath.mpf(2) / 5, 2)
-synthetic_k = BigLogNumber(log2k)  # engineered so D_0 = 0.55
-trace = increment_iteration(Fraction(2, 5), 50.0, 3, synthetic_k, sheet2.C_exp)
+# K = (5/2)^C 0.55 in factored form, base^(2^gamma) 2^shift: the base
+# (5/2)^(s0+2) makes x_0 = (5/2)^(s0+2) (2/5)^(s0+2) = 1, so D_0 = 0.55
+synthetic_k = IncrementConstant(
+    Fraction(5, 2) ** (sheet2.s0 + 2), sheet2.K_const.gamma, math.log2(0.55)
+)
+trace = increment_iteration(Fraction(2, 5), 50.0, 3, synthetic_k, sheet2.s0)
 print(f"  outcome: {trace.outcome} in {trace.iterations_used} steps; "
       f"cumulative ambient exponent {trace.cumulative_exponent:.3f} >= 1/4")
 print(f"  density trace: {[round(d, 3) for d, _ in trace.steps]}")

@@ -294,7 +294,7 @@ def cmd_constants(args, budget):
             "sigma": sheet.sigma,
             "delta": sheet.delta_exp,
             "gamma": sheet.gamma.to_json_dict(),
-            "K_const": None if sheet.K_const is None else sheet.K_const.to_json_dict(),
+            "K_const": sheet.K_const and sheet.K_const.as_big_log().to_json_dict(),
             "C": sheet.C_exp.to_json_dict(),
             "c": sheet.c_exp.to_json_dict(),
             "notes": list(sheet.notes),
@@ -335,7 +335,7 @@ def cmd_predict(args, budget):
 def cmd_increment(args, budget):
     sheet = constants(args.k, cs_value=args.cs)
     trace = increment_iteration(
-        _parsed(Fraction, args.delta), args.loglogn, args.y, sheet.K_const, sheet.C_exp
+        _parsed(Fraction, args.delta), args.loglogn, args.y, sheet.K_const, sheet.s0
     )
     _emit(
         args,

@@ -79,4 +79,4 @@ class NoConvergenceError(HypothesisError):
 
 
 class ToleranceNotMetError(CircleCountError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """Quadrature did not converge, or 60 digits cannot tell an increment x_r from 1."""

@@ -200,8 +200,11 @@ def oscillatory_w(n: int, beta: Sequence[float]) -> complex:
         raise BadParamsError("beta must be finite")
     if all(x == 0.0 for x in b):
         return complex(n)  # integrand identically 1
-    variation = 1.0 + sum(abs(bj) * float(n) ** j for j, bj in enumerate(b, start=1))
-    panels = max(1, math.ceil(variation / 4.0))
+    try:  # a variation past the largest float, and so its panel count
+        variation = 1.0 + sum(abs(bj) * float(n) ** j for j, bj in enumerate(b, start=1))
+        panels = max(1, math.ceil(variation / 4.0))
+    except OverflowError:
+        raise BudgetExceededError(f"quadrature: the variation overflows at N = {n}") from None
     prev = _gl_estimate(n, b, panels)
     for _ in range(20):
         panels *= 2

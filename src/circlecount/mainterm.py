@@ -4,23 +4,15 @@ The constants involved are doubly exponential in k (e.g. the increment
 constant is 2 raised to a power with more than 10^300 binary digits at k = 2),
 so nothing here is ever materialized as a hardware float.  All size
 bookkeeping happens on the log2 scale via :class:`BigLogNumber`, a positive
-value held as its log2 magnitude, an mpmath value: mpmath exponents are big
-integers, so even the *logarithm* being astronomically large is representable
-exactly enough (well beyond 30 significant bits of the iterated logarithm).
-
-This is the one module that names mpmath, and it binds mpmath lazily: mpmath
-runs its own imports on the first attribute read, so only the constant sheet
-and the increment trace pay for them.  An mpmath imported before this module
-is reused, and a later ``import mpmath`` returns the lazy module registered
-here, so a process holds one mpmath and one ``mpf`` class.
+value held as a 60-digit ``Decimal`` log2 magnitude; the trace uses K's factors.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
-import importlib.util
 import math
-import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,34 +20,50 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget
 from .enumeration import count_solutions
-from .errors import BadDegreeError, BadParamsError, NoRealSolutionError
+from .errors import BadDegreeError, BadParamsError, NoRealSolutionError, ToleranceNotMetError
 from .expsums import sigma_exponent
 from .local import truncated_singular_series
 from .system import DiagonalSystem, jacobian_matrix
 from .windows import SetWindow
 
-if "mpmath" in sys.modules:
-    mpmath = sys.modules["mpmath"]
-else:
-    _spec = importlib.util.find_spec("mpmath")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    mpmath = sys.modules["mpmath"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(mpmath)
-
-_PREC = 120
+# overflow is not trapped: a value past the exponent range is Infinity
+_CTX = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                       traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+_LN2 = _CTX.ln(2)
+_NSTR = decimal.Context(prec=20, rounding=decimal.ROUND_HALF_UP)
 _EXACT_BIT_LIMIT = 4096
 _NEWTON_ATTEMPTS = 64
 _MAX_INCREMENT_STEPS = 10_000
 
 
-def _mpf(x) -> mpmath.mpf:
+def _log2(x) -> Decimal:
+    """log2 of a positive int, Fraction or Decimal, to 60 digits."""
     if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
+        return _CTX.subtract(_log2(x.numerator), _log2(x.denominator))
+    return _CTX.divide(_CTX.ln(x), _LN2)
 
 
-def _log2(x) -> mpmath.mpf:
-    return mpmath.log(_mpf(x), 2)
+def _nstr(mantissa: Decimal, scale: int = 0) -> str:
+    """mantissa * 2^scale to 20 significant digits, rounded half up, in fixed
+    notation for decimal exponents in (-6, 20) and with trailing zeros
+    stripped down to ``.0``."""
+    if not mantissa:
+        return "0.0"
+    shift = 0
+    if scale:  # the value may be past Decimal's range: read it through log10
+        ctx = decimal.Context(prec=61 + scale.bit_length() * 3 // 10)
+        lg = ctx.multiply(scale, ctx.log10(2))  # its fraction to 60 digits
+        shift = int(lg.to_integral_value(decimal.ROUND_FLOOR))
+        lg = _CTX.add(ctx.subtract(lg, shift), _CTX.log10(abs(mantissa)))
+        mantissa = _CTX.power(10, lg).copy_sign(mantissa)
+    sign, digits, exp = _NSTR.plus(mantissa).as_tuple()
+    point = len(digits) + exp - 1 + shift  # decimal exponent of the first digit
+    suffix = "e" + "+" * (point >= 0) + str(Decimal(point))  # no int-to-str digit limit
+    text, split = "".join(map(str, digits)).ljust(20, "0"), 1
+    if -6 < point < 20:
+        text, split, suffix = "0" * -point + text, max(point, 0) + 1, ""
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    return "-" * sign + text + "0" * text.endswith(".") + suffix
 
 
 def _payload_bits(value: Fraction) -> int:
@@ -63,19 +71,15 @@ def _payload_bits(value: Fraction) -> int:
 
 
 class BigLogNumber:
-    """A positive real as its log2 magnitude, with an exact payload that the
-    constructor drops once its numerator or denominator is longer than
-    ``_EXACT_BIT_LIMIT`` bits."""
+    """A positive real 2^(m 2^scale), its log2 magnitude m a ``Decimal``, with
+    an exact payload that the constructor drops once its numerator or
+    denominator is longer than ``_EXACT_BIT_LIMIT`` bits."""
 
-    __slots__ = ("log2_magnitude", "exact")
+    __slots__ = ("log2_magnitude", "exact", "scale")
 
-    def __init__(self, log2_magnitude, exact: Optional[Fraction] = None):
-        if isinstance(log2_magnitude, mpmath.mpf):
-            # keep full precision: re-wrapping would round to the ambient prec
-            self.log2_magnitude = log2_magnitude
-        else:
-            with mpmath.workprec(_PREC):
-                self.log2_magnitude = mpmath.mpf(log2_magnitude)
+    def __init__(self, log2_magnitude, exact: Optional[Fraction] = None, scale: int = 0):
+        self.log2_magnitude = Decimal(log2_magnitude)
+        self.scale = scale if self.log2_magnitude else 0
         if exact is not None and _payload_bits(exact) > _EXACT_BIT_LIMIT:
             exact = None
         self.exact = exact
@@ -85,17 +89,16 @@ class BigLogNumber:
         value = Fraction(value)
         if value <= 0:
             raise BadParamsError(f"BigLogNumber needs a positive value, got {value}")
-        with mpmath.workprec(_PREC):
-            mag = _log2(value.numerator) - _log2(value.denominator)
-        return cls(mag, value)
+        return cls(_log2(value), value)
 
     def __mul__(self, other: "BigLogNumber") -> "BigLogNumber":
         exact = None
         if self.exact is not None and other.exact is not None:
             exact = self.exact * other.exact
-        with mpmath.workprec(_PREC):
-            mag = self.log2_magnitude + other.log2_magnitude
-        return BigLogNumber(mag, exact)
+        # the mantissas at the larger scale, where a far smaller one underflows
+        lo, hi = sorted((self, other), key=lambda x: x.scale)
+        m = _CTX.fma(lo.log2_magnitude, _CTX.power(2, lo.scale - hi.scale), hi.log2_magnitude)
+        return BigLogNumber(m, exact, hi.scale)
 
     def power(self, exponent: int) -> "BigLogNumber":
         exact = None
@@ -106,29 +109,33 @@ class BigLogNumber:
             and abs(exponent) * (_payload_bits(self.exact) - 1) < _EXACT_BIT_LIMIT
         ):
             exact = self.exact**exponent
-        with mpmath.workprec(_PREC):
-            mag = self.log2_magnitude * mpmath.mpf(exponent)
-        return BigLogNumber(mag, exact)
+        return BigLogNumber(_CTX.multiply(self.log2_magnitude, exponent), exact, self.scale)
 
     def to_json_dict(self) -> dict:
         """``level`` 0: the exact payload is present; 1: only the log2
         magnitude is meaningful; 2: even the log2 magnitude needs its own
         logarithm, ``log2_of_abs_log2``, to be displayed."""
         mag = self.log2_magnitude
-        if self.exact is not None:
-            level = 0
-        elif abs(mag) < mpmath.mpf(2) ** 48:
-            level = 1
-        else:
-            level = 2
-        out: dict = {"sign": 1, "level": level, "log2_magnitude": mpmath.nstr(mag, 20)}
+        small = abs(mag) < _CTX.power(2, 48 - self.scale)
+        level = 0 if self.exact is not None else 1 if small else 2
+        out: dict = {"sign": 1, "level": level, "log2_magnitude": _nstr(mag, self.scale)}
         if level == 2:
-            with mpmath.workprec(_PREC):
-                lvl2 = mpmath.log(abs(mag), 2)
-            out["log2_of_abs_log2"] = mpmath.nstr(lvl2, 20)
+            out["log2_of_abs_log2"] = _nstr(_CTX.add(_log2(abs(mag)), self.scale))
         if self.exact is not None:
             out["exact"] = str(self.exact)
         return out
+
+
+class IncrementConstant(NamedTuple):
+    """K = base^(2^gamma) 2^shift, base an exact positive rational.  The
+    sheet's K is (CS/4)^(2^gamma): base CS/4, exact from the float, shift 0."""
+
+    base: Fraction
+    gamma: int
+    shift: float | Decimal = 0
+
+    def as_big_log(self) -> BigLogNumber:
+        return BigLogNumber(_log2(self.base), scale=self.gamma) * BigLogNumber(self.shift)
 
 
 class ConstantSheet(NamedTuple):
@@ -137,7 +144,7 @@ class ConstantSheet(NamedTuple):
     sigma: float
     delta_exp: float
     gamma: BigLogNumber
-    K_const: Optional[BigLogNumber]  # increment constant; needs a CS value
+    K_const: Optional[IncrementConstant]  # needs a CS value
     C_exp: BigLogNumber
     c_exp: BigLogNumber
     notes: tuple[str, ...]
@@ -159,6 +166,8 @@ def constants(
         raise BadDegreeError("constants need k >= 2")
     if bracket not in ("floor", "trunc"):
         raise BadParamsError(f"unknown bracket convention {bracket!r}")
+    if cs_value is not None and cs_value <= 0:
+        raise BadParamsError("CS value must be positive")
     arg = k * (math.log(k) + 2.0 * math.log(math.log(k)))
     br = math.floor(arg) if bracket == "floor" else math.trunc(arg)
     s0 = 2 * k * br + 10 * k * k + 6
@@ -166,15 +175,8 @@ def constants(
     gamma_log2 = 2 ** (k + 8) + k + 1
     gamma = BigLogNumber.from_fraction(2).power(gamma_log2)
     c_exp = BigLogNumber.from_fraction(Fraction(1, 2)).power(2 ** (k + 9))
-    with mpmath.workprec(_PREC):
-        big_c = BigLogNumber(_log2(s0 + 2) + gamma_log2)
-        k_const = None
-        if cs_value is not None:
-            if cs_value <= 0:
-                raise BadParamsError("CS value must be positive")
-            k_const = BigLogNumber(
-                mpmath.power(2, mpmath.mpf(gamma_log2)) * _log2(_mpf(cs_value) / 4)
-            )
+    big_c = BigLogNumber(_CTX.add(_log2(s0 + 2), gamma_log2))
+    k_const = cs_value and IncrementConstant(Fraction(cs_value) / 4, gamma_log2)
     notes = (
         "natural logarithms",
         f"square bracket interpreted as {bracket}",
@@ -383,11 +385,7 @@ class IncrementTrace(NamedTuple):
 
 
 def increment_iteration(
-    delta0,
-    loglog_n0: float,
-    y: int,
-    k_const: Optional[BigLogNumber],
-    c_exp: BigLogNumber,
+    delta0, loglog_n0: float, y: int, k_const: Optional[IncrementConstant], s0: int
 ) -> IncrementTrace:
     """Iterate the density-increment recurrences on the (iterated-)log scale.
 
@@ -396,6 +394,11 @@ def increment_iteration(
     raises the density by the same D_r, until the density reaches 1, the
     ambient interval drops below the minimal nontrivial-solution height Y,
     or ``_MAX_INCREMENT_STEPS`` stages have run (outcome ``budget``).
+
+    With C = (s0 + 2) 2^gamma, log2 D_r = 2^gamma log2 x_r + shift for
+    x_r = base delta_r^(s0 + 2).  If |log2 x_r| >= 2^-100, 2^gamma >= 2^1027
+    clamps D_r at 1 or sends it below 2^(-2^927); closer to 1, x_r = 1 is
+    decided exactly while delta_r is rational, and any other x_r is refused.
     """
     delta0 = Fraction(delta0)
     if not 0 < delta0 <= 1:
@@ -404,49 +407,43 @@ def increment_iteration(
         raise BadParamsError("Y must be >= 3")
     if k_const is None:  # the sheet was built without a CS value
         raise BadParamsError("K needs a CS value")
-    # D_r = K delta^C adds an O(1) log to terms of size ~C, so the working
-    # precision must cover C's full magnitude for the moderate-D regime
-    prec = _PREC
-    if c_exp.log2_magnitude > 0:
-        prec = max(prec, min(int(c_exp.log2_magnitude) + 80, 1 << 20))
-    with mpmath.workprec(prec):
-        c_val = mpmath.power(2, c_exp.log2_magnitude)  # C itself
-        k_log2 = k_const.log2_magnitude
+    base, gamma, shift = k_const
+    with decimal.localcontext(_CTX):
+        squarings, shift, log2_base = 2 ** Decimal(gamma), Decimal(shift), _log2(base)
 
-        def step_log2(d) -> mpmath.mpf:
-            return k_log2 + c_val * mpmath.log(d, 2)
+        def step_log2(delta) -> Decimal:  # log2 D, clamped at 0
+            log2_x = _CTX.fma(s0 + 2, _log2(delta), log2_base)
+            if abs(log2_x) >= _CTX.power(2, -100):
+                return (squarings * log2_x + shift).min(0)
+            if isinstance(delta, Fraction) and base * delta ** (s0 + 2) == 1:
+                return shift.min(0)
+            raise ToleranceNotMetError(f"undecided: |log2 x| = {abs(log2_x):.3g} < 2^-100")
 
-        delta = _mpf(delta0)
-        loglog = mpmath.mpf(loglog_n0)
-        loglog_y = mpmath.log(mpmath.log(y))
-        d0 = min(mpmath.power(2, step_log2(delta)), mpmath.mpf(1))
+        delta, loglog, loglog_y = delta0, Decimal(loglog_n0), _CTX.ln(_CTX.ln(y))
+        log2_d0 = step_log2(delta)
         steps = [(float(delta), float(loglog))]
-        cumulative = mpmath.mpf(1)
-        iterations = 0
-        outcome = "budget"
-        if delta >= 1:
-            outcome = "density_reached_one"
-        else:
-            while iterations < _MAX_INCREMENT_STEPS:
-                d_r = min(mpmath.power(2, step_log2(delta)), mpmath.mpf(1))
-                delta = min(delta + d_r, mpmath.mpf(1))
-                loglog = loglog + mpmath.log(d_r)
-                cumulative *= d_r
-                iterations += 1
-                steps.append((float(delta), float(loglog)))
-                if delta >= 1:
-                    outcome = "density_reached_one"
-                    break
-                if loglog < loglog_y:
-                    outcome = "ambient_below_Y"
-                    break
+        log2_cumulative, iterations, outcome = Decimal(0), 0, "budget"
+        while delta < 1 and iterations < _MAX_INCREMENT_STEPS:
+            log2_d = step_log2(delta)
+            d_r = 2**log2_d
+            if d_r:  # 0 past Decimal's range, where delta stays as it is
+                num, den = delta.as_integer_ratio()
+                delta = min(Decimal(num) / den + d_r, 1)
+            loglog += _LN2 * log2_d
+            log2_cumulative += log2_d
+            iterations += 1
+            steps.append((float(delta), float(loglog)))
+            if delta < 1 and loglog < loglog_y:
+                outcome = "ambient_below_Y"
+                break
+        outcome = "density_reached_one" if delta >= 1 else outcome
         return IncrementTrace(
             steps=tuple(steps),
             iterations_used=iterations,
             outcome=outcome,
-            cumulative_exponent=float(cumulative),
-            threshold_loglog=float(1 / (2 * d0)),
-            max_iterations_bound=float(mpmath.ceil(1 / d0)),
+            cumulative_exponent=float(2**log2_cumulative),
+            threshold_loglog=float(2 ** (-1 - log2_d0)),
+            max_iterations_bound=float((2**-log2_d0).to_integral_value(decimal.ROUND_CEILING)),
         )
 
 

@@ -41,8 +41,7 @@ from circlecount import (
     vinogradov_moment,
 )
 from circlecount.errors import SingularJacobianError
-from circlecount.mainterm import BigLogNumber
-import mpmath
+from circlecount.mainterm import IncrementConstant
 
 from conftest import (
     closed_form_w_linear,
@@ -224,15 +223,13 @@ def test_criterion_10_constants_sheet():
     sheet2 = constants(2)
     assert abs(sheet2.sigma - 0.0124507) <= 1e-6
     assert sheet2.c_exp.log2_magnitude == -2048
-    c_exp = sheet2.C_exp
     delta0 = Fraction(2, 5)
-    with mpmath.workprec(int(c_exp.log2_magnitude) + 200):
-        c_val = mpmath.power(2, c_exp.log2_magnitude)
-        log2k = mpmath.log(0.55, 2) - c_val * mpmath.log(
-            mpmath.mpf(2) / 5, 2
-        )
-    k_const = BigLogNumber(log2k)  # makes D_0 = 0.55 > 1/2 at delta0
-    trace = increment_iteration(delta0, 50.0, 3, k_const, c_exp)
+    # K = (5/2)^C 0.55 = ((5/2)^(s0+2))^(2^gamma) 2^(log2 0.55): x_0 = 1
+    # exactly, so D_0 = 0.55 > 1/2 at delta0
+    k_const = IncrementConstant(
+        Fraction(5, 2) ** (sheet2.s0 + 2), 2**10 + 3, math.log2(0.55)
+    )
+    trace = increment_iteration(delta0, 50.0, 3, k_const, sheet2.s0)
     assert trace.outcome == "density_reached_one"
     assert trace.iterations_used <= 2
     assert trace.cumulative_exponent >= 0.25

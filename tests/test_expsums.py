@@ -524,6 +524,8 @@ class TestMajorArcApprox:
         (lambda: complete_sum(0, (1,)), BadParamsError, "q must be >= 1"),
         (lambda: oscillatory_w(0, (0.5,)), BadParamsError, "n must be >= 1"),
         (lambda: oscillatory_w(10, (0.5, math.inf)), BadParamsError, "beta must be finite"),
+        (lambda: oscillatory_w(10, (1e308, 1e308)), BudgetExceededError,
+         "quadrature: the variation overflows at N = 10"),
         (lambda: sigma_exponent(1), BadDegreeError, "sigma exponent needs k >= 2"),
         (lambda: classify_arc((0.5,), 1, 1), BadParamsError, "n must be >= 2"),
         (lambda: classify_arc((0.5,), 100, 2), BadParamsError,
@@ -531,8 +533,8 @@ class TestMajorArcApprox:
         (lambda: major_arc_approx_check(100, 3, (1, 2), (0.0,)), BadParamsError,
          "a and beta must have equal length"),
     ],
-    ids=["g_n0", "complete_q0", "w_n0", "w_beta_infinite", "sigma_k1", "arcs_n1",
-         "arcs_alpha_length", "approx_lengths"],
+    ids=["g_n0", "complete_q0", "w_n0", "w_beta_infinite", "w_variation_overflow",
+         "sigma_k1", "arcs_n1", "arcs_alpha_length", "approx_lengths"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error) as info:

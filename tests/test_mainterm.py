@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -21,16 +24,15 @@ from circlecount import (
 )
 from circlecount import mainterm
 from circlecount.budget import Budget
+from circlecount.cli import main as cli_main
 from circlecount.errors import (
     BadDegreeError,
     BadParamsError,
     BudgetExceededError,
     NoRealSolutionError,
+    ToleranceNotMetError,
 )
 from circlecount.mainterm import BigLogNumber, Progression
-
-
-TWO = mpmath.mpf(2)
 
 
 class TestBigLogNumber:
@@ -45,11 +47,11 @@ class TestBigLogNumber:
         b = BigLogNumber.from_fraction(Fraction(3, 2))
         product = a * b
         assert product.exact == 9
-        assert product.log2_magnitude == pytest.approx(math.log2(9))
+        assert float(product.log2_magnitude) == pytest.approx(math.log2(9))
         # without a payload on either side only the log2 magnitudes add
         bare = BigLogNumber(5000) * a
         assert bare.exact is None
-        assert bare.log2_magnitude == pytest.approx(5000 + math.log2(6))
+        assert float(bare.log2_magnitude) == pytest.approx(5000 + math.log2(6))
 
     def test_negative_sign_rules(self):
         # the value is positive by construction: zero and negatives are refused
@@ -58,7 +60,7 @@ class TestBigLogNumber:
                 BigLogNumber.from_fraction(value)
 
     def test_doubly_exponential_level(self):
-        huge = BigLogNumber(mpmath.mpf(2) ** 200).to_json_dict()
+        huge = BigLogNumber(2**200).to_json_dict()
         assert huge["level"] == 2
         assert huge["log2_of_abs_log2"] == "200.0"
 
@@ -116,15 +118,44 @@ class TestBigLogNumber:
             (lambda: BigLogNumber(-3).to_json_dict(),
              {"sign": 1, "level": 1, "log2_magnitude": "-3.0"}),
             # a tiny value is doubly exponential too, read through |log2 x|
-            (lambda: BigLogNumber(-TWO**200).to_json_dict()["log2_of_abs_log2"],
+            (lambda: BigLogNumber(-(2**200)).to_json_dict()["log2_of_abs_log2"],
              "200.0"),
-            (lambda: BigLogNumber(TWO**48 - 1).to_json_dict().get("log2_of_abs_log2"),
+            (lambda: BigLogNumber(2**48 - 1).to_json_dict().get("log2_of_abs_log2"),
              None),
-            (lambda: BigLogNumber(TWO**48).to_json_dict()["level"], 2),
+            (lambda: BigLogNumber(2**48).to_json_dict()["level"], 2),
         ],
     )
     def test_edge_branches(self, make, expected):
         assert make() == expected
+
+
+def _mpmath_json(mag, exact=None):
+    """A log2 magnitude's JSON as 120-bit mpmath values print it."""
+    level = 0 if exact is not None else 1 if abs(mag) < mpmath.mpf(2) ** 48 else 2
+    out = {"sign": 1, "level": level, "log2_magnitude": mpmath.nstr(mag, 20)}
+    if level == 2:
+        out["log2_of_abs_log2"] = mpmath.nstr(mpmath.log(abs(mag), 2), 20)
+    if exact is not None:
+        out["exact"] = str(exact)
+    return out
+
+
+def _mpmath_sheet(k, s0, cs):
+    """gamma, C, c and (with a CS value) K of the sheet, each evaluated at 120
+    bits in mpmath: 2^gamma, (s0 + 2) 2^gamma, 2^(-2^(k+9)) and
+    (cs/4)^(2^gamma), with the exact payloads of at most 4096 bits."""
+    gamma, c_log2 = 2 ** (k + 8) + k + 1, 2 ** (k + 9)
+    with mpmath.workprec(120):
+        sheet = [
+            _mpmath_json(mpmath.mpf(gamma), 2**gamma if gamma < 4096 else None),
+            _mpmath_json(mpmath.log(s0 + 2, 2) + gamma),
+            _mpmath_json(mpmath.mpf(-c_log2),
+                         Fraction(1, 2**c_log2) if c_log2 < 4096 else None),
+        ]
+        if cs is not None:
+            sheet.append(_mpmath_json(
+                mpmath.power(2, gamma) * mpmath.log(mpmath.mpf(cs) / 4, 2)))
+    return sheet
 
 
 class TestConstants:
@@ -150,7 +181,8 @@ class TestConstants:
 
     def test_k_const_at_cs_four_is_one(self):
         sheet = constants(2, cs_value=4.0)
-        assert sheet.K_const.log2_magnitude == 0
+        assert sheet.K_const == (1, 2**10 + 3, 0)
+        assert sheet.K_const.as_big_log().log2_magnitude == 0
 
     def test_deterministic(self):
         a, b = constants(4), constants(4)
@@ -166,6 +198,47 @@ class TestConstants:
         with pytest.raises(BadDegreeError):
             constants(1)
 
+    @pytest.mark.parametrize("bracket", ["floor", "trunc"])
+    def test_sheet_matches_the_mpmath_strings(self, bracket):
+        for k in [*range(2, 13), 20, 30, 54, 60]:
+            for cs in (None, 4.0, 0.5, 3.0, 1e-300, 123.456, 4.000000001):
+                sheet = constants(k, cs, bracket)
+                got = [sheet.gamma, sheet.C_exp, sheet.c_exp]
+                if cs is not None:
+                    got.append(sheet.K_const.as_big_log())
+                expected = _mpmath_sheet(k, sheet.s0, cs)
+                assert [x.to_json_dict() for x in got] == expected, (k, cs)
+
+    @pytest.mark.parametrize("k", [112, 300])
+    def test_k_digits_past_k111_match_a_2000_bit_evaluation(self, k):
+        # log10 |log2 K| = gamma log10 2 + log10 |log2(cs/4)|, split into its
+        # integer part and the 20 digits of 10^fraction
+        gamma = 2 ** (k + 8) + k + 1
+        with mpmath.workprec(2000):
+            lg = gamma * mpmath.log10(2) + mpmath.log10(abs(mpmath.log(mpmath.mpf(0.5) / 4, 2)))
+            exponent = int(mpmath.floor(lg))
+            digits = mpmath.nstr(mpmath.power(10, lg - exponent), 20)
+        assert "e" not in digits and not digits.startswith("10")
+        magnitude = constants(k, 0.5).K_const.as_big_log().to_json_dict()["log2_magnitude"]
+        assert magnitude == f"-{digits}e+{exponent}"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_exponent_past_the_int_to_str_digit_limit(self):
+        # -2^(2^2200) has a decimal exponent of 663 digits, past a 640-digit limit
+        scale = 2**2200
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            magnitude = BigLogNumber(-1, scale=scale).to_json_dict()["log2_magnitude"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with mpmath.workprec(2600):
+            lg = scale * mpmath.log10(2)
+            exponent = int(mpmath.floor(lg))
+            digits = mpmath.nstr(mpmath.power(10, lg - exponent), 20)
+        assert magnitude == f"-{digits}e+{exponent}"
+
 
 class TestUniformityThreshold:
     def test_delta_one_returns_k(self):
@@ -174,7 +247,7 @@ class TestUniformityThreshold:
         assert th.exact == 5
 
     def test_exponent_arithmetic(self):
-        k_const = constants(2, cs_value=4.0).K_const  # log2 K = 0
+        k_const = constants(2, cs_value=4.0).K_const.as_big_log()  # log2 K = 0
         th = uniformity_threshold(2, 42, k_const, Fraction(1, 2))
         assert th.log2_magnitude == -352  # 2^3 * 44
 
@@ -267,46 +340,74 @@ class TestCEstimators:
         assert abs(a.value - b.value) <= 3 * (a.spread + b.spread)
 
 
-class TestIncrementIteration:
-    def _k_for_target_d(self, c_exp, delta0, d_target):
-        # log2 K = log2 d_target - C log2 delta0; needs precision covering
-        # C's full magnitude so the O(1) target survives the cancellation
-        prec = int(c_exp.log2_magnitude) + 200
-        with mpmath.workprec(prec):
-            c_val = mpmath.power(2, c_exp.log2_magnitude)
-            log2k = mpmath.log(d_target, 2) - c_val * mpmath.log(
-                mpmath.mpf(delta0.numerator) / delta0.denominator, 2
-            )
-        return BigLogNumber(log2k)
+def _k_for_target_d(sheet, delta0, d_target):
+    """The sheet's K with base (1/delta0)^(s0 + 2), so that x_0 = 1 exactly, and
+    shift log2 d_target: D_0 = d_target at delta0."""
+    return sheet.K_const._replace(
+        base=(1 / Fraction(delta0)) ** (sheet.s0 + 2), shift=math.log2(d_target)
+    )
 
+
+def _reference_trace(delta0, loglog_n0, y, k, cs):
+    """Independent reference: the recurrences on log2 K and log2 C rounded to
+    120 bits, worked at C's magnitude plus 80 bits, as the trace ran before it
+    used K's factors.  The rounding of its inputs moves log2 D by about
+    2^(gamma - 110), so it is right only where log2 x_0 is far from 0."""
+    gamma = 2 ** (k + 8) + k + 1
+    with mpmath.workprec(120):
+        k_log2 = mpmath.power(2, gamma) * mpmath.log(mpmath.mpf(cs) / 4, 2)
+        c_log2 = mpmath.log(constants(k).s0 + 2, 2) + gamma
+    with mpmath.workprec(int(c_log2) + 80):
+        c_val = mpmath.power(2, c_log2)
+        delta = mpmath.mpf(delta0.numerator) / delta0.denominator
+        loglog = mpmath.mpf(loglog_n0)
+        d0 = min(mpmath.power(2, k_log2 + c_val * mpmath.log(delta, 2)), 1)
+        steps = [(float(delta), float(loglog))]
+        cumulative, iterations, outcome = mpmath.mpf(1), 0, "density_reached_one"
+        while delta < 1:
+            if iterations == 10_000:
+                outcome = "budget"
+                break
+            d_r = min(mpmath.power(2, k_log2 + c_val * mpmath.log(delta, 2)), 1)
+            delta = min(delta + d_r, 1)
+            loglog += mpmath.log(d_r)
+            cumulative *= d_r
+            iterations += 1
+            steps.append((float(delta), float(loglog)))
+            if delta < 1 and loglog < mpmath.log(mpmath.log(y)):
+                outcome = "ambient_below_Y"
+                break
+        return (tuple(steps), iterations, outcome, float(cumulative),
+                float(1 / (2 * d0)), float(mpmath.ceil(1 / d0)))
+
+
+class TestIncrementIteration:
     def test_density_one_immediate(self):
         sheet = constants(2, cs_value=4.0)
-        trace = increment_iteration(1, 10.0, 3, sheet.K_const, sheet.C_exp)
+        trace = increment_iteration(1, 10.0, 3, sheet.K_const, sheet.s0)
         assert trace.outcome == "density_reached_one"
         assert trace.iterations_used == 0
 
     def test_big_d_two_steps(self):
-        c_exp = constants(2).C_exp
+        sheet = constants(2, cs_value=4.0)
         delta0 = Fraction(2, 5)
-        k_const = self._k_for_target_d(c_exp, delta0, 0.55)
-        trace = increment_iteration(delta0, 50.0, 3, k_const, c_exp)
+        k_const = _k_for_target_d(sheet, delta0, 0.55)
+        trace = increment_iteration(delta0, 50.0, 3, k_const, sheet.s0)
         assert trace.outcome == "density_reached_one"
         assert trace.iterations_used == 2
         assert trace.cumulative_exponent >= 0.25
 
     def test_tiny_d_collapses_ambient(self):
         sheet = constants(2, cs_value=4.0)  # K = 1, C astronomically large
-        trace = increment_iteration(
-            Fraction(1, 2), 100.0, 3, sheet.K_const, sheet.C_exp
-        )
+        trace = increment_iteration(Fraction(1, 2), 100.0, 3, sheet.K_const, sheet.s0)
         assert trace.outcome == "ambient_below_Y"
         assert trace.iterations_used == 1
 
     def test_density_nondecreasing_along_trace(self):
-        c_exp = constants(2).C_exp
+        sheet = constants(2, cs_value=4.0)
         delta0 = Fraction(1, 10)
-        k_const = self._k_for_target_d(c_exp, delta0, 0.2)
-        trace = increment_iteration(delta0, 1000.0, 3, k_const, c_exp)
+        k_const = _k_for_target_d(sheet, delta0, 0.2)
+        trace = increment_iteration(delta0, 1000.0, 3, k_const, sheet.s0)
         dens = [d for d, _ in trace.steps]
         assert all(a <= b + 1e-15 for a, b in zip(dens, dens[1:]))
         assert trace.iterations_used <= trace.max_iterations_bound
@@ -314,16 +415,74 @@ class TestIncrementIteration:
     def test_rejects_bad_inputs(self):
         sheet = constants(2, cs_value=4.0)
         with pytest.raises(BadParamsError):
-            increment_iteration(0, 10.0, 3, sheet.K_const, sheet.C_exp)
+            increment_iteration(0, 10.0, 3, sheet.K_const, sheet.s0)
         with pytest.raises(BadParamsError):
-            increment_iteration(Fraction(1, 2), 10.0, 2, sheet.K_const, sheet.C_exp)
+            increment_iteration(Fraction(1, 2), 10.0, 2, sheet.K_const, sheet.s0)
 
     def test_k_without_a_cs_value_is_refused(self):
         sheet = constants(2)
         assert sheet.K_const is None
         with pytest.raises(BadParamsError) as info:
-            increment_iteration(0.5, 100.0, 3, sheet.K_const, sheet.C_exp)
+            increment_iteration(0.5, 100.0, 3, sheet.K_const, sheet.s0)
         assert str(info.value) == "K needs a CS value"
+
+    def test_exact_cancellation_reaches_density_one(self, capsys):
+        # cs/4 = 2^44 and s0 + 2 = 44 at k = 2, so x_0 = 2^44 (1/2)^44 = 1 and
+        # D_0 = 1, which 120-bit magnitudes of K and C got wrong
+        assert cli_main(["increment", "--k", "2", "--cs", "70368744177664",
+                         "--delta", "1/2", "--loglogn", "100", "--y", "3"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["outcome"], result["iterations_used"]) == ("density_reached_one", 1)
+        assert result["steps"] == [[0.5, 100.0], [1.0, 100.0]]
+
+    def test_x_near_one_is_refused(self):
+        sheet = constants(2, cs_value=4.0)
+        # |log2 x_0| = log2(1 + 2^-120) at a rational delta
+        near = sheet.K_const._replace(base=Fraction(2**44) * (1 + Fraction(1, 2**120)))
+        with pytest.raises(ToleranceNotMetError, match="< 2\\^-100"):
+            increment_iteration(Fraction(1, 2), 100.0, 3, near, sheet.s0)
+        # x_0 = 1 and D_0 = 2^-1000 leave delta_1 irrational, its x_1 - 1
+        # about 2^-994, which 60 digits cannot tell from 0
+        tiny_step = _k_for_target_d(sheet, Fraction(1, 2), 2.0**-1000)
+        with pytest.raises(ToleranceNotMetError):
+            increment_iteration(Fraction(1, 2), 1000.0, 3, tiny_step, sheet.s0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_the_c_sized_precision_route(self, k):
+        # seeded inputs with |log2 x_0| >= 1/1000, where the reference is right
+        rnd = random.Random(16 + k)
+        s0 = constants(k).s0
+        compared = 0
+        while compared < 40:
+            cs = rnd.choice([4.0, 0.5, 3.0, 5.0, 123.456, 1e-300, rnd.uniform(0.01, 10)])
+            delta0 = Fraction(rnd.randint(1, 999), rnd.choice([1000, 997, 64]))
+            if not 0 < delta0 <= 1:
+                continue
+            if abs(math.log2(cs / 4) + (s0 + 2) * math.log2(delta0)) < 1e-3:
+                continue
+            loglog = rnd.choice([rnd.uniform(0.0, 200.0), 1e300])
+            y = rnd.randint(3, 1000)
+            trace = increment_iteration(delta0, loglog, y, constants(k, cs).K_const, s0)
+            assert (
+                trace.steps, trace.iterations_used, trace.outcome,
+                trace.cumulative_exponent, trace.threshold_loglog,
+                trace.max_iterations_bound,
+            ) == _reference_trace(delta0, loglog, y, k, cs), (cs, delta0, loglog, y)
+            compared += 1
+
+    def test_fast_up_to_k20_and_past_decimal_range(self, capsys):
+        for k in range(2, 21):
+            start = time.perf_counter()
+            assert cli_main(["increment", "--delta", "1/2", "--loglogn", "100",
+                             "--y", "3", "--k", str(k)]) == 0
+            assert time.perf_counter() - start < 0.1, k
+        # from k = 54 on 2^gamma is Decimal's Infinity: only the sign of log2 x
+        close = Fraction(10**9 - 1, 10**9)
+        for k, cs, delta0, last in [(54, 4.0, Fraction(1, 2), (0.5, -math.inf)),
+                                    (60, 5.0, close, (1.0, 100.0))]:
+            sheet = constants(k, cs_value=cs)
+            trace = increment_iteration(delta0, 100.0, 3, sheet.K_const, sheet.s0)
+            assert (trace.iterations_used, trace.steps[-1]) == (1, last)
 
 
 @pytest.mark.parametrize(
@@ -331,7 +490,7 @@ class TestIncrementIteration:
     [
         (lambda: constants(2, bracket="round"), "unknown bracket convention 'round'"),
         (lambda: constants(2, cs_value=0.0), "CS value must be positive"),
-        (lambda: uniformity_threshold(2, 10, constants(2, cs_value=4.0).K_const, 0),
+        (lambda: uniformity_threshold(2, 10, BigLogNumber.from_fraction(1), 0),
          "delta must be in (0, 1]"),
         (lambda: estimate_singular_integral_constant(validate_system(2, (1, 1, -1, -1)),
                                                      "median"),

@@ -3,12 +3,11 @@ module level only, so the import graph is explicit, and a cycle in it fails
 at import time instead of hiding inside a function body.  The budget,
 error, system and window modules stay free of numpy and mpmath, directly and
 through the package modules they import, so that commands needing only them
-can start without either.  ``mainterm`` is the one module that names mpmath,
-and it binds mpmath lazily: a CLI process runs mpmath's code only for the
-commands that compute with it, and never imports numpy.polynomial.  The one
-cache decorator in the package is on the partition histogram, which depends
-on the coefficients alone; every other count lives in the call that makes
-it."""
+can start without either.  No module names mpmath: the constant sheet and the
+increment trace compute on the stdlib ``decimal``, so no CLI command loads
+mpmath, and none imports numpy.polynomial.  The one cache decorator in the
+package is on the partition histogram, which depends on the coefficients
+alone; every other count lives in the call that makes it."""
 
 import ast
 import subprocess
@@ -78,27 +77,19 @@ def test_pure_python_modules_import_neither_numpy_nor_mpmath():
         assert not reached & {"numpy", "mpmath"}, (name, sorted(seen))
 
 
-def test_only_mainterm_names_mpmath():
-    naming = set()
-    for path in sorted(SRC.glob("*.py")):
-        names = _imports(path)[0]
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-        if "mpmath" in names:
-            naming.add(path.stem)
-    assert naming == {"mainterm"}
+def test_no_module_names_mpmath():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "mpmath" in path.read_text()] == []
 
 
-# runs one CLI command in process, then lists on its last stderr line the
-# modules of interest that the command loaded
+# imports the package, runs one CLI command in process, then lists on its
+# last stderr line the modules of interest that the import or the command
+# loaded: modules stay in sys.modules once loaded
 PROBE = """
 import sys
 from circlecount.cli import main
 code = main(sys.argv[1:])
-print(*(m for m in ("mpmath.libmp", "numpy.polynomial") if m in sys.modules),
+print(*(m for m in ("mpmath", "numpy.polynomial") if m in sys.modules),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -107,26 +98,12 @@ sys.exit(code)
 @pytest.mark.parametrize("index", range(len(CRITERION_11)),
                          ids=[subcommand(cmd) for cmd in CRITERION_11])
 def test_cli_loads_mpmath_only_to_compute_with_it(index, tmp_path):
+    # nothing in the package computes with mpmath, so no command loads it
     cmd = criterion_11_commands(tmp_path)[index]
     proc = subprocess.run([sys.executable, "-c", PROBE, *cmd],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stderr.splitlines()[-1].split()
-    expected = ["mpmath.libmp"] if subcommand(cmd) in ("constants", "increment") else []
-    assert loaded == expected
-
-
-@pytest.mark.parametrize("first", ["mpmath", "circlecount.mainterm"])
-def test_mpmath_is_one_module_in_either_import_order(first):
-    second = "circlecount.mainterm" if first == "mpmath" else "mpmath"
-    code = (f"import sys, {first}, {second}\n"
-            "import circlecount.mainterm as mainterm\n"
-            "assert mainterm.mpmath is mpmath is sys.modules['mpmath']\n"
-            "magnitude = mainterm.BigLogNumber.from_fraction(8).log2_magnitude\n"
-            "assert type(magnitude) is mpmath.mpf and magnitude == 3\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].split() == []
 
 
 def test_every_export_is_used_outside_its_tests():

@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness in perfbench/.
 
-One short untraced run of ``count_sweep``, ``uniformity_weyl`` and
-``major_arcs_local`` must reproduce the recorded exact references, so the
-counting engines, the Gowers collapse, the congruence counts and series terms
+One short untraced run of ``count_sweep``, ``uniformity_weyl``,
+``major_arcs_local`` and ``cli_mix`` must reproduce the recorded references,
+so the counting engines, the Gowers collapse, the congruence counts and
+series terms, the CLI envelopes (``constants`` and ``increment`` among them)
 and the harness cannot drift apart.
 """
 
@@ -32,7 +33,7 @@ def run_workload(workload: str) -> tuple[dict, dict]:
     return json.loads(record.removeprefix("# record ")), json.loads(result)
 
 
-@pytest.mark.parametrize("workload", ["count_sweep", "uniformity_weyl"])
+@pytest.mark.parametrize("workload", ["count_sweep", "uniformity_weyl", "cli_mix"])
 def test_workload_matches_references(workload):
     _, result = run_workload(workload)
     assert result["correct"] is True
