@@ -5,11 +5,14 @@ Phase points are vectors (alpha_1, ..., alpha_k) in ascending degree order:
 alpha_j multiplies x^j.  ``_exp_sum`` is the one float phase sum, behind f, g,
 E and the quadrature of w; it sums a block of phase points at once, and
 ``eval_E_batch`` evaluates E at many points in one pass over 1..N, weighting
-each term by the balanced function delta_N - 1_A(x).  All complex sums use
-pairwise (tree) summation with fixed bracketing, so repeated runs, and batched
-or single evaluation, produce bit-identical values.  The complete sums S(q, b)
-come from one table, ``complete_sums``, over exact residues mod q; only their
-q-th roots of unity involve floating point.
+each term by the balanced function delta_N - 1_A(x).  Its terms e(phase) come
+from one kernel, ``_e_terms``: cos t + i sin t at t = fl(2 pi phase), with t
+first reduced to [-pi, pi] by Cody-Waite, within 4 * 2^-53 of e^(it) per term
+for |t| < 2^52, on top of the phase's own rounding of about |t| 2^-53.  All
+complex sums use pairwise (tree) summation with fixed bracketing, so repeated
+runs, and batched or single evaluation, produce bit-identical values.  The
+complete sums S(q, b) come from one table, ``complete_sums``, over exact
+residues mod q; only their q-th roots of unity involve floating point.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ from .errors import BadDegreeError, BadParamsError, BudgetExceededError, Toleran
 from .windows import SetWindow, balanced_function
 
 TWO_PI = 2.0 * math.pi
+# The constants of ``_e_terms``, as 0-d arrays, which numpy broadcasts faster
+# than floats: 2 pi in three parts for a Cody-Waite reduction, A and B of 26
+# and 23 significant bits, with A + B + C within 2^-106 of 2 pi; and the
+# shift by which (m + shift) - shift rounds m to a multiple of 2^24.
+_A, _B, _C, _TO_2_24 = map(np.array, (
+    float.fromhex("0x1.921fb58p+2"), float.fromhex("-0x1.dde974p-25"),
+    float.fromhex("0x1.1a62633145c07p-52"), 1.5 * 2.0**76,
+))
 
 
 def reduce_phase(alpha: Sequence[float]) -> tuple[float, ...]:
@@ -67,6 +78,40 @@ _CHUNK = 4096
 _ARC_ROWS = 1 << 16  # values of q per block of the arc scan
 
 
+def _e_terms(phase: np.ndarray) -> np.ndarray:
+    """e(theta) = exp(2 pi i theta) for a float array of phases, overwritten
+    on the way: cos t + i sin t at t = fl(2 pi theta), the angle that
+    exp(TWO_PI * 1j * theta) sees, within 4 * 2^-53 of e^(it) per term for
+    |t| < 2^52.
+
+    t is reduced to r = t - 2 pi m, m = rint(theta), by Cody-Waite reduction
+    with 2 pi = A + B + C: m = m_h + m_l with m_h a multiple of 2^24, so each
+    product of m_h or m_l with A or B is exact, and so is every subtraction
+    but the last, of m C, while |t| < 2^51 * 2 pi.  cos and sin then run on
+    |r| <= pi (up to the rounding of t), where libm's own reduction is cheap;
+    complex exp on large t takes the Payne-Hanek route.  Past 2^51 * 2 pi a
+    product rounds and the terms, still on the unit circle, are not e^(it);
+    a float t there is an even integer and holds no bit of theta's fraction.
+    """
+    out = np.empty(phase.shape, dtype=np.complex128)
+    m_h, m_l = out.view(np.float64).reshape(2, *phase.shape)  # free until cos, sin
+    m_c, p = np.empty((2, *phase.shape))
+    np.add(phase, _TO_2_24, m_h)
+    m_h -= _TO_2_24
+    np.rint(phase, m_l)
+    np.multiply(m_l, _C, m_c)  # m C
+    m_l -= m_h
+    phase *= TWO_PI
+    phase -= np.multiply(m_h, _A, p)
+    phase -= np.multiply(m_l, _A, p)
+    phase -= np.multiply(m_h, _B, p)
+    phase -= np.multiply(m_l, _B, p)
+    phase -= m_c
+    np.cos(phase, out.real)
+    np.sin(phase, out.imag)
+    return out
+
+
 def _exp_sum(points, phases, weights=None) -> list[complex]:
     """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the points
     for each row alpha of the P x k block ``phases``, with unit weights when
@@ -75,7 +120,9 @@ def _exp_sum(points, phases, weights=None) -> list[complex]:
     Each row forms its phase with the same float operations as a single sum
     and sums its terms along the same tree.  A degree whose alpha_j is zero in
     every row is skipped; in a row where only some are zero it adds exact
-    zeros, which leaves the phase unchanged while x^j is finite.
+    zeros, which leaves the phase unchanged while x^j is finite.  The terms
+    come from ``_e_terms``, within 4 * 2^-53 of e^(it) at t = fl(2 pi phase)
+    for |t| < 2^52; the phase itself is rounded by about |t| 2^-53.
     Work runs in blocks of at most ``_CHUNK`` terms: several rows at once
     when there are fewer than _CHUNK points, else one row at a time in
     column blocks of _CHUNK points, whose sums are then tree-summed.
@@ -97,9 +144,9 @@ def _exp_sum(points, phases, weights=None) -> list[complex]:
             phase = np.zeros((min(rows, len(alpha) - r0), len(xc)), dtype=np.float64)
             for aj, xj in powers:
                 phase += aj[r0 : r0 + rows] * xj
-            terms = np.exp(TWO_PI * 1j * phase)
+            terms = _e_terms(phase)
             if weights is not None:
-                terms = weights[c0 : c0 + width] * terms
+                terms *= weights[c0 : c0 + width]
             sums[r0 : r0 + rows, c] = _tree_sums(terms, width)
     return _tree_sums(sums, _pow2_at_least(sums.shape[1])).tolist()
 

@@ -97,15 +97,15 @@ class TestEvalFAndE:
 
 
 def _literal_exp_sum(points, alpha, weights=None):
-    """One phase point, written out: the whole row's phase, its terms, and one
-    pairwise tree over all of them (adjacent pairs, a zero appended to odd
-    levels)."""
+    """One phase point, written out: the whole row's phase, its terms from the
+    term kernel, and one pairwise tree over all of them (adjacent pairs, a
+    zero appended to odd levels)."""
     x = np.asarray(points, dtype=np.float64)
     phase = np.zeros(len(x), dtype=np.float64)
     for j, aj in enumerate(alpha, start=1):
         if aj != 0.0:
             phase += aj * x**j
-    a = np.exp(TWO_PI * 1j * phase)
+    a = expsums._e_terms(phase)
     if weights is not None:
         a = weights * a
     return _literal_tree(a)
@@ -184,6 +184,29 @@ def _literal_classify_arc(alpha, n, k, exponent_override=None):
 
 def _hex(z):
     return (z.real.hex(), z.imag.hex())
+
+
+class TestTermKernel:
+    def test_within_four_ulps_of_complex_exp(self):
+        # e(theta) against exp(i t) at t = fl(2 pi theta), the angle the
+        # kernel reduces, for |t| from 2^-10 to 2^52
+        rng = np.random.default_rng(28)
+        worst = 0.0
+        for e in range(-10, 53):
+            t = TWO_PI * (rng.uniform(-1.0, 1.0, 4096) * 2.0**e / TWO_PI)
+            got = expsums._e_terms(t / TWO_PI)
+            worst = max(worst, float(np.abs(got - np.exp(1j * t)).max()))
+        assert worst <= 4 * 2.0**-53
+
+    def test_any_shape_and_exact_points(self):
+        theta = np.array([[0.0, 0.25, 0.5], [-0.75, 3.0, 2.0**40]])
+        got = expsums._e_terms(theta.copy())
+        assert got.shape == theta.shape
+        assert np.abs(got - np.exp(TWO_PI * 1j * theta)).max() <= 4 * 2.0**-53
+        assert got[0, 0] == 1
+        # fl(2 pi 2^40) misses a multiple of 2 pi by 2^40 (2 pi - TWO_PI), about
+        # 2.7e-4: the kernel keeps that rounding of the phase, as exp did
+        assert abs(got[1, 2] - 1) > 1e-4
 
 
 class TestBatchedSums:
