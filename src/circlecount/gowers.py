@@ -51,9 +51,12 @@ of the magnitudes of the terms of every correlation the recursion forms:
   k = 2, 118 at k = 3 and 12 at k = 4;
 - otherwise Python integers in an object array.
 
-The leaf's lags exceed neither bound, but their squares may, so the leaf
-converts the lags to int64 (exactly, from float64) and squares them in Python
-integers.
+The leaf's lags exceed neither bound, but their squares may.  On the float64
+and int64 tiers the leaves convert their lags to int64 (exactly, from float64)
+and hold them by weight until ``_CHUNK`` or more are held; ``_square_sum``
+then sums their squares exactly from int64 dot products of limbs, so only a
+few limb sums per batch are Python integers.  The object tier squares its
+lags in Python integers.
 
 A naive evaluator of the literal (k+2)-fold sum with the translated-interval
 restriction is kept for cross-checking; it uses neither the collapse nor the
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -72,7 +76,7 @@ import numpy as np
 
 from .budget import Budget, fits_float64, fits_int64
 from .errors import BadParamsError
-from .expsums import eval_E_batch
+from .expsums import _CHUNK, eval_E_batch
 # the balanced function lives in windows, below expsums and this module, and
 # is re-exported from here
 from .windows import SetWindow, balanced_function
@@ -87,37 +91,76 @@ class UniformityReport(NamedTuple):
     parameter: Fraction
 
 
+def _square_sum(a: np.ndarray) -> int:
+    """Exact sum of squares of an int64 array with every |a| < 2^62.
+
+    |a| is split into limbs of b = floor((62 - bit_length(len)) / 2) bits, so
+    each limb product is below 2^(2b) and a dot product of len of them below
+    2^62; the limb dot products are then recombined in Python integers as
+    sum_{u <= v} (2 if u != v else 1) 2^(b (u + v)) dot(l_u, l_v)."""
+    a = np.abs(a)
+    b = (62 - len(a).bit_length()) // 2
+    top = int(a.max())
+    limbs = [a]
+    if top >> b:
+        mask = (1 << b) - 1
+        limbs = [a >> shift & mask for shift in range(0, top.bit_length(), b)]
+    return sum(
+        (1 if u == v else 2) * int(np.dot(lu, limbs[v])) << b * (u + v)
+        for u, lu in enumerate(limbs)
+        for v in range(u, len(limbs))
+    )
+
+
 def _collapse_scaled(values: Sequence[int], k: int, dtype: type) -> int:
     """Integer numerator of the difference sum: the collapse-identity recursion
     over sorted shifts on the balanced values held as ``dtype`` (np.float64,
     np.int64 or object)."""
 
-    def rec(c: np.ndarray, depth: int, lo: int, run: int, weight: int) -> int:
+    def leaves(c: np.ndarray, depth: int, lo: int, run: int, weight: int):
         # c is the product over the i - 1 shifts chosen so far, the last of
         # them lo, which ends a run of ``run`` equal shifts; ``weight`` is
         # their 2^(#nonzero) (i - 1)! / prod r_j!.  Choosing w_i multiplies
-        # it by i / r (r the length of w_i's run) and by 2 if w_i > 0.
+        # it by i / r (r the length of w_i's run) and by 2 if w_i > 0.  Each
+        # leaf yields its weights for lag 0 and for the other lags, and its lags.
         i = k - depth + 1
         if depth == 1:
             p = len(c) - lo
-            ac = np.correlate(c[lo:], c[:p], "full")[p - 1 :]
-            if ac.dtype == np.float64:
-                ac = ac.astype(np.int64)
-            ac = ac.tolist()
-            tie = weight * i // (run + 1) * (2 if lo else 1)
-            new = 2 * weight * i
-            return new * sum(map(operator.mul, ac, ac)) - (new - tie) * ac[0] ** 2
+            yield (weight * i // (run + 1) * (2 if lo else 1), 2 * weight * i,
+                   np.correlate(c[lo:], c[:p], "full")[p - 1 :])
+            return
         n = len(c)
-        total = 0
         # the depth shifts left are all >= w and the leaf's first lag must
         # fall inside its slice, so w * depth < n
         for w in range(lo, (n + depth - 1) // depth):
             r = run + 1 if w == lo else 1
             child = weight * i // r * (2 if w else 1)
-            total += rec(c[w:] * c[: n - w], depth - 1, w, r, child)
+            yield from leaves(c[w:] * c[: n - w], depth - 1, w, r, child)
+
+    # the int64 lags not yet squared, by their weight, held < _CHUNK + N
+    pending: dict[int, list[np.ndarray]] = {}
+
+    def flush() -> int:
+        total = sum(new * _square_sum(np.concatenate(lags)) for new, lags in pending.items())
+        pending.clear()
         return total
 
-    return rec(np.asarray(values, dtype=dtype), k, 0, 0, 1)
+    total = held = 0
+    for tie, new, ac in leaves(np.asarray(values, dtype=dtype), k, 0, 0, 1):
+        if dtype is object:
+            ac = ac.tolist()
+            total += new * sum(map(operator.mul, ac, ac)) - (new - tie) * ac[0] ** 2
+            continue
+        # exact: the tier bound keeps every lag below 2^53 (float64) or 2^62
+        ac = ac.astype(np.int64)
+        first = int(ac[0])
+        total -= (new - tie) * first * first
+        pending.setdefault(new, []).append(ac)
+        held += len(ac)
+        if held >= _CHUNK:
+            total += flush()
+            held = 0
+    return total + flush()
 
 
 def difference_sum(
@@ -206,15 +249,24 @@ def weyl_chain_check(
     rep = uniformity_parameter(window, degree, budget)
     n = window.length
     p = 2 ** (degree + 1)
-    chain_rhs = float(2 * n) ** (p - degree - 2) * float(rep.difference_sum)
-    bound = 2.0 * float(rep.parameter) ** (1.0 / p) * n
+    slack = 1.0 + 1e-9  # float-noise guard only; the inequalities are exact
+    # the chain compares logarithms, as both of its sides leave the float
+    # range from degree 7 on: log(rhs * slack + 1e-12), rhs = (2N)^(p-k-2) D
+    ds = rep.difference_sum
+    log_rhs = (math.log(slack) + (p - degree - 2) * math.log(2 * n)
+               + math.log(ds.numerator) - math.log(ds.denominator)) if ds else -math.inf
+    log_chain = float(np.logaddexp(log_rhs, math.log(1e-12)))
+    # a parameter below about 2^-1000 is scaled by 2^(p m) into the normal
+    # float range first; p is a power of 2, so dividing the root by 2^m is exact
+    par = rep.parameter
+    m = max(0, -((1000 + par.numerator.bit_length() - par.denominator.bit_length()) // p))
+    bound = 2.0 * float(par * 2 ** (p * m)) ** (1.0 / p) / 2**m * n
     max_ratio = 0.0
     chain = True
     sup = True
-    slack = 1.0 + 1e-9  # float-noise guard only; the inequalities are exact
     for e_val in eval_E_batch(window, phases):
         e_abs = abs(e_val)
-        if e_abs**p > chain_rhs * slack + 1e-12:
+        if e_abs and p * math.log(e_abs) > log_chain:
             chain = False
         if e_abs > bound * slack + 1e-12:
             sup = False

@@ -43,6 +43,24 @@ def _log2(x) -> Decimal:
     return _CTX.divide(_CTX.ln(x), _LN2)
 
 
+def _log10_2(ctx: decimal.Context) -> Decimal:
+    """log10 2 rounded in ``ctx``, from fixed-point integer series with 20
+    guard digits: ln 2 = 2 atanh(1/3) and ln 10 = 3 ln 2 + 2 atanh(1/9).
+    libmpdec's own log10 and ln take seconds at thousands of digits."""
+    one = 10 ** (ctx.prec + 20)
+
+    def atanh_inv(x: int) -> int:  # one * atanh(1/x), short by under 1 per term
+        total, power, j = 0, one // x, 1
+        while power:
+            total += power // j
+            power //= x * x
+            j += 2
+        return total
+
+    ln2 = 2 * atanh_inv(3)
+    return ctx.divide(ln2, 3 * ln2 + 2 * atanh_inv(9))
+
+
 def _nstr(mantissa: Decimal, scale: int = 0) -> str:
     """mantissa * 2^scale to 20 significant digits, rounded half up, in fixed
     notation for decimal exponents in (-6, 20) and with trailing zeros
@@ -52,7 +70,7 @@ def _nstr(mantissa: Decimal, scale: int = 0) -> str:
     shift = 0
     if scale:  # the value may be past Decimal's range: read it through log10
         ctx = decimal.Context(prec=61 + scale.bit_length() * 3 // 10)
-        lg = ctx.multiply(scale, ctx.log10(2))  # its fraction to 60 digits
+        lg = ctx.multiply(scale, _log10_2(ctx))  # its fraction to 60 digits
         shift = int(lg.to_integral_value(decimal.ROUND_FLOOR))
         lg = _CTX.add(ctx.subtract(lg, shift), _CTX.log10(abs(mantissa)))
         mantissa = _CTX.power(10, lg).copy_sign(mantissa)

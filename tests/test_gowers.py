@@ -1,6 +1,8 @@
 import itertools
 import operator
 import random
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -308,6 +310,85 @@ class TestSortedShiftCollapse:
             assert 3 * sorted_calls <= len(correlations)
 
 
+    @pytest.mark.parametrize("degree, n", [(2, 200), (3, 100)])
+    def test_buffer_flushes_during_the_call(self, monkeypatch, degree, n):
+        # the leaves hold more lags than two chunks, so the buffer is squared
+        # in batches during the call, each below _CHUNK + N lags, and every
+        # lag is squared once
+        batches = []
+        real = gowers._square_sum
+
+        def spy(a):
+            batches.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(gowers, "_square_sum", spy)
+        leaves = sum(_leaf_sizes(n, degree))
+        assert leaves > 2 * (gowers._CHUNK + n)
+        values = balanced_function(random_density_window(n, 0.5, seed=n))
+        for dtype in (np.float64, np.int64):
+            del batches[:]
+            assert gowers._collapse_scaled(values, degree, dtype) == (
+                _sign_only_collapse(values, degree, dtype)), dtype
+            assert sum(batches) == leaves
+            assert max(batches) < gowers._CHUNK + n
+
+    def test_oracles_do_not_call_the_square_sum(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("an oracle squared through the fast path")
+
+        w = random_density_window(9, 0.5, seed=1)
+        expected = difference_sum(w, 2)
+        monkeypatch.setattr(gowers, "_square_sum", refused)
+        assert difference_sum_naive(w, 2) == expected
+        values = balanced_function(w)
+        assert Fraction(_sign_only_collapse(values, 2, np.float64), 9**8) == expected
+
+
+def test_collapse_memory_is_bounded_by_the_chunk():
+    # the leaf buffer holds under _CHUNK + N lags, not all the leaves' lags
+    # (N^2/4 at k = 2): from N = 768 to 1,552 those grow 4-fold, and the
+    # traced peak about 1.3-fold
+    difference_sum(random_density_window(64, 0.5, seed=1), 2)  # warm outside the trace
+    peaks = []
+    for n in (768, 1552):
+        w = random_density_window(n, 0.5, seed=n)
+        tracemalloc.start()
+        try:
+            difference_sum(w, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 8 * sum(_leaf_sizes(1552, 2)) / 10
+
+
+def _bit_length_steps(top: int) -> list:
+    """Lengths 2^j - 1 and 2^j, either side of each step of bit_length(len)."""
+    return sorted({n for j in range(top + 1) for n in (2**j - 1, 2**j) if n})
+
+
+class TestSquareSum:
+    @pytest.mark.parametrize("n", _bit_length_steps(19))
+    def test_equals_python_integers(self, n):
+        # b = floor((62 - bit_length(n)) / 2) is the limb width at this length;
+        # magnitudes below 2^b take one limb, the others two or three
+        b = (62 - n.bit_length()) // 2
+        magnitudes = [0, 2**b - 1, 2**b, 2**52, 2**53, 2**62 - 1]
+        rng = np.random.default_rng(n)
+        signs = rng.choice([-1, 1], size=n)
+        cases = [
+            np.full(n, 2**62 - 1) * signs,
+            np.array([magnitudes[1]] * n) * signs,
+            rng.choice(magnitudes[:2], size=n) * signs,
+            rng.choice(magnitudes, size=n) * signs,
+            rng.integers(-(2**62) + 1, 2**62, size=n),
+        ]
+        for a in cases:
+            assert a.dtype == np.int64
+            assert gowers._square_sum(a) == sum(x * x for x in a.tolist())
+
+
 class TestUniformityParameter:
     def test_full_interval(self):
         rep = uniformity_parameter(SetWindow.full(16), 2)
@@ -358,3 +439,34 @@ class TestWeylChain:
             rep = weyl_chain_check(w, 2, [(0.1, 0.2)] * len(values))
             assert not rep.chain_holds and rep.supnorm_holds == sup
             assert rep.max_ratio == max(abs(v) for v in values) / bound
+
+    @pytest.mark.parametrize("degree", [7, 8])
+    def test_chain_past_the_float_range(self, monkeypatch, degree):
+        # (2N)^(p-k-2) and |E|^p overflow a float from degree 7 on, so the
+        # chain is compared in logarithms; its root ((2N)^(p-k-2) D)^(1/p)
+        # is formed here in Decimal
+        w = random_density_window(16, 0.5, seed=1)
+        phases = np.random.default_rng(degree).uniform(size=(20, degree)).tolist()
+        rep = weyl_chain_check(w, degree, phases)
+        assert rep.chain_holds and rep.supnorm_holds and 0 < rep.max_ratio <= 1
+        p = 2 ** (degree + 1)
+        ds = uniformity_parameter(w, degree).difference_sum
+        root = float((Decimal(32) ** (p - degree - 2) * Decimal(ds.numerator)
+                      / Decimal(ds.denominator)) ** (Decimal(1) / p))
+        for scale, holds in ((0.99, True), (1.01, False)):
+            values = [0j, scale * root + 0j]
+            monkeypatch.setattr(gowers, "eval_E_batch", lambda window, phases: values)
+            assert weyl_chain_check(w, degree, phases[:2]).chain_holds == holds
+
+    def test_parameter_below_the_float_range(self):
+        # at degree 10 and N = 8 the parameter is below 2^-1074, so float()
+        # of it is 0; the sup-norm bound 2 a^(1/p) N still holds
+        w = random_density_window(8, 0.5, seed=1)
+        phases = np.random.default_rng(10).uniform(size=(5, 10)).tolist()
+        rep = weyl_chain_check(w, 10, phases)
+        assert float(rep.parameter) == 0.0 < rep.parameter
+        assert rep.chain_holds and rep.supnorm_holds
+        bound = 16 * (Decimal(rep.parameter.numerator) / Decimal(rep.parameter.denominator)) ** (
+            Decimal(1) / 2**11)
+        largest = max(abs(e) for e in gowers.eval_E_batch(w, phases))
+        assert rep.max_ratio == pytest.approx(largest / float(bound), rel=1e-12)

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import random
@@ -238,6 +239,25 @@ class TestConstants:
             exponent = int(mpmath.floor(lg))
             digits = mpmath.nstr(mpmath.power(10, lg - exponent), 20)
         assert magnitude == f"-{digits}e+{exponent}"
+
+    @pytest.mark.parametrize("prec", [1, 2, 28, 61, 62, 200, 1500])
+    def test_log10_2_equals_decimal_log10(self, prec):
+        ctx = decimal.Context(prec=prec)
+        assert mainterm._log10_2(ctx) == ctx.log10(2)
+
+    def test_k_digits_at_k30000_match_mpmath_quickly(self):
+        # K's digits read log10 2 to about 9,100 digits, for which libmpdec's
+        # own log10 took about 13 s on a 2-core host; the series takes 0.14 s
+        k = 30000
+        start = time.perf_counter()
+        magnitude = constants(k, 0.5).K_const.as_big_log().to_json_dict()["log2_magnitude"]
+        assert time.perf_counter() - start < 4.0
+        gamma = 2 ** (k + 8) + k + 1
+        with mpmath.workprec(k + 200):
+            lg = gamma * mpmath.log10(2) + mpmath.log10(abs(mpmath.log(mpmath.mpf(0.5) / 4, 2)))
+            exponent = int(mpmath.floor(lg))
+            digits = mpmath.nstr(mpmath.power(10, lg - exponent), 20)
+        assert magnitude == f"-{digits}e+{decimal.Decimal(exponent)}"
 
 
 class TestUniformityThreshold:
