@@ -69,7 +69,8 @@ def _nstr(mantissa: Decimal, scale: int = 0) -> str:
         return "0.0"
     shift = 0
     if scale:  # the value may be past Decimal's range: read it through log10
-        ctx = decimal.Context(prec=61 + scale.bit_length() * 3 // 10)
+        # 30103 / 100000 >= log10 2 digits per bit of the integer part
+        ctx = decimal.Context(prec=61 + scale.bit_length() * 30103 // 100000)
         lg = ctx.multiply(scale, _log10_2(ctx))  # its fraction to 60 digits
         shift = int(lg.to_integral_value(decimal.ROUND_FLOOR))
         lg = _CTX.add(ctx.subtract(lg, shift), _CTX.log10(abs(mantissa)))

@@ -309,7 +309,6 @@ class TestSortedShiftCollapse:
             assert len(correlations) == n * (n + 1) // 2
             assert 3 * sorted_calls <= len(correlations)
 
-
     @pytest.mark.parametrize("degree, n", [(2, 200), (3, 100)])
     def test_buffer_flushes_during_the_call(self, monkeypatch, degree, n):
         # the leaves hold more lags than two chunks, so the buffer is squared

@@ -245,10 +245,12 @@ class TestConstants:
         ctx = decimal.Context(prec=prec)
         assert mainterm._log10_2(ctx) == ctx.log10(2)
 
-    def test_k_digits_at_k30000_match_mpmath_quickly(self):
-        # K's digits read log10 2 to about 9,100 digits, for which libmpdec's
-        # own log10 took about 13 s on a 2-core host; the series takes 0.14 s
-        k = 30000
+    @pytest.mark.parametrize("k", [30000, 50000])
+    def test_k_digits_at_large_k_match_mpmath_quickly(self, k):
+        # K's digits read log10 2 to 0.30103 (k + 9) + 61 digits: at k = 30,000
+        # libmpdec's own log10 took about 13 s on a 2-core host, and the series
+        # takes 0.14 s; at k = 50,000 a precision of 0.3 digits per bit of
+        # gamma would leave fewer than 20 digits of lg's fraction
         start = time.perf_counter()
         magnitude = constants(k, 0.5).K_const.as_big_log().to_json_dict()["log2_magnitude"]
         assert time.perf_counter() - start < 4.0
