@@ -8,7 +8,12 @@ E and the quadrature of w; it sums a block of phase points at once, and
 each term by the balanced function delta_N - 1_A(x).  Its terms e(phase) come
 from one kernel, ``_e_terms``: cos t + i sin t at t = fl(2 pi phase), with t
 first reduced to [-pi, pi] by Cody-Waite, within 4 * 2^-53 of e^(it) per term
-for |t| < 2^52, on top of the phase's own rounding of about |t| 2^-53.  All
+for |t| < 2^52, on top of the phase's own rounding of about |t| 2^-53.  A
+degree-1 row on integer points, such as the Weyl chain's, writes x = 64 a + b
+and multiplies two short tables of kernel terms, e(64 alpha a) and
+e(alpha b), about N/64 + 64 of them in place of N; each product is within
+about 12 * 2^-53 of its term at angles rounded by |2 pi 64 alpha a| 2^-53 and
+|2 pi alpha b| 2^-53, the order of one direct phase's rounding.  All
 complex sums use pairwise (tree) summation with fixed bracketing, so repeated
 runs, and batched or single evaluation, produce bit-identical values.  The
 complete sums S(q, b) come from one table, ``complete_sums``, over exact
@@ -75,6 +80,9 @@ def pairwise_sum(terms: np.ndarray) -> complex:
 # row is the tree of its aligned blocks' sums: blocking leaves every bracket
 # and every bit unchanged.
 _CHUNK = 4096
+# Cells per block of the linear rows' sums, 64 to a row of the grid.  Any
+# blocking gives the same bits there: the tree over a runs on whole rows.
+_LINEAR_BLOCK = 1 << 14
 _ARC_ROWS = 1 << 16  # values of q per block of the arc scan
 
 
@@ -113,9 +121,84 @@ def _e_terms(phase: np.ndarray) -> np.ndarray:
 
 
 def _exp_sum(points, phases, weights=None) -> list[complex]:
-    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the points
-    for each row alpha of the P x k block ``phases``, with unit weights when
-    none are given; alpha is not reduced mod 1 here.
+    """sum of weights * e(alpha_1 x + ... + alpha_k x^k) over the points for
+    each row alpha of the P x k block ``phases``, with unit weights when none
+    are given; alpha is not reduced mod 1 here.
+
+    The rule is chosen per row, so a row has the same bits in any block.  On
+    integer points (distinct and non-negative) a row whose components past
+    alpha_1 are all zero is a linear row, summed by ``_linear_sums`` from
+    two short tables of terms, e(64 alpha a) and e(alpha b) for x = 64 a + b:
+    each term within about 12 * 2^-53 |w(x)| of its value at angles rounded
+    by about |2 pi 64 alpha a| 2^-53 and |2 pi alpha b| 2^-53.  Every other
+    row, and every row on float points, is summed by ``_power_sums``:
+    pairwise_sum of its terms e(phase), with the phase formed in floats and
+    rounded by about |t| 2^-53.
+    """
+    x = np.asarray(points)
+    alpha = np.asarray(phases, dtype=np.float64)
+    alpha = alpha.reshape(len(alpha), -1) if alpha.size else np.zeros((len(alpha), 1))
+    if len(x) == 0:
+        return [0j] * len(alpha)
+    linear = [x.dtype.kind in "iu" and not any(row[1:]) for row in alpha.tolist()]
+    if all(linear):
+        return _linear_sums(x, alpha[:, 0], weights).tolist()
+    floats = np.asarray(x, dtype=np.float64)
+    if not any(linear):
+        return _power_sums(floats, alpha, weights).tolist()
+    linear = np.array(linear)
+    out = np.empty(len(alpha), dtype=np.complex128)
+    out[linear] = _linear_sums(x, alpha[linear, 0], weights)
+    out[~linear] = _power_sums(floats, alpha[~linear], weights)
+    return out.tolist()
+
+
+def _linear_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
+    """sum of weights * e(alpha x) over distinct non-negative integer points
+    x, for each alpha of the 1-D array ``alpha``.
+
+    With x = 64 a + b, 0 <= b < 64, e(alpha x) = U[a] V[b] for U[a] =
+    e(64 alpha a) and V[b] = e(alpha b): one ``_e_terms`` call gives both
+    tables, top = max x // 64 + 1 entries of U and 64 of V, in place of one
+    term per point.  The weights (ones when none are given) are scattered
+    into a zero-padded top x 64 grid; row a of the grid times V is
+    tree-summed over b and multiplied by U[a], and the products are
+    tree-summed over a.  Both trees are ``_tree_sums`` with fixed brackets,
+    so a row has the same bits in any block.  The grid spans 0..max x, so a
+    sparse set costs its span, not its size.
+
+    U and V are within 4 * 2^-53 of e^(it) at their own angles t =
+    fl(2 pi fl(64 alpha a)) and fl(2 pi alpha b), whose roundings, about
+    |2 pi 64 alpha a| 2^-53 and |2 pi alpha b| 2^-53, together are of the
+    order |2 pi alpha x| 2^-53 of one direct phase.  With the products by
+    the weight and by U[a], each term is within about 12 * 2^-53 |w(x)| of
+    w(x) e(alpha x) at those angles, before the trees' own rounding.  Work
+    runs in blocks of at most ``_LINEAR_BLOCK`` grid cells, counted over the
+    block's rows, and each block of rows is summed before the next, so
+    memory does not grow with the number of rows.
+    """
+    top = int(x.max()) // 64 + 1
+    grid = np.zeros(top * 64)
+    grid[x] = 1.0 if weights is None else weights
+    grid = grid.reshape(top, 64)
+    span = min(top, _LINEAR_BLOCK // 64)  # grid rows per block
+    rows = _LINEAR_BLOCK // (64 * span)
+    steps = np.concatenate([np.arange(0.0, 64.0 * top, 64.0), np.arange(64.0)])
+    out = np.empty(len(alpha), dtype=np.complex128)
+    for r0 in range(0, len(alpha), rows):
+        uv = _e_terms(alpha[r0 : r0 + rows, None] * steps)
+        u, v = uv[:, :top], uv[:, None, top:]
+        sums = np.zeros((len(u), _pow2_at_least(top)), dtype=np.complex128)
+        for a0 in range(0, top, span):
+            parts = _tree_sums((v * grid[a0 : a0 + span]).reshape(-1, 64), 64)
+            sums[:, a0 : min(a0 + span, top)] = parts.reshape(len(u), -1) * u[:, a0 : a0 + span]
+        out[r0 : r0 + rows] = _tree_sums(sums, sums.shape[1])
+    return out
+
+
+def _power_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
+    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the
+    float points x for each row alpha of the P x k block ``alpha``.
 
     Each row forms its phase with the same float operations as a single sum
     and sums its terms along the same tree.  A degree whose alpha_j is zero in
@@ -127,15 +210,10 @@ def _exp_sum(points, phases, weights=None) -> list[complex]:
     when there are fewer than _CHUNK points, else one row at a time in
     column blocks of _CHUNK points, whose sums are then tree-summed.
     """
-    x = np.asarray(points, dtype=np.float64)
-    alpha = np.asarray(phases, dtype=np.float64)
-    alpha = alpha.reshape(len(alpha), -1) if alpha.size else alpha.reshape(len(alpha), 0)
     n = len(x)
-    if n == 0:
-        return [0j] * len(alpha)
     width = min(_CHUNK, _pow2_at_least(n))
     rows = _CHUNK // width
-    degrees = [j for j, column in enumerate(zip(*phases), start=1) if any(column)]
+    degrees = [j for j, column in enumerate(zip(*alpha.tolist()), start=1) if any(column)]
     sums = np.empty((len(alpha), -(-n // width)), dtype=np.complex128)
     for c, c0 in enumerate(range(0, n, width)):
         xc = x[c0 : c0 + width]
@@ -148,7 +226,7 @@ def _exp_sum(points, phases, weights=None) -> list[complex]:
             if weights is not None:
                 terms *= weights[c0 : c0 + width]
             sums[r0 : r0 + rows, c] = _tree_sums(terms, width)
-    return _tree_sums(sums, _pow2_at_least(sums.shape[1])).tolist()
+    return _tree_sums(sums, _pow2_at_least(sums.shape[1]))
 
 
 def eval_g(n: int, alpha: Sequence[float]) -> complex:
@@ -168,8 +246,8 @@ def eval_E_batch(window: SetWindow, phases: Sequence[Sequence[float]]) -> list[c
     at each row of the P x k block ``phases``: one weighted phase sum over
     1..N, with the balanced function's weights (|A| - N 1_A(x)) / N.  Each
     value is bit-identical to a single-point evaluation; the phase sums run
-    in blocks of at most 4096 terms (see ``_exp_sum``), so memory does not
-    grow with P."""
+    in blocks of a fixed number of terms (see ``_exp_sum``), so memory does
+    not grow with P."""
     n = window.length
     weights = np.asarray(balanced_function(window), dtype=np.float64) / n
     return _exp_sum(np.arange(1, n + 1), [reduce_phase(alpha) for alpha in phases], weights)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,10 +98,15 @@ class TestEvalFAndE:
 
 
 def _literal_exp_sum(points, alpha, weights=None):
-    """One phase point, written out: the whole row's phase, its terms from the
-    term kernel, and one pairwise tree over all of them (adjacent pairs, a
-    zero appended to odd levels)."""
-    x = np.asarray(points, dtype=np.float64)
+    """One phase point, written out.  A linear row on integer points (every
+    component past alpha_1 zero) is ``_literal_linear_sum``; any other row
+    forms the whole row's phase, its terms from the term kernel, and one
+    pairwise tree over all of them (adjacent pairs, a zero appended to odd
+    levels)."""
+    x = np.asarray(points)
+    if x.size and x.dtype.kind in "iu" and not any(alpha[1:]):
+        return _literal_linear_sum(x, alpha[0] if alpha else 0.0, weights)
+    x = x.astype(np.float64)
     phase = np.zeros(len(x), dtype=np.float64)
     for j, aj in enumerate(alpha, start=1):
         if aj != 0.0:
@@ -109,6 +115,21 @@ def _literal_exp_sum(points, alpha, weights=None):
     if weights is not None:
         a = weights * a
     return _literal_tree(a)
+
+
+def _literal_linear_sum(x, a1, weights=None):
+    """sum w(x) e(a1 x) over integer points, written out: x = 64 a + b, the
+    weights (or ones) at row a, column b of a zero grid, U[a] = e(64 a1 a)
+    and V[b] = e(a1 b) from the term kernel, one tree over b per grid row,
+    each sum times U[a], and one tree over a."""
+    top = int(x.max()) // 64 + 1
+    grid = np.zeros((top, 64))
+    for i, xi in enumerate(x.tolist()):
+        grid[xi // 64, xi % 64] = 1.0 if weights is None else weights[i]
+    u = expsums._e_terms(a1 * (64.0 * np.arange(top)))
+    v = expsums._e_terms(a1 * np.arange(64.0))
+    rows = np.array([_literal_tree(grid[a] * v) for a in range(top)])
+    return _literal_tree(rows * u)
 
 
 def _literal_tree(a):
@@ -212,8 +233,12 @@ class TestBatchedSums:
     def test_batch_equals_literal_per_phase(self):
         rnd = random.Random(53)
         cases = [
-            (random_density_window(1000, 0.4, seed=1), 1, 23),  # 4 rows a block
-            (random_density_window(9000, 0.5, seed=2), 1, 3),  # 3 column blocks
+            (random_density_window(1000, 0.4, seed=1), 1, 23),  # linear rows
+            (random_density_window(9000, 0.5, seed=2), 1, 3),  # linear rows
+            (random_density_window(1000, 0.4, seed=1), 2, 23),  # 4 rows a block
+            (random_density_window(9000, 0.5, seed=2), 2, 3),  # 3 column blocks
+            (random_density_window(4096, 0.5, seed=5), 1, 23),  # 3 linear rows a block
+            (random_density_window(40000, 0.5, seed=6), 1, 2),  # 3 grid blocks a row, one partial
             (random_density_window(700, 0.3, seed=3), 3, 17),
             (SetWindow.empty(300), 2, 5),
             (SetWindow.full(300), 2, 5),
@@ -279,6 +304,115 @@ class TestBatchedSums:
             assert rep.chain_holds == all(e**p <= chain_rhs * slack + 1e-12 for e in e_abs)
             assert rep.supnorm_holds == all(e <= bound * slack + 1e-12 for e in e_abs)
             assert rep.max_ratio.hex() == max(e / bound for e in e_abs).hex()
+
+
+def _exact_linear_sum(points, alpha, weights=None):
+    """sum w(x) e(alpha x) with every phase reduced exactly: alpha = m/d as
+    a Fraction, m x mod d in integers, then one correctly rounded division,
+    cos and sin, and math.fsum.  Its own error is a few 2^-53 per term."""
+    frac = Fraction(alpha)
+    m, d = frac.numerator, frac.denominator
+    re, im = [], []
+    for i, x in enumerate(points):
+        t = TWO_PI * (m * x % d / d)
+        w = 1.0 if weights is None else float(weights[i])
+        re.append(w * math.cos(t))
+        im.append(w * math.sin(t))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _linear_bound(points, alpha, weights=None):
+    """The error that ``_linear_sums`` states, plus the oracle's: per term
+    12 * 2^-53 |w| for the two kernel terms and the two products, an angle
+    rounding of 3 * 2^-53 |2 pi alpha x| (phase, 2 pi and t) summed over the
+    two angles, and 2 * 2^-53 |w| per level of the two trees, plus 8 * 2^-53
+    |w| for the oracle."""
+    x = np.asarray(points, dtype=np.float64)
+    w = np.ones(len(x)) if weights is None else np.abs(np.asarray(weights))
+    levels = 6 + (int(x.max()) // 64).bit_length()
+    per_term = 12 + 2 * levels + 8 + 3 * TWO_PI * abs(alpha) * x
+    return 2.0**-53 * float((w * per_term).sum())
+
+
+class TestLinearRows:
+    """Degree-1 rows on integer points: x = 64 a + b, e(alpha x) = U[a] V[b]."""
+
+    SIZES = (1, 63, 64, 65, 4096, 4097, 10**5)
+
+    def test_within_stated_bound_of_exact_phases(self):
+        rnd = random.Random(31)
+        for n in self.SIZES:
+            if n == 10**5:  # a seeded 1% subsample of 1..N as the window
+                w = SetWindow.from_elements(n, rnd.sample(range(1, n + 1), 1000))
+            else:
+                w = random_density_window(n, 0.5, seed=n)
+            xs = range(1, n + 1)
+            weights = [(w.cardinality - n * (w.mask >> (x - 1) & 1)) / n for x in xs]
+            phases = [(rnd.random(),), (rnd.uniform(-3.0, 3.0),), (0.5,), (1.0 / 3.0,)]
+            for alpha in phases[: 2 if n == 10**5 else 4]:
+                a = reduce_phase(alpha)[0]
+                elems = w.elements()
+                for got, want, bound in (
+                    (eval_g(n, alpha), _exact_linear_sum(xs, a), _linear_bound(xs, a)),
+                    (eval_f(w, alpha), _exact_linear_sum(elems, a),
+                     _linear_bound(elems, a) if elems else 0.0),
+                    (eval_E(w, alpha), _exact_linear_sum(xs, a, weights),
+                     _linear_bound(xs, a, weights)),
+                ):
+                    assert abs(got - want) <= bound, (n, alpha, abs(got - want), bound)
+
+    def test_row_has_the_same_bits_in_a_mixed_block(self):
+        rnd = random.Random(37)
+        w = random_density_window(5000, 0.5, seed=9)
+        for _ in range(5):
+            a, b, c = rnd.random(), rnd.random(), rnd.uniform(-2.0, 2.0)
+            block = [(b, c, 0.0), (a, 0.0, 0.0), (0.0, 0.0, c), (a, b, c), (c, 0.0, 0.0)]
+            got = eval_E_batch(w, block)
+            assert _hex(got[1]) == _hex(eval_E(w, (a, 0.0, 0.0))) == _hex(eval_E(w, (a,)))
+            assert _hex(got[4]) == _hex(eval_E(w, (c,)))
+            assert [_hex(z) for z in got] == [_hex(_literal_E(w, p)) for p in block]
+
+    def test_blocking_leaves_bits_unchanged(self, monkeypatch):
+        w = random_density_window(40000, 0.5, seed=11)
+        phases = [(random.Random(41).random(),) for _ in range(3)]
+        want = [_hex(z) for z in eval_E_batch(w, phases)]
+        for block in (64, 64 * 7, 64 * 1000):  # one grid row, 7 rows, a whole row
+            monkeypatch.setattr(expsums, "_LINEAR_BLOCK", block)
+            assert [_hex(z) for z in eval_E_batch(w, phases)] == want
+
+    def test_memory_does_not_grow_with_rows(self):
+        # 3,000 rows at N = 4,096: one block of grid cells at a time, and
+        # besides it only the grid and one complex result per row
+        x = np.arange(1, 4097)
+        alpha = np.random.default_rng(43).random(3000)
+        tracemalloc.start()
+        try:
+            expsums._linear_sums(x, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * expsums._LINEAR_BLOCK + 8 * 65 * 64 + 16 * len(alpha)
+
+    def test_sparse_window_follows_the_linear_rule(self, monkeypatch):
+        w = SetWindow.from_elements(20000, [3, 64, 700, 7001, 19999])
+        calls, real = [], expsums._linear_sums
+        monkeypatch.setattr(expsums, "_linear_sums",
+                            lambda *args: calls.append(args[0].tolist()) or real(*args))
+        for alpha in ((0.1234,), (0.75, 0.0)):
+            got = eval_f(w, alpha)
+            assert _hex(got) == _hex(_literal_linear_sum(np.array(w.elements()), alpha[0]))
+        assert calls == [list(w.elements())] * 2
+
+    def test_quadrature_sums_on_float_nodes(self, monkeypatch):
+        # oscillatory_w at k = 1 keeps the direct phase sum on its float nodes
+        seen = []
+        real = expsums._power_sums
+        monkeypatch.setattr(expsums, "_linear_sums", None)  # any call would raise
+        monkeypatch.setattr(expsums, "_power_sums",
+                            lambda x, *rest: seen.append(x.dtype) or real(x, *rest))
+        got = oscillatory_w(50, (0.37,))
+        assert abs(got - closed_form_w_linear(50, 0.37)) <= 1e-10 * 50
+        assert seen and set(seen) == {np.dtype(np.float64)}
 
 
 class TestCompleteSum:
