@@ -13,11 +13,18 @@ degree-1 row on integer points, such as the Weyl chain's, writes x = 64 a + b
 and multiplies two short tables of kernel terms, e(64 alpha a) and
 e(alpha b), about N/64 + 64 of them in place of N; each product is within
 about 12 * 2^-53 of its term at angles rounded by |2 pi 64 alpha a| 2^-53 and
-|2 pi alpha b| 2^-53, the order of one direct phase's rounding.  All
-complex sums use pairwise (tree) summation with fixed bracketing, so repeated
-runs, and batched or single evaluation, produce bit-identical values.  The
-complete sums S(q, b) come from one table, ``complete_sums``, over exact
-residues mod q; only their q-th roots of unity involve floating point.
+|2 pi alpha b| 2^-53, the order of one direct phase's rounding.  Every
+complex sum is numpy's pairwise ``sum`` along a C-contiguous last axis: runs
+of at most 64 terms (128 float parts) in four running sums, and longer rows
+halved at a multiple of four terms: each term of a row of n terms passes
+through fewer than 14 + log2 n additions, so the row is within about
+(14 + log2 n) 2^-53 sum |t| of its exact sum.  Numpy sums any other axis
+sequentially, so no sum runs there; nor does a BLAS product, whose order may
+depend on the batch.  A row's bits are fixed for one numpy install and for every batch shape, so
+repeated runs, and batched or single evaluation, agree bit for bit; another
+numpy may differ in the last bits.  The complete sums S(q, b) come from one
+table, ``complete_sums``, over exact residues mod q; only their q-th roots
+of unity involve floating point.
 """
 
 from __future__ import annotations
@@ -48,40 +55,12 @@ def reduce_phase(alpha: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(a) - math.floor(float(a)) for a in alpha)
 
 
-def _tree_sums(a: np.ndarray, width: int) -> np.ndarray:
-    """Row sums of a 2-D complex array by fixed pairwise bracketing: adjacent
-    pairs at every level, an exact zero appended to a level of odd length.
-
-    Each row is first padded with exact zeros to ``width``, a power of two at
-    least as long: that yields the same brackets and bits, and rows of even
-    width stay aligned in one flat array, so each level is one slice sum.
-    """
-    if width > a.shape[1]:
-        pad = np.zeros((len(a), width - a.shape[1]), dtype=np.complex128)
-        a = np.concatenate([a, pad], axis=1)
-    a = a.ravel()
-    while width > 1:
-        a = a[0::2] + a[1::2]
-        width //= 2
-    return a
-
-
-def _pow2_at_least(m: int) -> int:
-    return 1 << (m - 1).bit_length()
-
-
-def pairwise_sum(terms: np.ndarray) -> complex:
-    """Tree summation with fixed bracketing (padding with exact zeros)."""
-    a = np.asarray(terms, dtype=np.complex128)
-    return complex(_tree_sums(a[None, :], _pow2_at_least(a.size))[0])
-
-
-# Terms per block of the phase sum.  A power of two, so the tree of a whole
-# row is the tree of its aligned blocks' sums: blocking leaves every bracket
-# and every bit unchanged.
+# Terms per block of the phase sum and of the complete sums.  The blocks
+# bound memory; a row's column blocks are fixed by its length alone, so the
+# number of rows in a block leaves its bits unchanged.
 _CHUNK = 4096
 # Cells per block of the linear rows' sums, 64 to a row of the grid.  Any
-# blocking gives the same bits there: the tree over a runs on whole rows.
+# blocking gives the same bits there: the sum over a runs on whole rows.
 _LINEAR_BLOCK = 1 << 14
 _ARC_ROWS = 1 << 16  # values of q per block of the arc scan
 
@@ -131,8 +110,8 @@ def _exp_sum(points, phases, weights=None) -> list[complex]:
     two short tables of terms, e(64 alpha a) and e(alpha b) for x = 64 a + b:
     each term within about 12 * 2^-53 |w(x)| of its value at angles rounded
     by about |2 pi 64 alpha a| 2^-53 and |2 pi alpha b| 2^-53.  Every other
-    row, and every row on float points, is summed by ``_power_sums``:
-    pairwise_sum of its terms e(phase), with the phase formed in floats and
+    row, and every row on float points, is summed by ``_power_sums``: the
+    pairwise sum of its terms e(phase), with the phase formed in floats and
     rounded by about |t| 2^-53.
     """
     x = np.asarray(points)
@@ -161,10 +140,10 @@ def _linear_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
     e(64 alpha a) and V[b] = e(alpha b): one ``_e_terms`` call gives both
     tables, top = max x // 64 + 1 entries of U and 64 of V, in place of one
     term per point.  The weights (ones when none are given) are scattered
-    into a zero-padded top x 64 grid; row a of the grid times V is
-    tree-summed over b and multiplied by U[a], and the products are
-    tree-summed over a.  Both trees are ``_tree_sums`` with fixed brackets,
-    so a row has the same bits in any block.  The grid spans 0..max x, so a
+    into a zero-padded top x 64 grid; row a of the grid times V is summed
+    over b and multiplied by U[a], and the products, held in one row of top
+    entries, are summed over a.  Both are numpy sums along the last axis, so
+    a row has the same bits in any block.  The grid spans 0..max x, so a
     sparse set costs its span, not its size.
 
     U and V are within 4 * 2^-53 of e^(it) at their own angles t =
@@ -172,7 +151,8 @@ def _linear_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
     |2 pi 64 alpha a| 2^-53 and |2 pi alpha b| 2^-53, together are of the
     order |2 pi alpha x| 2^-53 of one direct phase.  With the products by
     the weight and by U[a], each term is within about 12 * 2^-53 |w(x)| of
-    w(x) e(alpha x) at those angles, before the trees' own rounding.  Work
+    w(x) e(alpha x) at those angles, before the sums' own rounding: 17
+    additions per term over b, and fewer than 14 + log2(top) over a.  Work
     runs in blocks of at most ``_LINEAR_BLOCK`` grid cells, counted over the
     block's rows, and each block of rows is summed before the next, so
     memory does not grow with the number of rows.
@@ -188,30 +168,32 @@ def _linear_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
     for r0 in range(0, len(alpha), rows):
         uv = _e_terms(alpha[r0 : r0 + rows, None] * steps)
         u, v = uv[:, :top], uv[:, None, top:]
-        sums = np.zeros((len(u), _pow2_at_least(top)), dtype=np.complex128)
+        sums = np.empty((len(u), top), dtype=np.complex128)
         for a0 in range(0, top, span):
-            parts = _tree_sums((v * grid[a0 : a0 + span]).reshape(-1, 64), 64)
-            sums[:, a0 : min(a0 + span, top)] = parts.reshape(len(u), -1) * u[:, a0 : a0 + span]
-        out[r0 : r0 + rows] = _tree_sums(sums, sums.shape[1])
+            parts = (v * grid[a0 : a0 + span]).sum(axis=-1)
+            sums[:, a0 : a0 + span] = parts * u[:, a0 : a0 + span]
+        out[r0 : r0 + rows] = sums.sum(axis=-1)
     return out
 
 
 def _power_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
-    """pairwise_sum(weights * e(alpha_1 x + ... + alpha_k x^k)) over the
-    float points x for each row alpha of the P x k block ``alpha``.
+    """sum of weights * e(alpha_1 x + ... + alpha_k x^k) over the float
+    points x for each row alpha of the P x k block ``alpha``.
 
     Each row forms its phase with the same float operations as a single sum
-    and sums its terms along the same tree.  A degree whose alpha_j is zero in
+    and sums the same blocks of terms.  A degree whose alpha_j is zero in
     every row is skipped; in a row where only some are zero it adds exact
     zeros, which leaves the phase unchanged while x^j is finite.  The terms
     come from ``_e_terms``, within 4 * 2^-53 of e^(it) at t = fl(2 pi phase)
     for |t| < 2^52; the phase itself is rounded by about |t| 2^-53.
     Work runs in blocks of at most ``_CHUNK`` terms: several rows at once
     when there are fewer than _CHUNK points, else one row at a time in
-    column blocks of _CHUNK points, whose sums are then tree-summed.
+    column blocks of _CHUNK points.  Each block row is summed along the last
+    axis, and a row's block sums are then summed in one more row, so a term
+    passes through fewer than 27 + log2 N additions in all.
     """
     n = len(x)
-    width = min(_CHUNK, _pow2_at_least(n))
+    width = min(_CHUNK, n)
     rows = _CHUNK // width
     degrees = [j for j, column in enumerate(zip(*alpha.tolist()), start=1) if any(column)]
     sums = np.empty((len(alpha), -(-n // width)), dtype=np.complex128)
@@ -225,8 +207,8 @@ def _power_sums(x: np.ndarray, alpha: np.ndarray, weights=None) -> np.ndarray:
             terms = _e_terms(phase)
             if weights is not None:
                 terms *= weights[c0 : c0 + width]
-            sums[r0 : r0 + rows, c] = _tree_sums(terms, width)
-    return _tree_sums(sums, _pow2_at_least(sums.shape[1]))
+            sums[r0 : r0 + rows, c] = terms.sum(axis=-1)
+    return sums.sum(axis=-1)
 
 
 def eval_g(n: int, alpha: Sequence[float]) -> complex:
@@ -262,8 +244,9 @@ def eval_E(window: SetWindow, alpha: Sequence[float]) -> complex:
 def complete_sums(q: int, vecs) -> np.ndarray:
     """S(q, b) = sum_{m=1}^q e_q(b_1 m + ... + b_k m^k) at each row b of the
     n x k block ``vecs`` of residues in [0, q).  The terms' residues are exact
-    int64 values below k q^2, refused past that bound, and each row is
-    tree-summed as ``pairwise_sum`` sums, in row blocks of about _CHUNK terms."""
+    int64 values below k q^2, refused past that bound.  Each row of q roots
+    is summed along the last axis, within about (14 + log2 q) 2^-53 q, in
+    row blocks of about _CHUNK terms."""
     vecs = np.asarray(vecs, dtype=np.int64)
     k = vecs.shape[1]
     if not fits_int64(k * q * q):
@@ -271,11 +254,10 @@ def complete_sums(q: int, vecs) -> np.ndarray:
     powers = [[pow(m, j, q) for m in range(1, q + 1)] for j in range(1, k + 1)]
     powers = np.array(powers, dtype=np.int64).reshape(k, q)  # row j - 1: m^j mod q
     roots = np.array([cmath.exp(TWO_PI * 1j * r / q) for r in range(q)])
-    width = _pow2_at_least(q)
-    rows = max(1, _CHUNK // width)
+    rows = max(1, _CHUNK // q)
     out = np.empty(len(vecs), dtype=np.complex128)
     for r0 in range(0, len(vecs), rows):
-        out[r0 : r0 + rows] = _tree_sums(roots[vecs[r0 : r0 + rows] @ powers % q], width)
+        out[r0 : r0 + rows] = roots[vecs[r0 : r0 + rows] @ powers % q].sum(axis=-1)
     return out
 
 

@@ -53,7 +53,7 @@ from .errors import (
     NotCoprimeError,
     SingularJacobianError,
 )
-from .expsums import _CHUNK, _pow2_at_least, complete_sums, pairwise_sum
+from .expsums import _CHUNK, complete_sums
 from .system import DiagonalSystem, _det_bareiss, jacobian, jacobian_matrix, split_halves
 
 
@@ -243,18 +243,19 @@ def series_term_direct(
     k = system.degree
     s = system.arity
     budget.check_ops(q ** (k + 1) + q**k * s, "direct series term")
-    # per vector a: a, the table, the gcd mask, the product, lam * a mod q and
-    # its lookup index, the masked product and its tree; one table block
-    budget.check_bytes(
-        q**k * (24 * k + 105) + 56 * max(_CHUNK, _pow2_at_least(q)), "direct series term"
-    )
+    # per vector a, at the lookups' peak: a (8k), the table (16), the gcd mask
+    # (1), the product (16), lam * a and its residue mod q (16k) and one
+    # lookup (16), which outweigh the masked product at the end; and one
+    # block of the table, at most max(_CHUNK, q) residues, each held mod q
+    # beside its root (24)
+    budget.check_bytes(q**k * (24 * k + 49) + 24 * max(_CHUNK, q), "direct series term")
     vecs = np.indices((q,) * k).reshape(k, -1).T  # rows are (a_1, ..., a_k)
     table = complete_sums(q, vecs).reshape((q,) * k)
     mask = np.gcd(np.gcd.reduce(vecs, axis=1), q) == 1
     prod = np.ones(len(vecs), dtype=np.complex128)
     for lam in system.coefficients:
         prod *= table[tuple(lam % q * vecs.T % q)]
-    return pairwise_sum(prod[mask]) / float(q) ** s
+    return complex(prod[mask].sum()) / float(q) ** s
 
 
 class MultiplicativityReport(NamedTuple):

@@ -101,8 +101,7 @@ def _literal_exp_sum(points, alpha, weights=None):
     """One phase point, written out.  A linear row on integer points (every
     component past alpha_1 zero) is ``_literal_linear_sum``; any other row
     forms the whole row's phase, its terms from the term kernel, and one
-    pairwise tree over all of them (adjacent pairs, a zero appended to odd
-    levels)."""
+    np.sum over each block of _CHUNK terms, then one over the block sums."""
     x = np.asarray(points)
     if x.size and x.dtype.kind in "iu" and not any(alpha[1:]):
         return _literal_linear_sum(x, alpha[0] if alpha else 0.0, weights)
@@ -114,39 +113,28 @@ def _literal_exp_sum(points, alpha, weights=None):
     a = expsums._e_terms(phase)
     if weights is not None:
         a = weights * a
-    return _literal_tree(a)
+    width = expsums._CHUNK
+    return complex(np.array([a[c : c + width].sum() for c in range(0, len(a), width)]).sum())
 
 
 def _literal_linear_sum(x, a1, weights=None):
     """sum w(x) e(a1 x) over integer points, written out: x = 64 a + b, the
     weights (or ones) at row a, column b of a zero grid, U[a] = e(64 a1 a)
-    and V[b] = e(a1 b) from the term kernel, one tree over b per grid row,
-    each sum times U[a], and one tree over a."""
+    and V[b] = e(a1 b) from the term kernel, one np.sum over b per grid
+    row, each sum times U[a], and one np.sum over a."""
     top = int(x.max()) // 64 + 1
     grid = np.zeros((top, 64))
     for i, xi in enumerate(x.tolist()):
         grid[xi // 64, xi % 64] = 1.0 if weights is None else weights[i]
     u = expsums._e_terms(a1 * (64.0 * np.arange(top)))
     v = expsums._e_terms(a1 * np.arange(64.0))
-    rows = np.array([_literal_tree(grid[a] * v) for a in range(top)])
-    return _literal_tree(rows * u)
-
-
-def _literal_tree(a):
-    """One pairwise tree over all terms: adjacent pairs, a zero appended to
-    odd levels."""
-    if a.size == 0:
-        return 0j
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a, np.zeros(1, dtype=np.complex128)])
-        a = a[0::2] + a[1::2]
-    return complex(a[0])
+    rows = np.array([(grid[a] * v).sum() for a in range(top)])
+    return complex((rows * u).sum())
 
 
 def _literal_complete_sum(q, a, lam):
     """S(q, lam a) as a per-m loop: the exact residue of each term from
-    running powers of m mod q, one root of unity each, then one tree."""
+    running powers of m mod q, one root of unity each, then one np.sum."""
     b = [lam * aj % q for aj in a]
     roots = [cmath.exp(TWO_PI * 1j * r / q) for r in range(q)]
     terms = []
@@ -157,12 +145,12 @@ def _literal_complete_sum(q, a, lam):
             mp = mp * m % q
             r = (r + bj * mp) % q
         terms.append(roots[r])
-    return _literal_tree(np.array(terms, dtype=np.complex128))
+    return complex(np.array(terms, dtype=np.complex128).sum())
 
 
 def _literal_E(window, alpha):
     """E at one phase point as its definition: the weights
-    (|A| - N 1_A(x)) / N times the terms over 1..N, in one tree."""
+    (|A| - N 1_A(x)) / N times the terms over 1..N, summed as one row."""
     n = window.length
     weights = np.array(
         [window.cardinality - n * (window.mask >> (x - 1) & 1) for x in range(1, n + 1)],
@@ -263,12 +251,29 @@ class TestBatchedSums:
                 assert _hex(eval_E(w, alpha)) == _hex(_literal_E(w, alpha))
 
     def test_empty_rows_sum_to_exact_zero(self):
-        # the padded tree of an empty row is one exact zero, so pairwise_sum
-        # of an empty array is 0j with no branch of its own
-        for width in (1, 2, 8):
-            got = expsums._tree_sums(np.zeros((3, 0), dtype=np.complex128), width)
-            assert got.tolist() == [0j] * 3
-        assert expsums.pairwise_sum(np.array([])) == 0j
+        # a full window weights every term by exactly 0, on linear rows and
+        # on one or three column blocks; an empty window has no terms; and
+        # a block of no residue vectors has no sums
+        for n in (1, 300, 4096, 9000):
+            for k in (1, 2):
+                phases = self._phases(random.Random(n + k), 5, k)
+                assert eval_E_batch(SetWindow.full(n), phases) == [0j] * 5
+        assert eval_f(SetWindow.empty(300), (0.3, 0.1)) == 0j
+        for q in (1, 7):
+            assert complete_sums(q, np.zeros((0, 2), dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_shape_leaves_bits_unchanged(self, k):
+        # numpy's row sum must not depend on the block's shape: sizes on its
+        # runs of 4 and 64 complex terms and on _CHUNK, in blocks of P rows
+        rnd = random.Random(71 + k)
+        for n in (1, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097, 9000):
+            w = random_density_window(n, 0.5, seed=n)
+            phases = self._phases(rnd, 33, k)
+            single = [_hex(eval_E(w, a)) for a in phases]
+            for p in (1, 2, 3, 33):
+                got = [z for r0 in range(0, 33, p) for z in eval_E_batch(w, phases[r0 : r0 + p])]
+                assert [_hex(z) for z in got] == single, (n, p)
 
     def test_E_batch_is_one_weighted_pass(self, monkeypatch):
         # one phase sum over 1..N with the balanced weights, not g and f
@@ -325,12 +330,13 @@ def _linear_bound(points, alpha, weights=None):
     """The error that ``_linear_sums`` states, plus the oracle's: per term
     12 * 2^-53 |w| for the two kernel terms and the two products, an angle
     rounding of 3 * 2^-53 |2 pi alpha x| (phase, 2 pi and t) summed over the
-    two angles, and 2 * 2^-53 |w| per level of the two trees, plus 8 * 2^-53
-    |w| for the oracle."""
+    two angles, and 2 * 2^-53 |w| per addition of the two sums, 17 over b
+    and fewer than 14 + log2(top) over a, plus 8 * 2^-53 |w| for the
+    oracle."""
     x = np.asarray(points, dtype=np.float64)
     w = np.ones(len(x)) if weights is None else np.abs(np.asarray(weights))
-    levels = 6 + (int(x.max()) // 64).bit_length()
-    per_term = 12 + 2 * levels + 8 + 3 * TWO_PI * abs(alpha) * x
+    additions = 17 + 14 + (int(x.max()) // 64 + 1).bit_length()
+    per_term = 12 + 2 * additions + 8 + 3 * TWO_PI * abs(alpha) * x
     return 2.0**-53 * float((w * per_term).sum())
 
 
@@ -431,6 +437,15 @@ class TestCompleteSum:
                         got = complete_sum(q, [lam * bj % q for bj in b])
                         assert _hex(got) == want, (q, b, lam)
                         assert _hex(row) == want, (q, b, lam)
+
+    def test_block_shape_leaves_bits_unchanged(self):
+        # q on numpy's runs of 4 and 64 terms, and past _CHUNK, where each
+        # block of the table holds one row
+        rng = np.random.default_rng(73)
+        for q in (1, 7, 8, 9, 128, 129, 4097):
+            vecs = rng.integers(0, q, (40, 2))
+            want = [_hex(complete_sum(q, b)) for b in vecs.tolist()]
+            assert [_hex(z) for z in complete_sums(q, vecs)] == want, q
 
     def test_refuses_residues_past_int64(self):
         # k q^2 = 2^63 at k = 2: refused before the powers and roots are formed
