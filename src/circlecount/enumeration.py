@@ -19,23 +19,24 @@ degree by degree, so solutions come out in lexicographic order.  Power sums
 are symmetric, so the join asks it for one multiset per group of equal
 coefficients, prod_g C(|A|+m_g-1, m_g) entries per half, each weighted by its
 orderings.  A mixed-radix key of the degree-1..k sums is linear in them, so
-the builder forms it directly, each element adding its weighted powers, in
-one column per chunk of degrees whose keys fit int64: most often one, and
-always one on ``object`` keys.  The join sorts each key with its weight in
-the low bits once, sums the weights of equal keys and matches the halves
-with ``np.intersect1d``.  ``system.split_halves`` decides the
-halves, as for the congruence DP; when the system is L and -L up to order, as
-every Vinogradov system is, one half stands for both and the count is the sum
-of its squared key multiplicities; ``vinogradov_moment`` is this same join.
-Counts are exact integers everywhere: the shared helper ``budget.fits_int64``
-picks the dtype, int64 when every value a path forms fits and ``object``
-(Python big integers) otherwise, and both dtypes run the same numpy code,
-never wrapping around.
+the builder forms it directly as one column, each element adding its
+weighted powers.  The join sorts each key with its weight in the low bits
+once, sums the weights of equal keys and matches the halves with
+``np.intersect1d``.  ``system.split_halves`` decides the halves, as for the
+congruence DP; when the system is L and -L up to order, as every Vinogradov
+system is, one half stands for both and the count is the sum of its squared
+key multiplicities; ``vinogradov_moment`` is this same join.  Counts are
+exact integers everywhere: the shared helper ``budget.fits_int64`` picks the
+dtype once per path, int64 when every value the path forms fits and
+``object`` (Python big integers) otherwise, and both dtypes run the same
+numpy code, never wrapping around.  The join's key grows as max(A)^(k(k+1)/2),
+so from about two dozen elements at k = 4 it runs on ``object`` keys.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -74,11 +75,12 @@ class SolutionTally:
 def _power_sum_columns(
     elems: np.ndarray,
     groups: Sequence[tuple[int, int]],
-    chunks: Sequence[Sequence[tuple[int, int]]],
+    digits: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Columns of weighted power sums over one multiset per group (c, m) of m
     variables of coefficient c, in the dtype of ``elems``: column i holds
-    sum_j place_j * (degree-j sum) over the pairs (j, place_j) of chunks[i].
+    sum_j place_j * (degree-j sum) over the pairs (j, place_j) of digits[i],
+    one column per degree for the scan and one mixed-radix key for the join.
     The sum is linear, so each element adds c * sum_j place_j * x^j to it.
 
     A group's multisets are the sorted index tuples i_1 <= ... <= i_m, built
@@ -91,7 +93,7 @@ def _power_sum_columns(
     the ordered grid they are a view of one 1.
     """
     n = elems.size
-    polys = [sum(place * elems**j for j, place in chunk) for chunk in chunks]
+    polys = [sum(place * elems**j for j, place in column) for column in digits]
     group_cols, group_weights = [], []
     for c, m in groups:
         terms = [c * poly for poly in polys]
@@ -128,13 +130,14 @@ def _solutions(
     trivial iff sum_j lam_j [x_j = x_i] = 0 at every position i: the equality
     tensor of the block times lam, both in the grid's dtype.  A block holds at most
     |A|^(s-1) / (9 s^2) rows, so its tensor and the tensor's cast to that
-    dtype, 9 bytes per pair of positions, fit in one byte per grid cell.  Byte
-    estimate over A^(s-1): k + 1 columns (the k built and the partial one
-    being built, or the matches' indices and the blocks during the scan) and
-    two masks.
+    dtype, 9 bytes per pair of positions, fit in one byte per grid cell.  Ops
+    estimate: k comparisons per tuple of A^s and the s^2 tensor entries of
+    each solution, at most one per tuple of A^(s-1).  Byte estimate over
+    A^(s-1): k + 1 columns (the k built and the partial one being built, or
+    the matches' indices and the blocks during the scan) and two masks.
     """
     s, k = system.arity, system.degree
-    budget.check_ops(max(len(elems), 1) ** s * k, what)
+    budget.check_ops(len(elems) ** (s - 1) * (k * len(elems) + s * s), what)
     if not elems:
         return
     bound = sum(abs(c) for c in system.coefficients) * elems[-1] ** k
@@ -175,60 +178,6 @@ def _orderings(n: int, m: int) -> int:
     return math.factorial(m) // (math.factorial(q + 1) ** r * math.factorial(q) ** (n - r))
 
 
-def _digit_chunks(
-    radices: Sequence[int], entries: int, bits: int, int64: bool
-) -> list[tuple[list[tuple[int, int]], int, int]]:
-    """The degrees k down to 1 in chunks, most significant first, each packed
-    into one mixed-radix digit with its lowest degree least significant: per
-    chunk, its pairs (degree, place), its radix (the product of its degrees'
-    radices) and its shift (the sum of place * (radix // 2)).
-
-    ``object`` keys are one chunk.  An int64 chunk grows while its keys times
-    2^bits stay below 2^62: keys lie below the first chunk's radix, and below
-    ``entries`` times a later chunk's radix once renumbered before it.
-    """
-    runs, span = [[]], 1
-    for j in range(len(radices), 0, -1):
-        if runs[-1] and int64 and not fits_int64(span * radices[j - 1] << bits):
-            runs.append([])
-            span = entries
-        runs[-1].append(j)
-        span *= radices[j - 1]
-    chunks = []
-    for run in runs:
-        pairs, place, shift = [], 1, 0
-        for j in reversed(run):
-            pairs.append((j, place))
-            shift += place * (radices[j - 1] // 2)
-            place *= radices[j - 1]
-        chunks.append((pairs, place, shift))
-    return chunks
-
-
-def _packed_keys(
-    cols: Sequence[list[np.ndarray]], radices: Sequence[int], shifts: Sequence[int]
-) -> list[np.ndarray]:
-    """One key per entry of each half's chunk columns, in their dtype, popping
-    the columns as they are packed; keys are equal iff the power sums are.
-
-    A chunk column plus its shift is a mixed-radix digit in [0, radix), most
-    significant first.  Before each digit after the first, the keys so far
-    are renumbered densely across the halves, so keys stay below (number of
-    keys) * radix; ``_digit_chunks`` plans the chunks so that this fits int64.
-    """
-    keys = [half_cols.pop(0) for half_cols in cols]
-    for key in keys:
-        key += shifts[0]
-    for radix, shift in zip(radices[1:], shifts[1:]):
-        distinct = np.unique(np.concatenate(keys))
-        keys = [np.searchsorted(distinct, key) for key in keys]
-        for key, half_cols in zip(keys, cols):
-            key *= radix
-            key += half_cols.pop(0)
-            key += shift
-    return keys
-
-
 def _weighted_counts(
     keys: np.ndarray, weights: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,35 +206,39 @@ def _join_count(
 
     A key's multiplicity is the summed orderings of its multisets, and the
     count is sum_v left(v) * right(v) over the keys v of both halves, or
-    sum_v left(v)^2 over one half.  Each half builds its keys directly, one
-    column per chunk of ``_digit_chunks``, and counts them with one sort of
-    key * 2^bits + weight, 2^bits the power of two above the most orderings
-    of an entry.  The dtype decision takes the key bound times 2^bits and the
-    summed weights of a key, at most |A|^h (h the half's length); weights
-    times the next length, while they grow, stay below the first.  The count,
-    at most |A|^s, is one ``np.dot`` of the matched multiplicities, cast to
-    int64 while |A|^s fits and to ``object`` beyond.  Byte estimate ``what``
-    per entry built: the chunk columns and the weight, and five arrays of the
-    count: the packed keys, the keys shifted back out, and the starts (8
-    bytes), keys and summed weights of the distinct keys, sized by
-    ``entry_bytes``.
+    sum_v left(v)^2 over one half.  Each half builds one key column directly:
+    its degree-1..k sums as mixed-radix digits, degree 1 least significant,
+    each shifted into [0, radix), so the keys lie in [0, prod radix).  It
+    counts them with one sort of key * 2^bits + weight, 2^bits the power of
+    two above the most orderings of an entry.  The one dtype decision takes
+    that sort's bound, prod radix * 2^bits, and the summed weights of a key,
+    at most |A|^h (h the half's length); weights times the next length, while
+    they grow, stay below the latter.  Past int64 the whole join runs on
+    ``object`` keys.  The count, at most |A|^s, is one ``np.dot`` of the
+    matched multiplicities, cast to int64 while |A|^s fits and to ``object``
+    beyond.  Byte estimate ``what`` per entry built: the key column and the
+    weight, and five arrays of the count: the packed keys, the keys shifted
+    back out, and the starts (8 bytes), keys and summed weights of the
+    distinct keys, sized by ``entry_bytes``.
     """
     n = len(elems)
     lengths = [sum(m for _, m in half) for half in halves]
     spread = max(sum(abs(c) * m for c, m in half) for half in halves)
     radices = [2 * spread * elems[-1] ** j + 1 for j in range(1, degree + 1)]
-    entries = sum(_multisets(n, half) for half in halves)
+    places = list(itertools.accumulate(radices, operator.mul, initial=1))
     bits = max(math.prod(_orderings(n, m) for _, m in half) for half in halves).bit_length()
-    packed = min(math.prod(radices), entries * radices[-1]) << bits  # sorted keys' bound
-    int64 = fits_int64(max(packed, n ** max(lengths)))
-    dtype = np.dtype(np.int64 if int64 else object)
-    chunks, products, shifts = zip(*_digit_chunks(radices, entries, bits, int64))
-    per_entry = (len(chunks) * entry_bytes(dtype, max(products))
-                 + entry_bytes(dtype, 1 << bits) + 4 * entry_bytes(dtype, packed) + 8)
+    packed = places[-1] << bits  # sorted keys' bound
+    dtype = np.dtype(np.int64 if fits_int64(max(packed, n ** max(lengths))) else object)
+    entries = sum(_multisets(n, half) for half in halves)
+    per_entry = (entry_bytes(dtype, places[-1]) + entry_bytes(dtype, 1 << bits)
+                 + 4 * entry_bytes(dtype, packed) + 8)
     budget.check_bytes(entries * per_entry, what)
     arr = np.asarray(elems, dtype=dtype)
-    built = [_power_sum_columns(arr, half, chunks) for half in halves]
-    keys = _packed_keys([cols for cols, _ in built], products, shifts)
+    digits = [list(enumerate(places[:-1], 1))]  # (degree, place) for one column
+    built = [_power_sum_columns(arr, half, digits) for half in halves]
+    keys = [cols.pop() for cols, _ in built]
+    for i in range(len(keys)):  # the sum of place * (radix // 2), radices odd
+        keys[i] += places[-1] // 2
     # pop, so that each key and weight array is freed as soon as it is counted
     counts = [_weighted_counts(keys.pop(0), built.pop(0)[1], bits) for _ in halves]
     (lkeys, lmult), (rkeys, rmult) = counts[0], counts[-1]

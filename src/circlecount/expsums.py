@@ -51,8 +51,9 @@ _A, _B, _C, _TO_2_24 = map(np.array, (
 
 
 def reduce_phase(alpha: Sequence[float]) -> tuple[float, ...]:
-    """Reduce each component mod 1 into [0, 1)."""
-    return tuple(float(a) - math.floor(float(a)) for a in alpha)
+    """Reduce each component mod 1 into [0, 1).  A remainder that rounds up
+    to 1, as that of a tiny negative a does, is 0, the same phase mod 1."""
+    return tuple(r if (r := float(a) - math.floor(float(a))) < 1 else 0.0 for a in alpha)
 
 
 # Terms per block of the phase sum and of the complete sums.  The blocks

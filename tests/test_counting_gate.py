@@ -22,7 +22,7 @@ the tuple grid) on seeded draws from the conftest generators:
   ``enumeration.fits_int64``, the one dtype decision of both engines.
 
 One more system, at k = 4 over a window up to 60, packs radices far past
-int64, so that its int64 keys are renumbered between digits.
+int64, so that its join runs on ``object`` keys whatever the draws' dtype.
 """
 
 from __future__ import annotations
@@ -138,27 +138,27 @@ def test_naive_equals_mitm_equals_brute_force(int64, cases, monkeypatch):
         return int64
 
     keys_built = []
-    real_keys = enumeration._packed_keys
+    real_counts = enumeration._weighted_counts
 
-    def spy(cols, radices, shifts):
-        keys = real_keys(cols, radices, shifts)
-        keys_built.append([key.size for key in keys])
-        return keys
+    def spy(keys, weights, bits):
+        keys_built.append(keys.size)
+        return real_counts(keys, weights, bits)
 
     monkeypatch.setattr(enumeration, "fits_int64", decide)
-    monkeypatch.setattr(enumeration, "_packed_keys", spy)
+    monkeypatch.setattr(enumeration, "_weighted_counts", spy)
     for system, window, expected in cases:
         for method in ("naive", "mitm"):
             tally = count_solutions(system, window, method)
             assert (tally.total, tally.trivial) == expected, (system, window, method)
         n = window.cardinality
-        assert keys_built.pop() == [multisets(h, n) for h in join_halves(system)], system
+        assert keys_built == [multisets(h, n) for h in join_halves(system)], system
+        del keys_built[:]
 
 
 def test_renumbered_multiset_keys(monkeypatch):
     # k = 4 radices over a window up to 60 pass int64 long before the last
-    # digit: the int64 keys of the weighted left half (1, 1, -2) and of the
-    # right half (-3, 3) are renumbered, and object keys never are
+    # digit, though the window has few keys: the weighted left half
+    # (1, 1, -2) and the right half (-3, 3) are one object key column each
     system = validate_system(4, (1, 1, -2, 3, -3))
     window = SetWindow.from_elements(60, (1, 2, 7, 20, 33, 60))
     expected = brute_force_tally(system, window)
@@ -173,8 +173,8 @@ def test_renumbered_multiset_keys(monkeypatch):
         monkeypatch.setattr(enumeration, "fits_int64", decide)
         tally = count_solutions(system, window, "mitm")
         assert (tally.total, tally.trivial) == expected, int64
-        # int64 keys whose radices pass int64: renumbered at least once
-        assert not int64 or (decisions[0] and not all(decisions))
+        # the join's one key decision is object, forced to int64 or not
+        assert not decisions[0]
 
 
 def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
@@ -183,18 +183,13 @@ def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
     # with the same multiplicities; (1, -1, 1, -1, 1, -1) at n = 60 packs the
     # C(62, 3) = 37,820 multisets of quad6
     packed, counted = [], []
-    real_keys, real_counts = enumeration._packed_keys, enumeration._weighted_counts
-
-    def keys_spy(cols, radices, shifts):
-        keys = real_keys(cols, radices, shifts)
-        packed.append([key.size for key in keys])
-        return keys
+    real_counts = enumeration._weighted_counts
 
     def counts_spy(keys, weights, bits):
+        packed.append(keys.size)
         counted.append([a.tolist() for a in real_counts(keys, weights, bits)])
         return real_counts(keys, weights, bits)
 
-    monkeypatch.setattr(enumeration, "_packed_keys", keys_spy)
     monkeypatch.setattr(enumeration, "_weighted_counts", counts_spy)
     rnd = random.Random(20261020)
     n = 60
@@ -205,7 +200,7 @@ def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
         k, coeffs = system.degree, list(system.coefficients)
         expected = count_solutions(validate_system(k, sorted(coeffs)), SetWindow.full(n))
         positives = [c for c in coeffs if c > 0]
-        assert packed == [[multisets(positives, n)]]
+        assert packed == [multisets(positives, n)]
         [(keys, mults)] = counted
         assert sum(mults) == n ** len(positives)  # every ordered tuple once
         for _ in range(4):
@@ -213,7 +208,7 @@ def test_shuffled_mirrored_systems_count_their_sorted_form_keys(monkeypatch):
             del packed[:], counted[:]
             tally = count_solutions(validate_system(k, coeffs), SetWindow.full(n))
             assert tally == expected, coeffs
-            assert packed == [[multisets(positives, n)]], coeffs
+            assert packed == [multisets(positives, n)], coeffs
             assert counted == [[keys, mults]], coeffs
         del packed[:], counted[:]
     assert multisets((1, 1, 1), n) == 37_820

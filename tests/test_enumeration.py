@@ -257,6 +257,30 @@ def test_matches_of_one_leading_value_span_several_blocks():
     assert (len(rows), sum(is_trivial(sys, row) for row in rows)) == brute_force_tally(sys, w)
 
 
+@pytest.mark.parametrize("k, coeffs, n", [
+    (1, (1,) * 7 + (-1,) * 7, 3),
+    (2, (1, 1, 1, -1, -1, -1), 9),
+    (3, (1,) * 4 + (-1,) * 4, 5),
+    (1, (2, 1, -1, -1, -1), 12),
+], ids=["lin14", "quad6", "cubic8", "lin5"])
+def test_scan_ops_estimate_covers_the_entries_formed(k, coeffs, n):
+    # the scan compares at most k sums per tuple of A^s and forms s^2 tensor
+    # entries per solution; at (1^7, (-1)^7) over [1, 3] the solutions alone
+    # form 196 * 616,227 = 120,780,492 entries, 25 times the k |A|^s =
+    # 4,782,969 comparisons
+    sys = validate_system(k, coeffs)
+    w, s = SetWindow.full(n), sys.arity
+    estimate = n ** (s - 1) * (k * n + s * s)
+    with pytest.raises(BudgetExceededError, match=f"naive count: estimated {estimate} "):
+        count_solutions(sys, w, "naive", Budget(max_ops=estimate - 1))
+    blocks = enumeration._solutions(sys, w.elements(), Budget(max_ops=estimate), "naive count")
+    solutions = sum(len(block) for block, _ in blocks)
+    assert solutions == count_solutions(sys, w, "mitm").total
+    assert estimate >= k * n**s + s * s * solutions
+    if k == 1 and s == 14:
+        assert s * s * solutions == 120_780_492 > k * n**s == 4_782_969
+
+
 class TestVinogradovMoment:
     def test_degree_one_forces_equality(self):
         for k in range(1, 5):
@@ -335,13 +359,13 @@ class TestEngineChoice:
 
     def test_trivial_count_refuses_before_the_join(self, monkeypatch):
         packed = []
-        real = enumeration._packed_keys
+        real = enumeration._weighted_counts
 
-        def spy(cols, radices, shifts):
-            packed.append(len(cols))
-            return real(cols, radices, shifts)
+        def spy(keys, weights, bits):
+            packed.append(keys.size)
+            return real(keys, weights, bits)
 
-        monkeypatch.setattr(enumeration, "_packed_keys", spy)
+        monkeypatch.setattr(enumeration, "_weighted_counts", spy)
         sys = validate_system(1, tuple(range(1, 11)) + tuple(range(-10, 0)))
         w = SetWindow.from_elements(2, (1, 2))
         # the join's 2^10 ops pass, the DP's 3^20 pairs do not
@@ -359,16 +383,15 @@ def _expected_half_keys(coeffs, n):
 
 @pytest.fixture
 def half_keys(monkeypatch):
-    """Record the number of keys the join packs for each half."""
+    """Record the number of keys the join counts for each half, in order."""
     sizes = []
-    real = enumeration._packed_keys
+    real = enumeration._weighted_counts
 
-    def spy(cols, radices, shifts):
-        keys = real(cols, radices, shifts)
-        sizes.append([key.size for key in keys])
-        return keys
+    def spy(keys, weights, bits):
+        sizes.append(keys.size)
+        return real(keys, weights, bits)
 
-    monkeypatch.setattr(enumeration, "_packed_keys", spy)
+    monkeypatch.setattr(enumeration, "_weighted_counts", spy)
     return sizes
 
 
@@ -378,8 +401,8 @@ def built_columns(monkeypatch):
     counts = []
     real = enumeration._power_sum_columns
 
-    def spy(elems, groups, chunks):
-        cols, weights = real(elems, groups, chunks)
+    def spy(elems, groups, digits):
+        cols, weights = real(elems, groups, digits)
         counts.append(len(cols))
         return cols, weights
 
@@ -407,15 +430,15 @@ class TestMultisetJoin:
         assert keys == [_expected_half_keys(h, n) for h in halves]
         got = count_solutions(validate_system(k, coeffs), SetWindow.full(n), "mitm")
         assert (got.total, got.trivial) == tally
-        assert half_keys == [keys]
+        assert half_keys == keys
         # fewer than the n^half ordered tuples per half: 5.7, 19.8 and 1.9 times
         assert all(n**half > size for size in keys)
 
     def test_one_packed_column_per_half(self, built_columns):
         # work gate: quad6 at n = 100 and cubic8 at n = 30 pack every degree
-        # into one int64 chunk, so the builder hands over the packed keys
-        # themselves and nothing is folded or renumbered; a fall back to one
-        # column per degree fails here whatever the host speed
+        # into one int64 key, so the builder hands over the packed keys
+        # themselves and nothing is folded; a fall back to one column per
+        # degree fails here whatever the host speed
         quad6 = count_solutions(validate_system(2, (1, 1, 1, -1, -1, -1)),
                                 SetWindow.full(100), "mitm")
         assert quad6.total == vinogradov_moment(100, 2, 3) == 10_022_752
@@ -426,7 +449,7 @@ class TestMultisetJoin:
 
     def test_moment_keys(self, half_keys):
         assert vinogradov_moment(100, 2, 3) == 10_022_752
-        assert half_keys == [[math.comb(102, 3)]] == [[171_700]]
+        assert half_keys == [math.comb(102, 3)] == [171_700]
 
     def test_naive_scan_builds_the_ordered_grid(self, monkeypatch):
         # the oracle engine never groups: one group of one per trailing
@@ -434,8 +457,8 @@ class TestMultisetJoin:
         grids = []
         real = enumeration._power_sum_columns
 
-        def spy(elems, groups, chunks):
-            cols, weights = real(elems, groups, chunks)
+        def spy(elems, groups, digits):
+            cols, weights = real(elems, groups, digits)
             grids.append((list(groups), cols[0].size))
             return cols, weights
 
@@ -575,9 +598,9 @@ def column_dtypes(monkeypatch):
     dtypes = []
     real = enumeration._power_sum_columns
 
-    def spy(elems, groups, chunks):
+    def spy(elems, groups, digits):
         dtypes.append(elems.dtype)
-        return real(elems, groups, chunks)
+        return real(elems, groups, digits)
 
     monkeypatch.setattr(enumeration, "_power_sum_columns", spy)
     return dtypes
@@ -592,18 +615,19 @@ class TestInt64Fallbacks:
         assert _every_counting_path() == expected
         assert set(column_dtypes) == {np.dtype(object)}
 
-    def test_renumbered_keys(self, int64_decisions, built_columns):
-        # radix products far above int64 over few keys: the keys are
-        # renumbered between chunks of digits and the join stays on int64
+    def test_renumbered_keys(self, int64_decisions, built_columns, column_dtypes):
+        # radix products far above int64 over few keys: the one key decision
+        # is object, and each half is one object key column
         sys = validate_system(4, (1, 2, -3, 1, -1))
         w = SetWindow.from_elements(60, (1, 2, 7, 20, 33, 60))
         assert count_solutions(sys, w, "mitm").total == brute_force_tally(sys, w)[0]
-        assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
+        assert not int64_decisions[0][1]
         del int64_decisions[:]
         assert vinogradov_moment(12, 5, 2) == brute_force_moment(12, 5, 2)
-        assert int64_decisions[0][1] and not all(ok for _, ok in int64_decisions)
-        # two halves, then the moment's one half, each in two chunks or more
-        assert len(built_columns) == 3 and min(built_columns) >= 2
+        assert not int64_decisions[0][1]
+        # two halves at k = 4, then the moment's one half at k = 5
+        assert built_columns == [1, 1, 1]
+        assert column_dtypes == [np.dtype(object)] * 3
 
     def test_key_bound_at_int64_limit(self, int64_decisions, column_dtypes):
         # over {1, 2, top} the join's key bound grows with top; the largest top

@@ -52,6 +52,24 @@ class TestEvalG:
             alpha = (rnd.random(), rnd.random())
             assert abs(eval_g(n, alpha)) <= n + 1e-9
 
+    def test_reduced_phase_stays_below_one(self):
+        # a tiny negative phase leaves a remainder that rounds up to 1.0;
+        # it reduces to 0.0, and a phase already in [0, 1) keeps its bits
+        rnd = random.Random(32)
+        tiny = [-1e-20, -1e-17, -2.0**-54, -2.0**-60, -5e-324]
+        assert reduce_phase(tiny) == (0.0,) * len(tiny)
+        assert reduce_phase([-2.0**-53]) == (1 - 2.0**-53,)
+        inside = [0.0, 0.3, 1 - 2.0**-53, 5e-324] + [rnd.random() for _ in range(100)]
+        assert reduce_phase(inside) == tuple(inside)
+        for a in tiny + inside + [rnd.uniform(-1e6, 1e6) for _ in range(100)]:
+            red = reduce_phase([a])[0]
+            assert 0 <= red < 1
+            off = abs(Fraction(red) - Fraction(a) % 1)  # distance mod 1
+            assert min(off, 1 - off) <= 2.0**-53
+        # the exact value is 10^5 - 2 pi i 10^-20 * sum x, imaginary -3.1e-10
+        g = eval_g(10**5, (-1e-20,))
+        assert abs(g.imag - (-2 * math.pi * 1e-20 * 5_000_050_000)) < 1e-9
+
 
 class TestEvalFAndE:
     def test_f_at_zero_is_cardinality(self):
