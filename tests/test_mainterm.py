@@ -4,10 +4,12 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from circlecount import (
@@ -342,6 +344,70 @@ class TestCEstimators:
             estimate_singular_integral_constant(
                 validate_system(2, (1, 1, -2)), "band_volume", budget=Budget(max_ops=1000)
             )
+
+    def test_byte_check_refuses_before_real_solution_search(self, sys_quad4, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("the Newton search ran before the budget check")
+
+        monkeypatch.setattr(mainterm, "find_nonsingular_real_solution", searched)
+        with pytest.raises(BudgetExceededError, match="band volume points"):
+            estimate_singular_integral_constant(
+                sys_quad4, "band_volume", budget=Budget(max_key_bytes=10**6)
+            )
+        # one chunk of 250,000 points, not the whole sample, sets the estimate
+        monkeypatch.setattr(mainterm, "find_nonsingular_real_solution", lambda *a, **kw: None)
+        for max_key_bytes, error in ((8 * 250_000 * 7, NoRealSolutionError),
+                                     (8 * 250_000 * 7 - 1, BudgetExceededError)):
+            with pytest.raises(error):
+                estimate_singular_integral_constant(
+                    sys_quad4, "band_volume", samples=10**8,
+                    budget=Budget(max_ops=10**10, max_key_bytes=max_key_bytes),
+                )
+
+    def test_band_volume_peak_memory(self):
+        # one chunk of points, its |L_1| and the slab test's temporaries; the
+        # degree 2..k values are formed on the rows within eps only
+        cubic8 = validate_system(3, (1, 1, 1, 1, -1, -1, -1, -1))
+        estimate_singular_integral_constant(cubic8, "band_volume", seed=1)
+        tracemalloc.start()
+        try:
+            estimate_singular_integral_constant(cubic8, "band_volume", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 250_000 * (cubic8.arity + 3)
+
+    @pytest.mark.parametrize(
+        "k, lam, seeds",
+        [
+            (1, (2, -1, -1), (1, 7)),
+            (2, (1, 1, -1, -1), (1, 3, 20)),
+            (2, (1, 1, 1, -1, -1, -1), (0, 11)),
+            (3, (1, 1, 1, 1, -1, -1, -1, -1), (1, 2, 31)),
+        ],
+        ids=["lin3", "quad4", "quad6", "cubic8"],
+    )
+    def test_band_volume_matches_every_degree_at_every_point(self, k, lam, seeds):
+        # oracle: every L_j at every point of each 250,000-row chunk; the
+        # 400,000 samples also run the 150,000-row tail chunk
+        system, samples, eps = validate_system(k, lam), 400_000, 0.04
+        coeffs = np.array(lam, dtype=np.float64)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            hits = [0, 0]
+            for take in (250_000, samples - 250_000):
+                pts = rng.uniform(0.0, 1.0, size=(take, system.arity))
+                dev = np.max(np.abs([(pts**j) @ coeffs for j in range(1, k + 1)]), axis=0)
+                hits[0] += int(np.count_nonzero(dev <= eps))
+                hits[1] += int(np.count_nonzero(dev <= eps / 2))
+            vols = [h / samples / (2.0 * e) ** k for h, e in zip(hits, (eps, eps / 2.0))]
+            std = math.sqrt(max(hits[1], 1)) / samples / (2.0 * (eps / 2.0)) ** k
+            est = estimate_singular_integral_constant(
+                system, "band_volume", samples=samples, eps=eps, seed=seed
+            )
+            assert est.details["volumes"] == vols
+            assert est.value == 2.0 * vols[1] - vols[0]
+            assert est.spread == max(abs(vols[1] - vols[0]), 3.0 * std)
 
     def test_band_and_ratio_agree_within_spreads(self, sys_quad4):
         band = estimate_singular_integral_constant(
