@@ -356,8 +356,9 @@ class TestCEstimators:
             )
         # one chunk of 250,000 points, not the whole sample, sets the estimate
         monkeypatch.setattr(mainterm, "find_nonsingular_real_solution", lambda *a, **kw: None)
-        for max_key_bytes, error in ((8 * 250_000 * 7, NoRealSolutionError),
-                                     (8 * 250_000 * 7 - 1, BudgetExceededError)):
+        chunk_bytes = 8 * 250_000 * (sys_quad4.arity + 3)
+        for max_key_bytes, error in ((chunk_bytes, NoRealSolutionError),
+                                     (chunk_bytes - 1, BudgetExceededError)):
             with pytest.raises(error):
                 estimate_singular_integral_constant(
                     sys_quad4, "band_volume", samples=10**8,
